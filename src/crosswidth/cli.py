@@ -18,11 +18,11 @@ from typing import Optional
 import numpy as np
 
 from . import exprs, oracle as oracle_mod, quadrature
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, check_h_list, load_config
 from .geometry import graph_to_dict
 from .model import StructureError, validate_structure
 from .pipeline import ValidationFailed, build_engine, compare_sweep, _contour_for
-from .semiclassics import CountMismatch, NewtonDiverged, SingularSystem, TopologyMismatch
+from .semiclassics import BoxTooLarge, CountMismatch, NewtonDiverged, SingularSystem, TopologyMismatch
 
 _CONVERGENCE_ERRORS = (
     NewtonDiverged,
@@ -215,8 +215,8 @@ def cmd_compare(cfg: RunConfig, args) -> int:
 def cmd_stphase(cfg: RunConfig, args) -> int:
     phi_ast = exprs.parse(args.phi)
     sigma_ast = exprs.parse(args.sigma)
-    phi = exprs.compile_fn(phi_ast, "numpy")
-    sigma = exprs.compile_fn(sigma_ast, "numpy")
+    phi = exprs.compile_fn(phi_ast)
+    sigma = exprs.compile_fn(sigma_ast)
     lo, hi = args.interval
     x0 = args.x0
     m = args.m
@@ -305,12 +305,16 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
+        if getattr(args, "h", None) is not None:
+            check_h_list([args.h], "--h")
+        if getattr(args, "h_list", None) is not None:
+            check_h_list(args.h_list, "--h-list")
     except (ConfigError, OSError, exprs.ExprSyntaxError) as exc:
         _emit(_to_json({"diagnostics": str(exc)}), getattr(args, "out", None))
         return 2
     try:
         return _COMMANDS[args.command](cfg, args)
-    except (ValidationFailed, StructureError, ConfigError) as exc:
+    except (ValidationFailed, StructureError, ConfigError, BoxTooLarge) as exc:
         _emit(_to_json({"diagnostics": str(exc)}), args.out)
         return 2
     except _CONVERGENCE_ERRORS as exc:

@@ -7,13 +7,14 @@ keys are errors, as are missing required problem keys.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from . import exprs
 from .model import Problem, ToleranceSet
 
-__all__ = ["ConfigError", "RunConfig", "load_config"]
+__all__ = ["ConfigError", "RunConfig", "check_h_list", "load_config"]
 
 
 class ConfigError(ValueError):
@@ -61,6 +62,17 @@ def _parse_float(raw: str, line: int, key: str) -> float:
         return float(raw)
     except ValueError as exc:
         raise ConfigError(f"key '{key}' needs a number, got {raw!r}", line) from exc
+
+
+def check_h_list(hs: Sequence[float], what: str, line: Optional[int] = None) -> None:
+    """Every h must be finite and positive, and a list strictly decreasing.
+    Whether the resonance box e0 +/- L*h fits is checked when the engine is
+    built for the largest h (it needs the structure report)."""
+    for h in hs:
+        if not (math.isfinite(h) and h > 0):
+            raise ConfigError(f"{what} must be finite and positive, got {h!r}", line)
+    if any(a <= b for a, b in zip(hs, hs[1:])):
+        raise ConfigError(f"{what} must be strictly decreasing", line)
 
 
 def load_config(path: str) -> RunConfig:
@@ -139,8 +151,7 @@ def load_config(path: str) -> RunConfig:
     if "h_list" in values["sweep"]:
         lineno = lineno_of[("sweep", "h_list")]
         h_list = [_parse_float(part, lineno, "h_list") for part in values["sweep"]["h_list"].split(",")]
-        if any(h <= 0 for h in h_list) or any(a <= b for a, b in zip(h_list, h_list[1:])):
-            raise ConfigError("h_list must be strictly decreasing and positive", lineno)
+        check_h_list(h_list, "h_list", lineno)
 
     orc = values["oracle"]
     return RunConfig(

@@ -623,24 +623,13 @@ def _emit(e: ExprAst) -> str:
     return f"_{e.fn}({_emit(e.arg)})"
 
 
-def compile_fn(e: ExprAst, backend: str = "numpy") -> Callable:
-    """Compile to a fast callable.
-
-    'numpy' handles arrays and scalars; 'math' and 'cmath' are the scalar
-    hot-path variants for real and complex arguments.  Compiled callables
-    skip the branch-cut checks of :func:`evaluate` (the contours used by
-    callers are chosen to stay off the cuts).
+def compile_fn(e: ExprAst) -> Callable:
+    """Compile to a fast numpy callable that handles scalars and arrays,
+    real or complex.  Compiled callables skip the branch-cut checks of
+    :func:`evaluate` (the contours used by callers are chosen to stay off
+    the cuts).
     """
-    if backend == "numpy":
-        ns = {f"_{name}": getattr(np, name) for name in FUNCTIONS}
-        ns["_pi"] = np.pi
-    elif backend == "math":
-        ns = {f"_{name}": getattr(math, name) for name in FUNCTIONS}
-        ns["_pi"] = math.pi
-    elif backend == "cmath":
-        ns = {f"_{name}": getattr(cmath, name) for name in FUNCTIONS}
-        ns["_pi"] = math.pi
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
+    ns = {f"_{name}": getattr(np, name) for name in FUNCTIONS}
+    ns["_pi"] = np.pi
     src = f"lambda x: ({_emit(e)})"
     return eval(compile(src, "<expr>", "eval"), ns)  # noqa: S307 - own AST only

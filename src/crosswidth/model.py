@@ -110,27 +110,26 @@ class Problem:
     # compiled evaluators, built once on first use
     @cached_property
     def v1_np(self):
-        return exprs.compile_fn(self.v1, "numpy")
+        return exprs.compile_fn(self.v1)
 
     @cached_property
     def v2_np(self):
-        return exprs.compile_fn(self.v2, "numpy")
+        return exprs.compile_fn(self.v2)
 
     @cached_property
     def v1p_np(self):
-        return exprs.compile_fn(exprs.differentiate(self.v1), "numpy")
+        return exprs.compile_fn(exprs.differentiate(self.v1))
 
     @cached_property
     def v2p_np(self):
-        return exprs.compile_fn(exprs.differentiate(self.v2), "numpy")
+        return exprs.compile_fn(exprs.differentiate(self.v2))
 
     @cached_property
-    def coeffs_cmath(self):
-        """(v1, v2, r0, r1, r1') as complex scalar callables for contour work."""
-        return tuple(
-            exprs.compile_fn(e, "cmath")
-            for e in (self.v1, self.v2, self.r0, self.r1, exprs.differentiate(self.r1))
-        )
+    def coeffs_np(self):
+        """(v1, v2, r0, r1, r1') as numpy callables for contour work; they take
+        complex arrays, and a constant coefficient comes back as a scalar."""
+        r = (exprs.compile_fn(e) for e in (self.r0, self.r1, exprs.differentiate(self.r1)))
+        return (self.v1_np, self.v2_np, *r)
 
     def v_np(self, channel: int):
         return self.v1_np if channel == 1 else self.v2_np
@@ -216,8 +215,8 @@ def turning_points(
     contact tolerance (the root is not simple).
     """
     tols = tols or ToleranceSet()
-    vfn = exprs.compile_fn(V, "numpy")
-    vpfn = exprs.compile_fn(exprs.differentiate(V), "numpy")
+    vfn = exprs.compile_fn(V)
+    vpfn = exprs.compile_fn(exprs.differentiate(V))
     xs = _grid(window, tols.scan_points)
     vals = np.asarray(vfn(xs), dtype=float) - E
     roots: List[float] = []

@@ -25,6 +25,7 @@ from .model import CrossingPoint, Problem, StructureReport
 from .quadrature import ActionFn, action_derivative, action_edge
 
 __all__ = [
+    "BoxTooLarge",
     "TransferMatrix",
     "PseudoResonance",
     "WidthBreakdown",
@@ -55,7 +56,7 @@ def energy_domain(problem: Problem, report: StructureReport, h_max: float) -> Tu
     domain = (max(e0 - req, lo_bound), min(e0 + req, hi_bound))
     need = problem.L * h_max
     if domain[0] > e0 - need or domain[1] < e0 + need:
-        raise ValueError(
+        raise BoxTooLarge(
             "resonance box does not fit between the crossing level and the "
             f"well top; reduce L*h (domain {domain}, need e0 +/- {need:.4g})"
         )
@@ -91,6 +92,10 @@ def bohr_sommerfeld(p: Problem, h: float) -> List[float]:
         if alo <= target <= ahi:
             out.append(brentq(lambda E: A(E) - target, lo, hi, xtol=1e-14, rtol=8.9e-16))
     return sorted(out)
+
+
+class BoxTooLarge(ValueError):
+    """The resonance box e0 +/- L*h does not fit the energy domain."""
 
 
 class SingularSystem(Exception):

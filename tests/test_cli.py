@@ -180,3 +180,28 @@ def test_exit_3_on_budget_blowup(tmp_path):
     ])
     assert code == 3
     assert "diagnostics" in out.read_text()
+
+
+@pytest.mark.parametrize("argv, problem", [
+    (["bs", "f0", "--h", "0"], "--h must be finite and positive"),
+    (["bs", "f0", "--h", "-0.05"], "--h must be finite and positive"),
+    (["bs", "f0", "--h", "nan"], "--h must be finite and positive"),
+    (["analyze", "f0", "--h", "inf"], "--h must be finite and positive"),
+    (["widths", "f0", "--h", "0.5"], "resonance box does not fit"),
+    (["compare", "f0", "--h-list", "0.05,0.06"], "--h-list must be strictly decreasing"),
+    (["compare", "f0", "--h-list", "0.5,0.06"], "resonance box does not fit"),
+    (["stphase", "f0", "--m", "1", "--h-list", "1e-2,0", "--phi", "x^2", "--sigma", "1"],
+     "--h-list must be finite and positive"),
+])
+def test_bad_h_exits_2_naming_the_problem(tmp_path, argv, problem):
+    out = tmp_path / "out.json"
+    code = cli.main([argv[0], _cfg_path(argv[1]), *argv[2:], "--out", str(out)])
+    assert code == 2
+    assert problem in json.loads(out.read_text())["diagnostics"]
+
+
+def test_h_list_must_be_finite(tmp_path):
+    text = MINIMAL + "\n[sweep]\nh_list = 0.05, nan\n"
+    with pytest.raises(ConfigError) as err:
+        load_config(_write(tmp_path, text))
+    assert "finite and positive" in str(err.value)

@@ -1,7 +1,9 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
+import scipy.linalg
 
 from crosswidth import exprs, fixtures, oracle, pipeline
 from crosswidth.model import Problem
@@ -9,6 +11,7 @@ from crosswidth.oracle import (
     Contour,
     InsufficientData,
     MatchingProblem,
+    PairTrack,
     PolesOnContour,
     default_contour,
     exponent_fit,
@@ -26,6 +29,16 @@ def _flat_problem(v1="4", v2="0", e0=1.0):
     )
 
 
+def _raw_final(track: PairTrack) -> np.ndarray:
+    """The pair at t = 0 without the checkpoint orthonormalizations: the
+    stored triangular factors multiplied back in, last to first."""
+    raw = track.final
+    for seg in reversed(track.segments):
+        if seg.R is not None:
+            raw = raw @ seg.R
+    return raw
+
+
 def test_contour_geometry():
     c = Contour(R0=2.0, theta=0.3, X=6.0)
     assert c.z(1.0) == 1.0
@@ -40,11 +53,10 @@ def test_free_wave_phase_accumulation():
     p = _flat_problem()
     h = 0.05
     c = Contour(R0=5.0, theta=0.3, X=5.5)
-    track = propagate(p, complex(1.0), h, c, "right", ode_tol=1e-12,
-                      reorthonormalize=False)
+    track = propagate(p, complex(1.0), h, c, "right", ode_tol=1e-12)
     z_end = c.z(5.5)
     want = cmath.exp(1j * math.sqrt(1.0) * (0.0 - z_end) / h)
-    got = track.final[2, 1]  # channel-2 value of the channel-2 column at t = 0
+    got = _raw_final(track)[2, 1]  # channel-2 value of the channel-2 column at t = 0
     assert abs(got - want) / abs(want) < 1e-9
 
 
@@ -54,9 +66,8 @@ def test_closed_channel_growth_rate():
     p = _flat_problem()
     h = 0.1
     c = Contour(R0=2.0, theta=0.3, X=2.5)
-    track = propagate(p, complex(1.0), h, c, "left", ode_tol=1e-12,
-                      reorthonormalize=False)
-    got = track.final[0, 0]
+    track = propagate(p, complex(1.0), h, c, "left", ode_tol=1e-12)
+    got = _raw_final(track)[0, 0]
     want_log = math.sqrt(3.0) * abs(c.z(-2.5).real) / h
     assert abs(math.log(abs(got)) - want_log) / want_log < 1e-2
 
@@ -70,8 +81,12 @@ def test_conjugate_symmetry_of_matching():
     c_neg = Contour(R0=3.0, theta=-0.25, X=8.0)
     # raw propagation (no checkpoint factorization, whose phase conventions
     # are not conjugation-equivariant): Schwarz reflection is then exact
-    w1 = matching_determinant(p, E, h, c_pos, reorthonormalize=False)
-    w2 = matching_determinant(p, E.conjugate(), h, c_neg, reorthonormalize=False)
+    def raw_matching(E, c):
+        A = np.column_stack([_raw_final(propagate(p, E, h, c, end)) for end in ("left", "right")])
+        return complex(np.linalg.det(A / np.linalg.norm(A, axis=0)[None, :]))
+
+    w1 = raw_matching(E, c_pos)
+    w2 = raw_matching(E.conjugate(), c_neg)
     assert abs(w2 - w1.conjugate()) <= 1e-9 * abs(w1)
 
 
@@ -169,3 +184,27 @@ def test_ode_accuracy_stability(f0_engine):
     r1 = refine_resonance(p, complex(seed, -D * h * h), h, c, eng.m0, ode_tol=1e-9)
     r2 = refine_resonance(p, complex(seed, -D * h * h), h, c, eng.m0, ode_tol=1e-10)
     assert abs(r2.E.imag - r1.E.imag) / abs(r2.E.imag) < 0.01
+
+
+@pytest.mark.parametrize("norm", [0.05, 0.4, 3.0, 40.0])
+def test_batched_expm_matches_scipy(norm):
+    # norms on both sides of oracle._EXPM_THETA, so the squaring path runs too
+    rng = np.random.default_rng(7)
+    X = rng.standard_normal((64, 4, 4)) + 1j * rng.standard_normal((64, 4, 4))
+    X *= norm / np.abs(X).sum(axis=-2).max()  # largest 1-norm of the stack
+    want = scipy.linalg.expm(X)
+    err = np.linalg.norm(oracle._expm(X) - want, axis=(1, 2)) / np.linalg.norm(want, axis=(1, 2))
+    assert err.max() < 1e-13
+
+
+def test_magnus_fourth_order(f0_engine):
+    # ode_tol / 16 halves the Magnus step; a 4th-order scheme then shrinks
+    # the change in W by about 16x
+    rep, _, eng = f0_engine
+    p = eng.p
+    h = 0.05
+    seeds = eng.bohr_sommerfeld(h)
+    E = complex(0.5 * (seeds[0] + seeds[1]), -0.001)
+    c = default_contour(p, rep, h)
+    w = [matching_determinant(p, E, h, c, ode_tol=1e-8 / 16**k) for k in range(3)]
+    assert abs(w[2] - w[1]) * 10 <= abs(w[1] - w[0])
