@@ -4,13 +4,14 @@ crosswidth <analyze|bs|pseudo|widths|oracle|compare|stphase> <config> [flags]
 
 Outputs are deterministic for a fixed config: JSON for structured results,
 CSV for sweep tables, all floats printed with 17 significant digits.
-Exit codes: 0 success, 2 structure validation failure, 3 numerical
-non-convergence.
+Exit codes: 0 success, 2 invalid input (structure validation, config,
+h or contour parameters), 3 numerical non-convergence.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from typing import Optional
@@ -21,7 +22,7 @@ from . import exprs, oracle as oracle_mod, quadrature
 from .config import ConfigError, RunConfig, check_h_list, load_config
 from .geometry import graph_to_dict
 from .model import StructureError, validate_structure
-from .pipeline import ValidationFailed, build_engine, compare_sweep, _contour_for
+from .pipeline import ValidationFailed, build_engine, compare_sweep, oracle_row
 from .semiclassics import BoxTooLarge, CountMismatch, NewtonDiverged, SingularSystem, TopologyMismatch
 
 _CONVERGENCE_ERRORS = (
@@ -114,19 +115,15 @@ def cmd_analyze(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _engine_for(cfg: RunConfig, h: float):
-    return build_engine(cfg.problem, calib=cfg.calib, h_max=h)
-
-
 def cmd_bs(cfg: RunConfig, args) -> int:
-    _, _, engine = _engine_for(cfg, args.h)
+    _, _, engine = build_engine(cfg.problem, calib=cfg.calib, h_max=args.h)
     rows = [{"index": i, "E": E} for i, E in enumerate(engine.bohr_sommerfeld(args.h))]
     _emit(_csv(rows, ["index", "E"]), args.out)
     return 0
 
 
 def cmd_pseudo(cfg: RunConfig, args) -> int:
-    _, _, engine = _engine_for(cfg, args.h)
+    _, _, engine = build_engine(cfg.problem, calib=cfg.calib, h_max=args.h)
     expo = (engine.m0 + 3.0) / (engine.m0 + 1.0)
     records = []
     for pr in engine.pseudo_resonances(args.h):
@@ -147,7 +144,7 @@ def cmd_pseudo(cfg: RunConfig, args) -> int:
 
 
 def cmd_widths(cfg: RunConfig, args) -> int:
-    _, _, engine = _engine_for(cfg, args.h)
+    _, _, engine = build_engine(cfg.problem, calib=cfg.calib, h_max=args.h)
     records = [
         {
             "seed": row["seed"],
@@ -163,33 +160,19 @@ def cmd_widths(cfg: RunConfig, args) -> int:
 
 
 def cmd_oracle(cfg: RunConfig, args) -> int:
-    report, _, engine = _engine_for(cfg, args.h)
+    report, _, engine = build_engine(cfg.problem, calib=cfg.calib, h_max=args.h)
     seeds = engine.bohr_sommerfeld(args.h)
     if not seeds:
         raise oracle_mod.NotConverged("empty Bohr-Sommerfeld grid")
     idx = args.seed_index if args.seed_index is not None else len(seeds) // 2
     if not 0 <= idx < len(seeds):
         raise ConfigError(f"seed index {idx} out of range 0..{len(seeds) - 1}")
-    seed = seeds[idx]
-    D = engine.width_coefficient(seed, args.h, "one_switch").D
-    expo = (engine.m0 + 3.0) / (engine.m0 + 1.0)
-    if args.theta is not None:
-        cfg.theta = args.theta
-    if args.X is not None:
-        cfg.contour_X = args.X
-    contour = _contour_for(cfg, report, args.h)
-    ode_tol = cfg.oracle_ode_tol or cfg.problem.tolerances.ode_tol
-    res = oracle_mod.refine_resonance(
-        cfg.problem, complex(seed, -D * args.h**expo), args.h, contour, engine.m0, ode_tol=ode_tol
-    )
-    im_green = oracle_mod.width_from_state(
-        cfg.problem, res.E, args.h, contour,
-        x1=report.a0.x - 1.0, x2=report.b0.x + 1.0, ode_tol=ode_tol,
-    )
-    _emit(
-        _to_json({"E_re": res.E.real, "E_im": res.E.imag, "residual": res.residual, "im_green": im_green}),
-        args.out,
-    )
+    overrides = {"theta": args.theta, "contour_X": args.X}
+    cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+    row = oracle_row(cfg, report, engine, seeds[idx], args.h)
+    res = row["res"]
+    payload = {"E_re": res.E.real, "E_im": res.E.imag, "residual": res.residual, "im_green": row["im_green"]}
+    _emit(_to_json(payload), args.out)
     return 0
 
 
@@ -217,6 +200,8 @@ def cmd_stphase(cfg: RunConfig, args) -> int:
     sigma_ast = exprs.parse(args.sigma)
     phi = exprs.compile_fn(phi_ast)
     sigma = exprs.compile_fn(sigma_ast)
+    if len(args.interval) != 2:
+        raise ConfigError(f"--interval needs two comma-separated numbers lo,hi, got {args.interval!r}")
     lo, hi = args.interval
     x0 = args.x0
     m = args.m
@@ -314,7 +299,8 @@ def main(argv=None) -> int:
         return 2
     try:
         return _COMMANDS[args.command](cfg, args)
-    except (ValidationFailed, StructureError, ConfigError, BoxTooLarge) as exc:
+    except (ValidationFailed, StructureError, ConfigError, BoxTooLarge, oracle_mod.BadContour,
+            quadrature.PreconditionViolated) as exc:
         _emit(_to_json({"diagnostics": str(exc)}), args.out)
         return 2
     except _CONVERGENCE_ERRORS as exc:

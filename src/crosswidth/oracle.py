@@ -30,6 +30,7 @@ from scipy.integrate import simpson, solve_ivp  # noqa: F401
 from .model import Problem, StructureReport
 
 __all__ = [
+    "BadContour",
     "Contour",
     "OracleResonance",
     "StepUnderflow",
@@ -39,12 +40,15 @@ __all__ = [
     "InsufficientData",
     "default_contour",
     "propagate",
-    "matching_determinant",
     "MatchingProblem",
     "refine_resonance",
     "width_from_state",
     "exponent_fit",
 ]
+
+
+class BadContour(ValueError):
+    """The contour parameters theta, R0 or X are out of range."""
 
 
 class StepUnderflow(Exception):
@@ -77,10 +81,9 @@ class Contour:
     X: float
 
     def __post_init__(self):
-        if not (self.X > self.R0 > 0):
-            raise ValueError("need X > R0 > 0")
-        if not (0 < abs(self.theta) < math.pi / 2):
-            raise ValueError("theta must lie in (0, pi/2) up to sign")
+        if not (math.isfinite(self.X) and self.X > self.R0 > 0):
+            raise BadContour(f"contour needs finite X > R0 > 0, got R0 = {self.R0!r}, X = {self.X!r}")
+        _check_theta(self.theta)
 
     def z(self, t: float) -> complex:
         if t > self.R0:
@@ -97,13 +100,17 @@ class Contour:
         raise ValueError("end must be 'left' or 'right'")
 
 
+def _check_theta(theta: float) -> None:
+    if not (0 < abs(theta) < math.pi / 2):
+        raise BadContour(f"theta must lie in (0, pi/2) up to sign, got {theta!r}")
+
+
 @dataclass(frozen=True)
 class OracleResonance:
     E: complex
     residual: float
     h: float
     seed: complex
-    im_from_green: Optional[float] = None
     theta_shift: Optional[float] = None
 
 
@@ -112,8 +119,7 @@ def default_contour(p: Problem, report: StructureReport, h: float, theta: float 
     """Contour wide enough to contain the well and all crossings on the real
     part, with rays long enough that every closed-channel solution decays by
     e^-30 before truncation."""
-    if theta is None:
-        theta = 0.3
+    _check_theta(theta)
     if R0 is None:
         extent = max(abs(report.a0.x), abs(report.b0.x), max(abs(c.x) for c in report.crossings))
         R0 = extent + 1.5
@@ -314,8 +320,7 @@ def _step_propagators(p: Problem, E: complex, h: float, ts: np.ndarray,
 
 
 def propagate(p: Problem, E: complex, h: float, c: Contour, from_end: str,
-              ode_tol: float = 1e-12, t_eval_core: Optional[np.ndarray] = None,
-              seg_len: Optional[float] = None) -> PairTrack:
+              ode_tol: float = 1e-12, t_eval_core: Optional[np.ndarray] = None) -> PairTrack:
     """Shoot the admissible pair from one contour end to t = 0 with
     re-orthonormalization checkpoints.
 
@@ -327,8 +332,7 @@ def propagate(p: Problem, E: complex, h: float, c: Contour, from_end: str,
     admissible span survive roundoff.
     """
     E = complex(E)
-    if seg_len is None:
-        seg_len = min(1.5, max(40.0 * h, 0.3))
+    seg_len = min(1.5, max(40.0 * h, 0.3))
     dt_max = h / 24.0 * (ode_tol / 1e-12) ** 0.25
     pair = _initial_pair(p, E, c, from_end)
     track = PairTrack(final=pair)
@@ -378,28 +382,12 @@ class MatchingProblem:
         self.ode_tol = ode_tol
         self._scales: Optional[np.ndarray] = None
 
-    def matrix(self, E: complex) -> np.ndarray:
-        L = propagate(self.p, E, self.h, self.contour, "left", self.ode_tol)
-        R = propagate(self.p, E, self.h, self.contour, "right", self.ode_tol)
-        return np.column_stack([L.final, R.final])
-
     def W(self, E: complex) -> complex:
-        A = self.matrix(E)
+        A = np.column_stack([propagate(self.p, E, self.h, self.contour, end, self.ode_tol).final
+                             for end in ("left", "right")])
         if self._scales is None:
             self._scales = np.maximum(np.linalg.norm(A, axis=0), 1e-300)
         return complex(np.linalg.det(A / self._scales[None, :]))
-
-
-def matching_determinant(p: Problem, E: complex, h: float, c: Contour,
-                         ode_tol: float = 1e-12) -> complex:
-    """One-shot scale-normalized matching determinant; zero iff a globally
-    outgoing solution exists at E."""
-    A = np.column_stack([
-        propagate(p, E, h, c, "left", ode_tol).final,
-        propagate(p, E, h, c, "right", ode_tol).final,
-    ])
-    scales = np.maximum(np.linalg.norm(A, axis=0), 1e-300)
-    return complex(np.linalg.det(A / scales[None, :]))
 
 
 def _muller(f, x0: complex, x1: complex, x2: complex, tol: float, maxit: int = 60):
@@ -466,16 +454,14 @@ def refine_resonance(p: Problem, seed: complex, h: float, c: Contour, m0: int,
     return res
 
 
-def width_from_state(p: Problem, E: complex, h: float, c: Contour,
-                     x1: Optional[float] = None, x2: Optional[float] = None,
+def width_from_state(p: Problem, E: complex, h: float, c: Contour, x1: float, x2: float,
                      ode_tol: float = 1e-12) -> float:
     """Green-identity width estimate from the matched resonant state:
     Im z = h^2 Im[-v1' conj(v1) - v2' conj(v2) + r1 v2 conj(v1)]_{x1}^{x2}
-    normalized by the L2 norm of the state on [x1, x2]."""
-    if x1 is None or x2 is None:
-        raise ValueError("x1 and x2 are required (x1 < a0 < b0 < x2)")
+    normalized by the L2 norm of the state on [x1, x2] (x1 < a0 < b0 < x2)."""
     if not (-c.R0 < x1 < x2 < c.R0):
-        raise ValueError("[x1, x2] must lie inside the undeformed contour core")
+        raise BadContour(f"contour core [-R0, R0] with R0 = {c.R0!r} must contain "
+                         f"[x1, x2] = [{x1!r}, {x2!r}]")
     step = h / 16.0
     ts_l = np.linspace(x1, 0.0, max(int(abs(x1) / step), 32) + 1)
     ts_r = np.linspace(0.0, x2, max(int(abs(x2) / step), 32) + 1)

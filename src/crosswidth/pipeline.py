@@ -26,9 +26,13 @@ __all__ = [
     "build_engine",
     "width_dips",
     "tracked_seed",
-    "select_offset",
+    "select_anchor",
+    "oracle_row",
     "compare_sweep",
 ]
+
+# candidate anchors tried by select_anchor
+_ANCHOR_GRID = 192
 
 
 class ValidationFailed(Exception):
@@ -82,8 +86,7 @@ def tracked_seed(engine: SemiclassicsEngine, h: float, anchor: float) -> Optiona
     return min(seeds, key=lambda s: abs(s - anchor))
 
 
-def select_anchor(engine: SemiclassicsEngine, h_list: Sequence[float],
-                  n_grid: int = 192) -> float:
+def select_anchor(engine: SemiclassicsEngine, h_list: Sequence[float]) -> float:
     """Anchor energy for seed tracking.
 
     Each h has its own quantization grid, so the tracked energies wander
@@ -98,7 +101,7 @@ def select_anchor(engine: SemiclassicsEngine, h_list: Sequence[float],
     logh = logh - logh.mean()
     dips_by_h = {h: width_dips(engine, h) for h in h_list}
     best_anchor, best_score = None, math.inf
-    for anchor in np.linspace(e0 - sp0, e0 + sp0, n_grid):
+    for anchor in np.linspace(e0 - sp0, e0 + sp0, _ANCHOR_GRID):
         seeds = []
         ok = True
         for h in h_list:
@@ -124,26 +127,42 @@ def select_anchor(engine: SemiclassicsEngine, h_list: Sequence[float],
     return best_anchor
 
 
-def _contour_for(cfg: RunConfig, report: StructureReport, h: float):
-    return oracle_mod.default_contour(
+def oracle_row(cfg: RunConfig, report: StructureReport, engine: SemiclassicsEngine,
+               seed: float, h: float, include_green: bool = True) -> dict:
+    """The oracle resonance refined from one Bohr-Sommerfeld seed.
+
+    Returns the width coefficient ``D``, the predicted imaginary part
+    ``im_pred`` that starts the refinement, the refined resonance ``res``
+    and the Green-identity width ``im_green`` (None without include_green).
+    """
+    D = engine.width_coefficient(seed, h, "one_switch").D
+    im_pred = -D * h ** ((engine.m0 + 3.0) / (engine.m0 + 1.0))
+    contour = oracle_mod.default_contour(
         cfg.problem, report, h, theta=cfg.theta, R0=cfg.contour_R0, X=cfg.contour_X
     )
+    ode_tol = cfg.oracle_ode_tol or cfg.problem.tolerances.ode_tol
+    res = oracle_mod.refine_resonance(
+        cfg.problem, complex(seed, im_pred), h, contour, engine.m0, ode_tol=ode_tol
+    )
+    im_green = None
+    if include_green:
+        im_green = oracle_mod.width_from_state(
+            cfg.problem, res.E, h, contour, report.a0.x - 1.0, report.b0.x + 1.0, ode_tol=ode_tol
+        )
+    return {"D": D, "im_pred": im_pred, "res": res, "im_green": im_green}
 
 
 def compare_sweep(
     cfg: RunConfig,
     h_list: Optional[Sequence[float]] = None,
     include_green: bool = True,
-    anchor: Optional[float] = None,
 ) -> dict:
     """Joined semiclassical/oracle table over the h sweep plus exponent fits."""
     hs = list(h_list if h_list is not None else (cfg.h_list or []))
     if not hs:
         raise ValueError("compare needs a non-empty h_list")
     report, graph, engine = build_engine(cfg.problem, calib=cfg.calib, h_max=max(hs))
-    if anchor is None:
-        anchor = select_anchor(engine, hs)
-    ode_tol = cfg.oracle_ode_tol or cfg.problem.tolerances.ode_tol
+    anchor = select_anchor(engine, hs)
     expo = (engine.m0 + 3.0) / (engine.m0 + 1.0)
     rows = []
     for h in hs:
@@ -151,30 +170,20 @@ def compare_sweep(
         if seed is None:
             raise ValueError(f"no Bohr-Sommerfeld seed near {anchor} for h = {h}")
         pseudo = {pr.seed: pr for pr in engine.pseudo_resonances(h)}.get(seed)
-        D = engine.width_coefficient(seed, h, "one_switch").D
-        im_pred = -D * h**expo
-        contour = _contour_for(cfg, report, h)
-        res = oracle_mod.refine_resonance(
-            cfg.problem, complex(seed, im_pred), h, contour, engine.m0, ode_tol=ode_tol
-        )
-        im_green = None
-        if include_green:
-            im_green = oracle_mod.width_from_state(
-                cfg.problem, res.E, h, contour,
-                x1=report.a0.x - 1.0, x2=report.b0.x + 1.0, ode_tol=ode_tol,
-            )
+        row = oracle_row(cfg, report, engine, seed, h, include_green)
+        res, im_pred = row["res"], row["im_pred"]
         rows.append(
             {
                 "h": h,
                 "seed": seed,
                 "pseudo_re": pseudo.E.real if pseudo else math.nan,
                 "pseudo_im": pseudo.E.imag if pseudo else math.nan,
-                "D": D,
+                "D": row["D"],
                 "im_pred": im_pred,
                 "im_oracle": res.E.imag,
                 "re_oracle": res.E.real,
                 "residual": res.residual,
-                "im_green": im_green,
+                "im_green": row["im_green"],
                 "ratio": res.E.imag / im_pred if im_pred != 0 else math.nan,
             }
         )

@@ -8,9 +8,10 @@ the quadrature driver is smooth.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
@@ -29,6 +30,7 @@ __all__ = [
     "action_derivative",
     "action_edge",
     "oscillatory_integral",
+    "crossing_phase",
     "stationary_phase",
 ]
 
@@ -50,6 +52,13 @@ class PreconditionViolated(ValueError):
 
 
 _GL_CACHE = {}
+# panel rule and panel doublings of the adaptive action quadrature
+_GL_POINTS = 32
+_MAX_DOUBLINGS = 13
+# phase change per oscillatory panel, in units of h
+_PHASE_PER_PANEL = 6.0
+# Chebyshev degrees tried in turn by the action cache
+_CHEB_DEGREES = (16, 32, 64, 128, 192)
 
 
 def _gl(n: int):
@@ -68,8 +77,7 @@ def _composite_gl(fvec: Callable, lo: float, hi: float, panels: int, n: int) -> 
     return float(np.sum(vals @ w * halfs))
 
 
-def _adaptive_gl(fvec: Callable, lo: float, hi: float, tol: float, n: int = 32,
-                 max_doublings: int = 13) -> Tuple[float, float]:
+def _adaptive_gl(fvec: Callable, lo: float, hi: float, tol: float) -> Tuple[float, float]:
     """Composite Gauss with panel doubling until two passes agree to tol.
 
     Deep refinement can start resolving sub-roundoff structure (for
@@ -83,8 +91,8 @@ def _adaptive_gl(fvec: Callable, lo: float, hi: float, tol: float, n: int = 32,
     best_val, best_err = None, math.inf
     growth = 0
     panels = 1
-    for _ in range(max_doublings + 1):
-        cur = _composite_gl(fvec, lo, hi, panels, n)
+    for _ in range(_MAX_DOUBLINGS + 1):
+        cur = _composite_gl(fvec, lo, hi, panels, _GL_POINTS)
         if prev is not None:
             err = abs(cur - prev)
             if err <= tol:
@@ -121,21 +129,13 @@ def sqrt_piece_integral(vfn: Callable, E: float, lo: float, hi: float,
 
         val, _ = _adaptive_gl(f, -math.pi / 2, math.pi / 2, tol)
         return val
-    if hi_sing:
-        umax = math.sqrt(hi - lo)
+    if lo_sing or hi_sing:
+        turn, sgn = (hi, -1.0) if hi_sing else (lo, 1.0)
 
         def f(u):
-            return clamped(hi - u * u) * 2.0 * u
+            return clamped(turn + sgn * u * u) * 2.0 * u
 
-        val, _ = _adaptive_gl(f, 0.0, umax, tol)
-        return val
-    if lo_sing:
-        umax = math.sqrt(hi - lo)
-
-        def f(u):
-            return clamped(lo + u * u) * 2.0 * u
-
-        val, _ = _adaptive_gl(f, 0.0, umax, tol)
+        val, _ = _adaptive_gl(f, 0.0, math.sqrt(hi - lo), tol)
         return val
     val, _ = _adaptive_gl(clamped, lo, hi, tol)
     return val
@@ -230,10 +230,9 @@ def action_edge(p: Problem, edge: Edge, E: float, flo: float = 0.0, fhi: float =
 # --- oscillatory integrals ---------------------------------------------------
 
 
-def _panel_edges(phi: Callable, lo: float, hi: float, h: float, theta_max: float,
-                 max_panels: int) -> np.ndarray:
+def _panel_edges(phi: Callable, lo: float, hi: float, h: float, max_panels: int) -> np.ndarray:
     """Split [lo, hi] until the sampled phase change per panel is below
-    theta_max * h, with a hard floor of h/4 on the panel size."""
+    _PHASE_PER_PANEL * h, with a hard floor of h/4 on the panel size."""
     edges = [lo]
     stack = [(lo, hi, float(phi(lo)), float(phi(hi)), 0)]
     accepted = []
@@ -241,7 +240,7 @@ def _panel_edges(phi: Callable, lo: float, hi: float, h: float, theta_max: float
         a, b, fa, fb, depth = stack.pop()
         mdpt = 0.5 * (a + b)
         fm = float(phi(mdpt))
-        resolved = max(abs(fm - fa), abs(fb - fm)) <= 0.5 * theta_max * h
+        resolved = max(abs(fm - fa), abs(fb - fm)) <= 0.5 * _PHASE_PER_PANEL * h
         small_enough = (b - a) <= max(0.25 * h, (hi - lo) * 2.0 ** -40)
         if (resolved and (b - a) <= (hi - lo) / 16) or small_enough or depth >= 48:
             accepted.append((a, b))
@@ -261,7 +260,6 @@ def oscillatory_integral(
     h: float,
     quad_tol: float = 1e-11,
     node_budget: int = 2_000_000,
-    theta_max: float = 6.0,
 ) -> complex:
     """integral of sigma(x) exp(i phi(x) / h) over the interval.
 
@@ -273,7 +271,7 @@ def oscillatory_integral(
     lo, hi = float(interval[0]), float(interval[1])
     if hi <= lo or h <= 0:
         raise PreconditionViolated("need a non-empty interval and h > 0")
-    edges = _panel_edges(phi, lo, hi, h, theta_max, max_panels=node_budget // 28)
+    edges = _panel_edges(phi, lo, hi, h, max_panels=node_budget // 28)
     panels = len(edges) - 1
 
     def pass_with(n: int) -> complex:
@@ -297,6 +295,14 @@ def oscillatory_integral(
     return fine
 
 
+def crossing_phase(m: int, sign: float) -> complex:
+    """Phase mu of the order-m stationary-phase constant: e^{+/- i pi/(2(m+1))}
+    by the sign of ``sign`` for odd m, the real cos(pi/(2(m+1))) for even m."""
+    if m % 2 == 1:
+        return cmath.exp(1j * math.pi * math.copysign(1.0, sign) / (2 * (m + 1)))
+    return complex(math.cos(math.pi / (2 * (m + 1))))
+
+
 def stationary_phase(sigma0: complex, phi_jet, m: int, h: float, calib: float = 2.0) -> complex:
     """Leading-order value of the oscillatory integral with a single interior
     stationary point of degeneracy m (phi' = ... = phi^(m) = 0 there).
@@ -317,12 +323,8 @@ def stationary_phase(sigma0: complex, phi_jet, m: int, h: float, calib: float = 
     dphi = coeffs[m + 1] * math.factorial(m + 1)  # phi^(m+1)(x0)
     if dphi == 0.0:
         raise PreconditionViolated("phi^(m+1)(x0) must not vanish")
-    if m % 2 == 1:
-        mu = complex(math.cos(math.pi / (2 * (m + 1))), math.copysign(1.0, dphi) * math.sin(math.pi / (2 * (m + 1))))
-    else:
-        mu = complex(math.cos(math.pi / (2 * (m + 1))), 0.0)
     amp = (
-        mu
+        crossing_phase(m, dphi)
         * complex(sigma0)
         * (math.factorial(m + 1) / abs(dphi)) ** (1.0 / (m + 1))
         * math.gamma((m + 2) / (m + 1))
@@ -348,7 +350,7 @@ class ActionFn:
 
     @classmethod
     def build(cls, fn: Callable[[float], float], domain: Tuple[float, float],
-              tol: float = 1e-12, degrees: Sequence[int] = (16, 32, 64, 128, 192)) -> "ActionFn":
+              tol: float = 1e-12) -> "ActionFn":
         lo, hi = domain
 
         def fnv(xs):
@@ -357,7 +359,7 @@ class ActionFn:
         last_err = math.inf
         cheb = None
         nodes = 0
-        for deg in degrees:
+        for deg in _CHEB_DEGREES:
             cheb = Chebyshev.interpolate(fnv, deg, domain=[lo, hi])
             nodes += deg + 1
             probe = lo + (hi - lo) * (0.5 + 0.5 * np.cos(np.pi * (np.arange(2 * deg) + 0.5) / (2 * deg)))

@@ -15,9 +15,10 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
+from scipy.optimize import brentq
 
 from . import quadrature
 from .geometry import Edge, Graph, PathSeq, paths_one_switch, primitive_cycles
@@ -26,7 +27,6 @@ from .quadrature import ActionFn, action_derivative, action_edge
 
 __all__ = [
     "BoxTooLarge",
-    "TransferMatrix",
     "PseudoResonance",
     "WidthBreakdown",
     "SingularSystem",
@@ -63,35 +63,34 @@ def energy_domain(problem: Problem, report: StructureReport, h_max: float) -> Tu
     return domain
 
 
-def bohr_sommerfeld(p: Problem, h: float) -> List[float]:
-    """Energies in the box e0 +/- L*h where the loop action hits an odd
-    multiple of pi*h (the quantization rule cos(A/2h) = 0).
+def _level_crossings(f: Callable[[float], float], lo: float, hi: float,
+                     levels: Callable[[float, float], List[float]]) -> List[float]:
+    """Sorted energies in [lo, hi] where the increasing function f meets
+    each of ``levels(f(lo), f(hi))`` that lies in [f(lo), f(hi)]."""
+    flo, fhi = f(lo), f(hi)
+    if fhi <= flo:
+        raise ValueError("action must increase with energy")
+    out = []
+    for target in levels(flo, fhi):
+        if flo <= target <= fhi:
+            out.append(brentq(lambda E: f(E) - target, lo, hi, xtol=1e-15, rtol=8.9e-16))
+    return sorted(out)
 
-    Standalone variant computed straight from the loop quadrature; the
-    engine method uses the cached edge sums instead, which agree to the
-    quadrature tolerance.  Returns an empty list when the box is too small
-    to contain a grid point.
-    """
-    from scipy.optimize import brentq
 
+def bohr_sommerfeld(action: Callable[[float], float], lo: float, hi: float,
+                    h: float) -> List[float]:
+    """Energies in [lo, hi] where the loop action hits an odd multiple of
+    pi*h (the quantization rule cos(A/2h) = 0).  Returns an empty list when
+    the interval is too small to contain a grid point."""
     if h <= 0:
         raise ValueError("h must be positive")
-    lo, hi = p.e0 - p.L * h, p.e0 + p.L * h
 
-    def A(E: float) -> float:
-        return quadrature.action_loop(p, E)
+    def levels(alo: float, ahi: float) -> List[float]:
+        k_lo = math.ceil((alo / (math.pi * h) - 1.0) / 2.0)
+        k_hi = math.floor((ahi / (math.pi * h) - 1.0) / 2.0)
+        return [(2 * k + 1) * math.pi * h for k in range(k_lo, k_hi + 1)]
 
-    alo, ahi = A(lo), A(hi)
-    if ahi <= alo:
-        raise ValueError("loop action must increase with energy")
-    k_lo = math.ceil((alo / (math.pi * h) - 1.0) / 2.0)
-    k_hi = math.floor((ahi / (math.pi * h) - 1.0) / 2.0)
-    out = []
-    for k in range(k_lo, k_hi + 1):
-        target = (2 * k + 1) * math.pi * h
-        if alo <= target <= ahi:
-            out.append(brentq(lambda E: A(E) - target, lo, hi, xtol=1e-14, rtol=8.9e-16))
-    return sorted(out)
+    return _level_crossings(action, lo, hi, levels)
 
 
 class BoxTooLarge(ValueError):
@@ -112,18 +111,6 @@ class CountMismatch(Exception):
 
 class TopologyMismatch(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class TransferMatrix:
-    """2x2 connection at one crossing point; entries[k, j] maps incoming
-    channel j+1 to outgoing channel k+1.  Diagonal entries are exactly 1
-    (first order in h^{1/(m+1)})."""
-
-    entries: np.ndarray
-    crossing: CrossingPoint
-    sign: int
-    h: float
 
 
 @dataclass(frozen=True)
@@ -152,12 +139,7 @@ def omega(c: CrossingPoint, sign: int, calib: float = 1.0) -> complex:
     xi*dv) and cos(pi/(2(m+1))) for even order.
     """
     m = c.m
-    xi_signed = sign * c.xi
-    if m % 2 == 1:
-        s = math.copysign(1.0, xi_signed * c.dv)
-        mu = cmath.exp(1j * math.pi * s / (2 * (m + 1)))
-    else:
-        mu = complex(math.cos(math.pi / (2 * (m + 1))))
+    mu = quadrature.crossing_phase(m, sign * c.xi * c.dv)
     mag = (
         (2.0 * math.factorial(m + 1) / abs(c.dv)) ** (1.0 / (m + 1))
         * (c.xi * c.xi) ** (-m / (2.0 * (m + 1)))
@@ -166,13 +148,15 @@ def omega(c: CrossingPoint, sign: int, calib: float = 1.0) -> complex:
     return calib * mu * mag * c.u(sign).conjugate()
 
 
-def transfer_matrix(c: CrossingPoint, sign: int, h: float, calib: float = 1.0) -> TransferMatrix:
+def transfer_matrix(c: CrossingPoint, sign: int, h: float, calib: float = 1.0) -> np.ndarray:
+    """2x2 connection at one crossing point; entry [k, j] maps incoming
+    channel j+1 to outgoing channel k+1.  Diagonal entries are exactly 1
+    (first order in h^{1/(m+1)})."""
     if h <= 0:
         raise ValueError("h must be positive")
     w = omega(c, sign, calib)
     s = h ** (1.0 / (c.m + 1))
-    entries = np.array([[1.0, -1j * w.conjugate() * s], [-1j * w * s, 1.0]], dtype=complex)
-    return TransferMatrix(entries=entries, crossing=c, sign=sign, h=h)
+    return np.array([[1.0, -1j * w.conjugate() * s], [-1j * w * s, 1.0]], dtype=complex)
 
 
 @dataclass
@@ -192,6 +176,12 @@ class _Segment:
         return self.fn(x) + 1j * y * self.dfn(x)
 
 
+# residual bound of the Chebyshev edge-action caches
+_CACHE_TOL = 3e-13
+# energies on the argument-principle contour
+_COUNT_NODES = 4096
+
+
 class SemiclassicsEngine:
     """All monodromy/width computations for one validated problem.
 
@@ -207,7 +197,6 @@ class SemiclassicsEngine:
         graph: Graph,
         calib: float = 1.0,
         h_max: float = 0.1,
-        cache_tol: float = 3e-13,
     ):
         self.p = problem
         self.report = report
@@ -215,11 +204,10 @@ class SemiclassicsEngine:
         self.calib = calib
         self.m0 = report.m0
         self.h_max = h_max
-        self._cache_tol = cache_tol
         self._quad_tol = min(problem.tolerances.quad_tol, 1e-13)
         self.domain = energy_domain(problem, report, h_max)
         self._segments: Dict[Tuple[int, float, float], _Segment] = {}
-        self._omega: Dict[Tuple[int, int], complex] = {}
+        self._transfer: Dict[Tuple[int, int, float], list] = {}
         self._ap0 = action_derivative(problem, problem.e0)
         self._edges_sorted = sorted(graph.edges, key=lambda e: e.eid)
         self._index = {e.eid: i for i, e in enumerate(self._edges_sorted)}
@@ -233,7 +221,7 @@ class SemiclassicsEngine:
             fn = ActionFn.build(
                 lambda E: action_edge(self.p, edge, E, flo, fhi, quad_tol=self._quad_tol),
                 self.domain,
-                tol=self._cache_tol,
+                tol=_CACHE_TOL,
             )
             _, nu = edge.sub_pieces(flo, fhi)
             seg = _Segment(fn=fn, dfn=fn.derivative(), nu=nu)
@@ -246,21 +234,14 @@ class SemiclassicsEngine:
         f = edge.base_frac
         return self._segment(edge, 0.0, f).fn(E) + self._segment(edge, f, 1.0).fn(E)
 
-    def vertex_omega(self, index: int, sign: int) -> complex:
-        key = (index, sign)
-        if key not in self._omega:
-            c = self.report.crossings[index]
-            self._omega[key] = omega(c, sign, self.calib)
-        return self._omega[key]
-
     def tau(self, ch_from: int, ch_to: int, vertex, h: float) -> complex:
-        if ch_from == ch_to:
-            return 1.0 + 0.0j
-        w = self.vertex_omega(vertex.index, vertex.sign)
-        s = h ** (1.0 / (vertex.crossing.m + 1))
-        if ch_from == 1 and ch_to == 2:
-            return -1j * w * s
-        return -1j * w.conjugate() * s
+        """Transfer-matrix entry from channel ch_from to ch_to at a vertex."""
+        key = (vertex.index, vertex.sign, h)
+        T = self._transfer.get(key)
+        if T is None:
+            T = transfer_matrix(vertex.crossing, vertex.sign, h, self.calib).tolist()
+            self._transfer[key] = T
+        return T[ch_to - 1][ch_from - 1]
 
     def _phase(self, edge: Edge, flo: float, fhi: float, E: complex, h: float) -> complex:
         if flo == fhi:
@@ -369,21 +350,7 @@ class SemiclassicsEngine:
     def bohr_sommerfeld(self, h: float) -> List[float]:
         """Energies in the box where the loop action hits an odd multiple of
         pi*h (cos(A/2h) = 0).  May be empty for small L."""
-        from scipy.optimize import brentq
-
-        lo, hi = self.box(h)
-        A = self.gamma1_action
-        alo, ahi = A(lo), A(hi)
-        if ahi <= alo:
-            raise ValueError("loop action must increase with energy")
-        k_lo = math.ceil((alo / (math.pi * h) - 1.0) / 2.0)
-        k_hi = math.floor((ahi / (math.pi * h) - 1.0) / 2.0)
-        out = []
-        for k in range(k_lo, k_hi + 1):
-            target = (2 * k + 1) * math.pi * h
-            if alo <= target <= ahi:
-                out.append(brentq(lambda E: A(E) - target, lo, hi, xtol=1e-15, rtol=8.9e-16))
-        return sorted(out)
+        return bohr_sommerfeld(self.gamma1_action, *self.box(h), h)
 
     # --- pseudo-resonances ------------------------------------------------------
 
@@ -417,11 +384,11 @@ class SemiclassicsEngine:
             return PseudoResonance(E=E, seed=seed, residual=abs(fE), newton_iters=50)
         raise NewtonDiverged(f"seed {seed:.10g}: residual {abs(fE):.3e} after damped Newton")
 
-    def count_by_argument_principle(self, h: float, nodes: int = 4096) -> int:
+    def count_by_argument_principle(self, h: float) -> int:
         """Winding number of det(I - M) around the resonance box boundary."""
         lo, hi = self.box(h)
         half = self.p.L * h
-        per = nodes // 4
+        per = _COUNT_NODES // 4
         corners = [complex(lo, -half), complex(hi, -half), complex(hi, half), complex(lo, half)]
         zs = []
         for a, b in zip(corners, corners[1:] + corners[:1]):
@@ -560,11 +527,7 @@ class SemiclassicsEngine:
         c, tail, other, mixed = self._simple_topology()
         m = c.m
         v0 = abs(c.dv)
-        xi_o = other.sign * c.xi
-        if m % 2 == 1:
-            mu = cmath.exp(1j * math.pi * math.copysign(1.0, xi_o * c.dv) / (2 * (m + 1)))
-        else:
-            mu = complex(math.cos(math.pi / (2 * (m + 1))))
+        mu = quadrature.crossing_phase(m, other.sign * c.xi * c.dv)
         eta = self.calib * mu * math.gamma((m + 2) / (m + 1)) * (2.0 * math.factorial(m + 1) / v0) ** (1.0 / (m + 1))
         u_o = c.u(other.sign).conjugate()
         s_gamma = sum(self.edge_action(e, E) for e in mixed)
@@ -572,42 +535,30 @@ class SemiclassicsEngine:
         ap = self._gamma1_action_derivative(E)
         return 2.0 * (c.xi * c.xi) ** (-m / (m + 1.0)) / abs(ap) * F * F
 
-    def vanishing_energies(self, h: float, erange: Optional[Tuple[float, float]] = None) -> List[float]:
+    def vanishing_energies(self, h: float) -> List[float]:
         """Energies where the closed-form width coefficient vanishes: the
         half-cycle phase S_gamma/2h aligns eta * conj(U) with the real axis."""
-        from scipy.optimize import brentq
-
         c, tail, other, mixed = self._simple_topology()
-        m = c.m
-        xi_o = other.sign * c.xi
-        if m % 2 == 1:
-            mu = cmath.exp(1j * math.pi * math.copysign(1.0, xi_o * c.dv) / (2 * (m + 1)))
-        else:
-            mu = complex(math.cos(math.pi / (2 * (m + 1))))
+        mu = quadrature.crossing_phase(c.m, other.sign * c.xi * c.dv)
         u_o = c.u(other.sign).conjugate()
         z = mu * u_o
         if z == 0:
             return []
         psi = cmath.phase(z)
-        lo, hi = erange if erange is not None else self.box(h)
+        lo, hi = self.box(h)
         lo = max(lo, self.domain[0])
         hi = min(hi, self.domain[1])
 
         def s_gamma(E: float) -> float:
             return sum(self.edge_action(e, E) for e in mixed)
 
-        slo, shi = s_gamma(lo), s_gamma(hi)
-        if shi <= slo:
-            raise ValueError("cycle action must increase with energy")
-        # S/2h + psi = k*pi
-        k_lo = math.ceil(slo / (2.0 * math.pi * h) + psi / math.pi)
-        k_hi = math.floor(shi / (2.0 * math.pi * h) + psi / math.pi)
-        out = []
-        for k in range(k_lo, k_hi + 1):
-            target = 2.0 * h * (math.pi * k - psi)
-            if slo <= target <= shi:
-                out.append(brentq(lambda E: s_gamma(E) - target, lo, hi, xtol=1e-15, rtol=8.9e-16))
-        return sorted(out)
+        def levels(slo: float, shi: float) -> List[float]:
+            # S/2h + psi = k*pi
+            k_lo = math.ceil(slo / (2.0 * math.pi * h) + psi / math.pi)
+            k_hi = math.floor(shi / (2.0 * math.pi * h) + psi / math.pi)
+            return [2.0 * h * (math.pi * k - psi) for k in range(k_lo, k_hi + 1)]
+
+        return _level_crossings(s_gamma, lo, hi, levels)
 
     # --- the scorecard -----------------------------------------------------------
 

@@ -1,10 +1,6 @@
-import warnings
-
 import pytest
 
 from crosswidth import fixtures, pipeline
-
-warnings.filterwarnings("ignore", message="invalid value encountered in scalar divide")
 
 
 @pytest.fixture(scope="session")

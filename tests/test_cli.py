@@ -192,6 +192,18 @@ def test_exit_3_on_budget_blowup(tmp_path):
     (["compare", "f0", "--h-list", "0.5,0.06"], "resonance box does not fit"),
     (["stphase", "f0", "--m", "1", "--h-list", "1e-2,0", "--phi", "x^2", "--sigma", "1"],
      "--h-list must be finite and positive"),
+    (["oracle", "f0", "--h", "0.05", "--theta", "0"], "theta must lie in (0, pi/2)"),
+    (["oracle", "f0", "--h", "0.05", "--theta", "2"], "theta must lie in (0, pi/2)"),
+    (["oracle", "f0", "--h", "0.05", "--X", "1"], "contour needs finite X > R0 > 0"),
+    (["oracle", "f0", "--h", "0.05", "--X", "inf"], "contour needs finite X > R0 > 0"),
+    (["stphase", "f0", "--m", "0", "--h-list", "1e-2", "--phi", "x^2", "--sigma", "1"],
+     "m must be >= 1"),
+    (["stphase", "f0", "--m", "1", "--h-list", "1e-2", "--phi", "x^2", "--sigma", "1",
+      "--interval", "1,-1"], "need a non-empty interval"),
+    (["stphase", "f0", "--m", "1", "--h-list", "1e-2", "--phi", "x^2", "--sigma", "1",
+      "--interval", "1"], "--interval needs two comma-separated numbers"),
+    (["stphase", "f0", "--m", "1", "--h-list", "1e-2", "--phi", "x^3", "--sigma", "1"],
+     "phi^(m+1)(x0) must not vanish"),
 ])
 def test_bad_h_exits_2_naming_the_problem(tmp_path, argv, problem):
     out = tmp_path / "out.json"
@@ -205,3 +217,29 @@ def test_h_list_must_be_finite(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(_write(tmp_path, text))
     assert "finite and positive" in str(err.value)
+
+
+def _f0_with_oracle(tmp_path, section):
+    text = open(_cfg_path("f0"), encoding="utf-8").read().replace("theta = 0.3", section)
+    return _write(tmp_path, text)
+
+
+@pytest.mark.parametrize("section, problem", [
+    ("theta = 0", "theta must lie in (0, pi/2)"),
+    ("theta = nan", "theta must lie in (0, pi/2)"),
+    ("X = 2", "contour needs finite X > R0 > 0"),
+    ("R0 = -1", "contour needs finite X > R0 > 0"),
+])
+def test_bad_oracle_config_exits_2(tmp_path, section, problem):
+    out = tmp_path / "out.json"
+    code = cli.main(["oracle", _f0_with_oracle(tmp_path, section), "--h", "0.05", "--out", str(out)])
+    assert code == 2
+    assert problem in json.loads(out.read_text())["diagnostics"]
+
+
+def test_oracle_theta_flag_equals_config_key(tmp_path):
+    flag, key = tmp_path / "flag.json", tmp_path / "key.json"
+    assert cli.main(["oracle", _cfg_path("f0"), "--h", "0.05", "--theta", "0.35", "--out", str(flag)]) == 0
+    cfg = _f0_with_oracle(tmp_path, "theta = 0.35")
+    assert cli.main(["oracle", cfg, "--h", "0.05", "--out", str(key)]) == 0
+    assert flag.read_bytes() == key.read_bytes()

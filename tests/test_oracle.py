@@ -15,7 +15,6 @@ from crosswidth.oracle import (
     PolesOnContour,
     default_contour,
     exponent_fit,
-    matching_determinant,
     propagate,
     refine_resonance,
     width_from_state,
@@ -135,7 +134,7 @@ def test_matching_bounded_away_from_zero_between_resonances(f0_engine):
     seeds = eng.bohr_sommerfeld(h)
     mid = 0.5 * (seeds[0] + seeds[1])
     c = default_contour(p, rep, h)
-    assert abs(matching_determinant(p, complex(mid), h, c)) > 1e-3
+    assert abs(MatchingProblem(p, h, c).W(complex(mid))) > 1e-3
 
 
 def test_pole_guard():
@@ -206,5 +205,5 @@ def test_magnus_fourth_order(f0_engine):
     seeds = eng.bohr_sommerfeld(h)
     E = complex(0.5 * (seeds[0] + seeds[1]), -0.001)
     c = default_contour(p, rep, h)
-    w = [matching_determinant(p, E, h, c, ode_tol=1e-8 / 16**k) for k in range(3)]
+    w = [MatchingProblem(p, h, c, ode_tol=1e-8 / 16**k).W(E) for k in range(3)]
     assert abs(w[2] - w[1]) * 10 <= abs(w[1] - w[0])

@@ -23,7 +23,7 @@ def _crossing(x=0.0, xi=1.0, m=1, dv=-1.0, u=1.0 + 0j):
 
 def test_transfer_identity_when_uncoupled():
     c = _crossing(u=0.0)
-    T = transfer_matrix(c, +1, 0.05).entries
+    T = transfer_matrix(c, +1, 0.05)
     assert np.allclose(T, np.eye(2))
 
 
@@ -35,7 +35,7 @@ def test_transfer_transversal_value():
     want = math.sqrt(math.pi) * cmath.exp(-1j * math.pi / 4)
     assert abs(w - want) < 1e-14
     h = 0.04
-    T = transfer_matrix(c, +1, h).entries
+    T = transfer_matrix(c, +1, h)
     assert T[0, 0] == 1.0 and T[1, 1] == 1.0
     assert abs(T[1, 0] - (-1j) * w * math.sqrt(h)) < 1e-15
     assert abs(T[0, 1] - (-1j) * w.conjugate() * math.sqrt(h)) < 1e-15
@@ -128,7 +128,7 @@ def test_monodromy_structure_matches_transfer_assembly(f1arc_engine):
     M = eng2.monodromy(E, h)
     idx = {e.eid: i for i, e in enumerate(eng2._edges_sorted)}
     c = rep.crossings[0]
-    T = {+1: transfer_matrix(c, +1, h).entries, -1: transfer_matrix(c, -1, h).entries}
+    T = {+1: transfer_matrix(c, +1, h), -1: transfer_matrix(c, -1, h)}
     for ep in g2.edges:
         for e in g2.edges:
             got = M[idx[e.eid], idx[ep.eid]]
@@ -159,8 +159,8 @@ def test_bohr_sommerfeld_harmonic_closed_form():
     # A = pi E so the grid is the odd multiples of h
     p = fixtures.harmonic()
     for h in (0.05, 0.03):
-        got = bohr_sommerfeld(p, h)
         lo, hi = p.e0 - p.L * h, p.e0 + p.L * h
+        got = bohr_sommerfeld(lambda E: quadrature.action_loop(p, E), lo, hi, h)
         want = [(2 * k + 1) * h for k in range(200) if lo <= (2 * k + 1) * h <= hi]
         assert len(got) == len(want)
         assert all(abs(a - b) < 1e-10 for a, b in zip(got, want))
@@ -170,7 +170,7 @@ def test_engine_grid_matches_loop_grid(f1arc_engine):
     _, _, eng = f1arc_engine
     h = 0.05
     a = eng.bohr_sommerfeld(h)
-    b = bohr_sommerfeld(eng.p, h)
+    b = bohr_sommerfeld(lambda E: quadrature.action_loop(eng.p, E), *eng.box(h), h)
     assert len(a) == len(b)
     assert all(abs(x - y) < 1e-9 for x, y in zip(a, b))
 
