@@ -54,7 +54,6 @@ class RunConfig:
     contour_R0: Optional[float] = None
     contour_X: Optional[float] = None
     oracle_ode_tol: Optional[float] = None
-    source_path: str = ""
 
 
 def _parse_float(raw: str, line: int, key: str) -> float:
@@ -162,5 +161,4 @@ def load_config(path: str) -> RunConfig:
         contour_R0=_parse_float(orc["R0"], lineno_of[("oracle", "R0")], "R0") if "R0" in orc else None,
         contour_X=_parse_float(orc["X"], lineno_of[("oracle", "X")], "X") if "X" in orc else None,
         oracle_ode_tol=_parse_float(orc["ode_tol"], lineno_of[("oracle", "ode_tol")], "ode_tol") if "ode_tol" in orc else None,
-        source_path=path,
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
-from .model import CrossingPoint, StructureReport, TurningPoint
+from .model import CrossingPoint, Problem, StructureReport, TurningPoint
 
 __all__ = [
     "Vertex",
@@ -88,25 +88,6 @@ class Edge:
     def arc_length(self) -> float:
         return sum(pc.width for pc in self.pieces)
 
-    def _junction_arcs(self) -> List[float]:
-        arcs, acc = [], 0.0
-        for pc in self.pieces[:-1]:
-            acc += pc.width
-            arcs.append(acc)
-        return arcs
-
-    @property
-    def base_x(self) -> float:
-        """x-coordinate of the base point (at base_frac of the arc length)."""
-        s = self.base_frac * self.arc_length
-        acc = 0.0
-        for pc in self.pieces:
-            if s <= acc + pc.width or pc is self.pieces[-1]:
-                d = s - acc
-                return pc.x_lo + d if pc.xi_sign > 0 else pc.x_hi - d
-            acc += pc.width
-        return self.pieces[-1].x_hi
-
     def sub_pieces(self, flo: float, fhi: float) -> Tuple[List[Piece], int]:
         """Trimmed piece chain covering arc fractions [flo, fhi], plus the
         number of turning points strictly inside the sub-segment."""
@@ -128,7 +109,7 @@ class Edge:
                 hi_turn = pc.hi_turn and xh == pc.x_hi
                 out.append(Piece(xl, xh, pc.xi_sign, lo_turn, hi_turn))
             acc = s1
-        nu = sum(1 for s in self._junction_arcs() if slo < s < shi)
+        nu = sum(1 for s in _junction_arcs(self.pieces) if slo < s < shi)
         return out, nu
 
 
@@ -217,7 +198,17 @@ _BASE_CANDIDATES = (
 )
 
 
+def _junction_arcs(pieces: Tuple[Piece, ...]) -> List[float]:
+    """Arc lengths at which consecutive pieces meet (turning points)."""
+    arcs, acc = [], 0.0
+    for pc in pieces[:-1]:
+        acc += pc.width
+        arcs.append(acc)
+    return arcs
+
+
 def _arc_to_x(pieces: Tuple[Piece, ...], frac: float) -> float:
+    """x-coordinate at the given fraction of the arc length."""
     total = sum(pc.width for pc in pieces)
     s = frac * total
     acc = 0.0
@@ -229,39 +220,33 @@ def _arc_to_x(pieces: Tuple[Piece, ...], frac: float) -> float:
     return pieces[-1].x_hi
 
 
-def _pick_base_frac(pieces: Tuple[Piece, ...], vfn=None, e_floor=None) -> float:
+def _pick_base_frac(pieces: Tuple[Piece, ...], vfn, e_floor: float) -> float:
     """Arc fraction for the base point.
 
     Keeps clear of turning-point junctions (the WKB normalization point
-    must not be a turning point) and, when an energy floor is given, stays
-    classically allowed down to that energy so the base-split segment
-    actions exist across the whole resonance box.
+    must not be a turning point) and stays classically allowed down to the
+    energy floor so the base-split segment actions exist across the whole
+    resonance box.
     """
     total = sum(pc.width for pc in pieces)
-    juncs = []
-    acc = 0.0
-    for pc in pieces[:-1]:
-        acc += pc.width
-        juncs.append(acc / total)
+    juncs = [a / total for a in _junction_arcs(pieces)]
     for cand in _BASE_CANDIDATES:
         if any(abs(cand - j) <= 1e-3 for j in juncs):
             continue
-        if vfn is not None and e_floor is not None:
-            if float(vfn(_arc_to_x(pieces, cand))) >= e_floor - 1e-9:
-                continue
+        if float(vfn(_arc_to_x(pieces, cand))) >= e_floor - 1e-9:
+            continue
         return cand
     raise InternalInconsistency("no admissible base fraction found")
 
 
 def _mk_edge(eid: int, channel: int, source: Vertex, target: Vertex,
-             pieces: Tuple[Piece, ...], vfns=None, e_floor=None) -> Edge:
-    vfn = None if vfns is None else vfns[channel - 1]
+             pieces: Tuple[Piece, ...], vfns, e_floor: float) -> Edge:
     return Edge(eid, channel, source, target, pieces,
-                base_frac=_pick_base_frac(pieces, vfn, e_floor))
+                base_frac=_pick_base_frac(pieces, vfns[channel - 1], e_floor))
 
 
 def _gamma1_edges(vertices: List[Vertex], a0: TurningPoint, b0: TurningPoint, next_id,
-                  vfns=None, e_floor=None) -> List[Edge]:
+                  vfns, e_floor: float) -> List[Edge]:
     n = len(vertices) // 2
     up = [v for v in vertices if v.sign > 0]
     dn = [v for v in vertices if v.sign < 0]
@@ -301,17 +286,15 @@ def _gamma1_edges(vertices: List[Vertex], a0: TurningPoint, b0: TurningPoint, ne
     return edges
 
 
-def build_graph(report: StructureReport, E: float, problem=None,
-                e_floor: Optional[float] = None) -> Graph:
+def build_graph(report: StructureReport, problem: Problem, e_floor: float) -> Graph:
     """Assemble the directed graph from a validated structure report.
 
     The topology is computed at the reference energy; edge actions are the
-    only energy-dependent quantities downstream.  When the problem and an
-    energy floor are given, base points are placed where the trajectory
-    stays classically allowed down to that floor (needed for base-split
-    actions across the whole resonance box).
+    only energy-dependent quantities downstream.  Base points are placed
+    where the trajectory stays classically allowed down to the energy floor
+    (needed for base-split actions across the whole resonance box).
     """
-    vfns = None if problem is None else (problem.v1_np, problem.v2_np)
+    vfns = (problem.v1_np, problem.v2_np)
     if not report.passed:
         raise InternalInconsistency("structure report did not pass validation")
     crossings = sorted(report.crossings, key=lambda c: c.x)
@@ -466,7 +449,11 @@ def primitive_cycles(g: Graph) -> List[Tuple[Edge, ...]]:
     return cycles
 
 
-def paths_bounded(g: Graph, tail: Tail, max_switch: int, _cap: int = 200000) -> List[PathSeq]:
+# extensions paths_bounded may try before it gives up
+_PATH_BUDGET = 200000
+
+
+def paths_bounded(g: Graph, tail: Tail, max_switch: int) -> List[PathSeq]:
     """All paths from the base point of the reference edge to the given
     outgoing tail with at most ``max_switch`` channel changes, never
     passing the base point again."""
@@ -476,7 +463,7 @@ def paths_bounded(g: Graph, tail: Tail, max_switch: int, _cap: int = 200000) -> 
         return []  # tail on a component the closed trajectory never reaches
     e0 = g.e0
     results: List[PathSeq] = []
-    budget = [_cap]
+    budget = [_PATH_BUDGET]
 
     def extend(path: List[Edge], switches: int):
         budget[0] -= 1

@@ -26,7 +26,6 @@ __all__ = [
     "Problem",
     "TurningPoint",
     "CrossingPoint",
-    "TailInfo",
     "StructureReport",
     "StructureError",
     "DegenerateTurningPoint",
@@ -141,7 +140,6 @@ class Problem:
 @dataclass(frozen=True)
 class TurningPoint:
     x: float
-    which: int  # channel, 1 or 2
     side: str  # "left" if the classically allowed region lies to the right
 
 
@@ -166,13 +164,6 @@ class CrossingPoint:
         return self.u_plus if sign > 0 else self.u_minus
 
 
-@dataclass(frozen=True)
-class TailInfo:
-    direction: int  # +1 for the +infinity end, -1 for the -infinity end
-    xi_sign: int
-    kind: str  # "incoming" or "outgoing"
-
-
 @dataclass
 class StructureReport:
     a0: TurningPoint
@@ -180,10 +171,8 @@ class StructureReport:
     v2_turning: List[TurningPoint]
     crossings: List[CrossingPoint]
     m0: int
-    tails: List[TailInfo]
     assumption_flags: dict
     window: Tuple[float, float]
-    e0: float
 
     @property
     def passed(self) -> bool:
@@ -207,7 +196,6 @@ def turning_points(
     E: float,
     window: Tuple[float, float],
     tols: Optional[ToleranceSet] = None,
-    channel: int = 1,
 ) -> List[TurningPoint]:
     """All simple roots of V(x) = E in the window, sorted and refined.
 
@@ -234,13 +222,13 @@ def turning_points(
         slope = float(vpfn(r))
         if abs(slope) <= tols.contact_tol:
             raise DegenerateTurningPoint(f"V' = {slope:.3e} at root x = {r:.12g}")
-        out.append(TurningPoint(x=r, which=channel, side="left" if slope < 0 else "right"))
+        out.append(TurningPoint(x=r, side="left" if slope < 0 else "right"))
     out.sort(key=lambda t: t.x)
     return out
 
 
 def _well_walls(p: Problem) -> Tuple[TurningPoint, TurningPoint]:
-    tps = turning_points(p.v1, p.e0, p.window, p.tolerances, channel=1)
+    tps = turning_points(p.v1, p.e0, p.window, p.tolerances)
     if len(tps) != 2:
         raise NoCrossing(
             f"V1 = e0 has {len(tps)} roots in the window; a simple well needs exactly 2"
@@ -248,8 +236,12 @@ def _well_walls(p: Problem) -> Tuple[TurningPoint, TurningPoint]:
     return tps[0], tps[1]
 
 
-def _contact_order(p: Problem, x0: float, tols: ToleranceSet,
-                   cluster_radius: float = 1e-3):
+# radius around the origin within which roots of the local difference
+# polynomial count toward a crossing's contact order
+_CLUSTER_RADIUS = 1e-3
+
+
+def _contact_order(p: Problem, x0: float, tols: ToleranceSet):
     """Contact order and refined position of a crossing near x0.
 
     The jets give the local difference polynomial (V2 - V1)(x0 + u) exactly;
@@ -268,7 +260,7 @@ def _contact_order(p: Problem, x0: float, tols: ToleranceSet,
                 f"V1 and V2 agree to order {p.k_max} at x = {x_c:.12g}"
             )
         roots = np.roots(d[::-1])
-        cluster = roots[np.abs(roots) < cluster_radius]
+        cluster = roots[np.abs(roots) < _CLUSTER_RADIUS]
         if cluster.size == 0:
             raise NoCrossing(f"candidate at x = {x_c:.12g} is not a root of V1 - V2")
         shift = float(np.mean(cluster.real))
@@ -279,7 +271,7 @@ def _contact_order(p: Problem, x0: float, tols: ToleranceSet,
     j2 = exprs.taylor_jet(p.v2, x_c, p.k_max)
     d = [c2 - c1 for c1, c2 in zip(j1.coeffs, j2.coeffs)]
     roots = np.roots(d[::-1])
-    m = int(np.sum(np.abs(roots) < cluster_radius))
+    m = int(np.sum(np.abs(roots) < _CLUSTER_RADIUS))
     if m < 1 or m > p.k_max:
         raise ContactOrderOverflow(f"contact order {m} out of range at x = {x_c:.12g}")
     return x_c, m, d
@@ -360,8 +352,9 @@ def crossing_points(p: Problem) -> List[CrossingPoint]:
 
 
 def validate_structure(p: Problem) -> StructureReport:
-    """Run all geometric hypothesis checks and classify the unbounded
-    branches of the channel-2 characteristic set.
+    """Run all geometric hypothesis checks, including that every allowed
+    component of channel 2 reaches the window edge (the graph builds the
+    tails on those unbounded branches).
 
     A failed flag means downstream pipelines must not run.  The window
     boundary stands in for infinity; it is the caller's obligation to pick
@@ -387,14 +380,13 @@ def validate_structure(p: Problem) -> StructureReport:
     # channel-2 turning points all simple
     v2_turning: List[TurningPoint] = []
     try:
-        v2_turning = turning_points(p.v2, p.e0, p.window, tols, channel=2)
+        v2_turning = turning_points(p.v2, p.e0, p.window, tols)
         flags["v2_simple_roots"] = (True, "")
     except StructureError as exc:
         flags["v2_simple_roots"] = (False, str(exc))
 
     # allowed region of channel 2: unbounded components only
     mask = v2g <= p.e0
-    tails: List[TailInfo] = []
     bounded_components = 0
     i = 0
     n = len(xs)
@@ -406,18 +398,10 @@ def validate_structure(p: Problem) -> StructureReport:
         j = i
         while j + 1 < n and mask[j + 1]:
             j += 1
-        touches_left = i == 0
-        touches_right = j == n - 1
-        if not (touches_left or touches_right):
+        if i == 0 or j == n - 1:
+            touches_any = True
+        else:
             bounded_components += 1
-        if touches_left:
-            touches_any = True
-            tails.append(TailInfo(direction=-1, xi_sign=+1, kind="incoming"))
-            tails.append(TailInfo(direction=-1, xi_sign=-1, kind="outgoing"))
-        if touches_right:
-            touches_any = True
-            tails.append(TailInfo(direction=+1, xi_sign=+1, kind="outgoing"))
-            tails.append(TailInfo(direction=+1, xi_sign=-1, kind="incoming"))
         i = j + 1
     ok = bounded_components == 0 and touches_any
     flags["v2_nontrapping"] = (
@@ -445,16 +429,14 @@ def validate_structure(p: Problem) -> StructureReport:
     flags["e0_off_limits"] = (limits_ok, "" if limits_ok else "e0 coincides with a potential limit")
 
     if a0 is None:
-        a0 = TurningPoint(x=p.window[0], which=1, side="left")
-        b0 = TurningPoint(x=p.window[1], which=1, side="right")
+        a0 = TurningPoint(x=p.window[0], side="left")
+        b0 = TurningPoint(x=p.window[1], side="right")
     return StructureReport(
         a0=a0,
         b0=b0,
         v2_turning=v2_turning,
         crossings=crossings,
         m0=m0,
-        tails=tails,
         assumption_flags=flags,
         window=p.window,
-        e0=p.e0,
     )

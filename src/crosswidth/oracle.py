@@ -12,8 +12,8 @@ is built and exponentiated at once, then multiplied out by pairwise
 reduction.  The admissible pair is re-orthonormalized at checkpoints
 (Godunov shooting) so the two columns never collapse onto the common
 growing direction in classically forbidden stretches; the triangular
-factors are kept so the resonant state can be reconstructed segment by
-segment for the Green-identity width.
+factors are kept so the resonant state can be reconstructed chunk by
+chunk for the Green-identity width.
 """
 
 from __future__ import annotations
@@ -109,8 +109,6 @@ def _check_theta(theta: float) -> None:
 class OracleResonance:
     E: complex
     residual: float
-    h: float
-    seed: complex
     theta_shift: Optional[float] = None
 
 
@@ -142,8 +140,12 @@ def default_contour(p: Problem, report: StructureReport, h: float, theta: float 
     return c
 
 
-def _pole_check(p: Problem, c: Contour, samples: int = 512):
-    z = np.array([c.z(float(t)) for t in np.linspace(-c.X, c.X, samples)])
+# contour points where _pole_check samples the coefficients
+_POLE_SAMPLES = 512
+
+
+def _pole_check(p: Problem, c: Contour):
+    z = np.array([c.z(float(t)) for t in np.linspace(-c.X, c.X, _POLE_SAMPLES)])
     with np.errstate(all="ignore"):
         w = np.array([np.broadcast_to(fn(z), z.shape) for fn in p.coeffs_np])
     bad = (~np.isfinite(w) | (np.abs(w) > 1e8)).any(axis=0)
@@ -181,41 +183,34 @@ def _initial_pair(p: Problem, E: complex, c: Contour, end: str) -> np.ndarray:
 
 
 @dataclass
-class _Segment:
-    t0: float
-    t1: float
-    on_ray: bool
-    R: Optional[np.ndarray]  # triangular factor applied at t1 (None on the last)
-    dense: Optional[Tuple[np.ndarray, np.ndarray]]  # (ts, pair values 8 x N)
-
-
-@dataclass
 class PairTrack:
     """Admissible solution pair shot inward from one end, orthonormalized at
-    checkpoints; ``final`` is the 4x2 block at t = 0."""
+    checkpoints; ``final`` is the 4x2 block at t = 0.  ``chunks`` holds, per
+    checkpoint chunk in shooting order, the triangular factor R taken at its
+    end (None on the last) and the recorded core values (ts, pair values
+    8 x N), or None off the core."""
 
     final: np.ndarray
-    segments: List[_Segment] = field(default_factory=list)
+    chunks: List[tuple] = field(default_factory=list)
 
     def state_on_core(self, coeff: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Values of the combination (final @ coeff) on the stored core grid.
 
-        Walking outward, the pair on segment k ends as Q_k R_k (the basis the
-        next segment started from), so the combination's coefficients there
+        Walking outward, the pair on chunk k ends as Q_k R_k (the basis the
+        next chunk started from), so the combination's coefficients there
         are R_k^{-1} times the inner ones; the triangular solves shrink the
         coefficients going outward, which is numerically stable.
         """
         ts_all, ws_all = [], []
         c = np.asarray(coeff, dtype=complex)
-        for k in range(len(self.segments) - 1, -1, -1):
-            seg = self.segments[k]
-            if seg.dense is not None:
-                ts, ys = seg.dense
+        for R, dense in reversed(self.chunks):
+            if R is not None:
+                c = np.linalg.solve(R, c)
+            if dense is not None:
+                ts, ys = dense
                 w = ys[0:4, :] * c[0] + ys[4:8, :] * c[1]
                 ts_all.append(ts)
                 ws_all.append(w)
-            if k > 0 and self.segments[k - 1].R is not None:
-                c = np.linalg.solve(self.segments[k - 1].R, c)
         ts = np.concatenate(list(reversed(ts_all))) if ts_all else np.array([])
         ws = np.concatenate(list(reversed(ws_all)), axis=1) if ws_all else np.zeros((4, 0))
         return ts, ws
@@ -365,7 +360,7 @@ def propagate(p: Problem, E: complex, h: float, c: Contour, from_end: str,
         R = None
         if idx < len(chunks) - 1:
             pair, R = np.linalg.qr(pair)
-        track.segments.append(_Segment(t0=t0, t1=t1, on_ray=on_ray, R=R, dense=dense))
+        track.chunks.append((R, dense))
     track.final = pair
     return track
 
@@ -390,9 +385,13 @@ class MatchingProblem:
         return complex(np.linalg.det(A / self._scales[None, :]))
 
 
-def _muller(f, x0: complex, x1: complex, x2: complex, tol: float, maxit: int = 60):
+# Muller iterations before refine_resonance gives up on a start
+_MULLER_MAXIT = 60
+
+
+def _muller(f, x0: complex, x1: complex, x2: complex, tol: float):
     f0, f1, f2 = f(x0), f(x1), f(x2)
-    for it in range(1, maxit + 1):
+    for it in range(1, _MULLER_MAXIT + 1):
         q = (x2 - x1) / (x1 - x0)
         a = q * f2 - q * (1 + q) * f1 + q * q * f0
         b = (2 * q + 1) * f2 - (1 + q) ** 2 * f1 + q * q * f0
@@ -408,7 +407,7 @@ def _muller(f, x0: complex, x1: complex, x2: complex, tol: float, maxit: int = 6
             return x3, f(x3), it
         x0, x1, x2 = x1, x2, x3
         f0, f1, f2 = f1, f2, f(x3)
-    raise NotConverged(f"Muller did not reach |dE| <= {tol:g} in {maxit} steps")
+    raise NotConverged(f"Muller did not reach |dE| <= {tol:g} in {_MULLER_MAXIT} steps")
 
 
 def refine_resonance(p: Problem, seed: complex, h: float, c: Contour, m0: int,
@@ -440,7 +439,7 @@ def refine_resonance(p: Problem, seed: complex, h: float, c: Contour, m0: int,
         vals = [abs(mp.W(seed + complex(d))) for d in offsets]
         best = seed + complex(offsets[int(np.argmin(vals))])
         root, wval, _ = polish(best)
-    res = OracleResonance(E=root, residual=abs(wval), h=h, seed=seed)
+    res = OracleResonance(E=root, residual=abs(wval))
     if check_theta:
         c2 = Contour(R0=c.R0, theta=c.theta + 0.05, X=c.X)
         mp2 = MatchingProblem(p, h, c2, ode_tol)
@@ -449,8 +448,7 @@ def refine_resonance(p: Problem, seed: complex, h: float, c: Contour, m0: int,
         rel = abs(root2.imag - root.imag) / max(abs(root.imag), 1e-300)
         if rel > 1e-3:
             raise ThetaDependent(f"Im shifted by {rel:.2e} under a theta change")
-        res = OracleResonance(E=root, residual=abs(wval), h=h, seed=seed,
-                              theta_shift=rel)
+        res = OracleResonance(E=root, residual=abs(wval), theta_shift=rel)
     return res
 
 

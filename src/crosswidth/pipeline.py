@@ -51,7 +51,7 @@ def build_engine(problem: Problem, calib: float = 1.0, h_max: float = 0.1):
     # segment actions develop a near-edge singularity in energy
     level_max = max(problem.e0 - c.xi * c.xi for c in report.crossings)
     e_floor = level_max + 0.7 * (domain_lo - level_max)
-    graph = build_graph(report, problem.e0, problem=problem, e_floor=e_floor)
+    graph = build_graph(report, problem, e_floor)
     engine = SemiclassicsEngine(problem, report, graph, calib=calib, h_max=h_max)
     return report, graph, engine
 
@@ -77,10 +77,9 @@ def width_dips(engine: SemiclassicsEngine, h: float) -> List[float]:
     return dips
 
 
-def tracked_seed(engine: SemiclassicsEngine, h: float, anchor: float) -> Optional[float]:
+def tracked_seed(seeds: Sequence[float], anchor: float) -> Optional[float]:
     """The quantization-grid point nearest a fixed anchor energy (the
     'fixed index' followed across the h sweep)."""
-    seeds = engine.bohr_sommerfeld(h)
     if not seeds:
         return None
     return min(seeds, key=lambda s: abs(s - anchor))
@@ -96,20 +95,21 @@ def select_anchor(engine: SemiclassicsEngine, h_list: Sequence[float]) -> float:
     from log h (and keep a quarter spacing away from the width dips).
     """
     e0 = engine.p.e0
-    sp0 = 2.0 * math.pi * max(h_list) / abs(engine._ap0)
+    sp0 = 2.0 * math.pi * max(h_list) / abs(engine.ap0)
     logh = np.log(np.asarray(h_list, dtype=float))
     logh = logh - logh.mean()
+    grids = {h: engine.bohr_sommerfeld(h) for h in h_list}
     dips_by_h = {h: width_dips(engine, h) for h in h_list}
     best_anchor, best_score = None, math.inf
     for anchor in np.linspace(e0 - sp0, e0 + sp0, _ANCHOR_GRID):
         seeds = []
         ok = True
         for h in h_list:
-            s = tracked_seed(engine, h, float(anchor))
+            s = tracked_seed(grids[h], float(anchor))
             if s is None:
                 ok = False
                 break
-            quarter = 0.25 * 2.0 * math.pi * h / abs(engine._ap0)
+            quarter = 0.25 * 2.0 * math.pi * h / abs(engine.ap0)
             dips = dips_by_h[h]
             if dips and min(abs(s - d) for d in dips) < quarter:
                 ok = False
@@ -166,7 +166,7 @@ def compare_sweep(
     expo = (engine.m0 + 3.0) / (engine.m0 + 1.0)
     rows = []
     for h in hs:
-        seed = tracked_seed(engine, h, anchor)
+        seed = tracked_seed(engine.bohr_sommerfeld(h), anchor)
         if seed is None:
             raise ValueError(f"no Bohr-Sommerfeld seed near {anchor} for h = {h}")
         pseudo = {pr.seed: pr for pr in engine.pseudo_resonances(h)}.get(seed)

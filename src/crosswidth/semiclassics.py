@@ -208,7 +208,8 @@ class SemiclassicsEngine:
         self.domain = energy_domain(problem, report, h_max)
         self._segments: Dict[Tuple[int, float, float], _Segment] = {}
         self._transfer: Dict[Tuple[int, int, float], list] = {}
-        self._ap0 = action_derivative(problem, problem.e0)
+        # A'(e0): Bohr-Sommerfeld energies near e0 lie 2 pi h / |A'(e0)| apart
+        self.ap0 = action_derivative(problem, problem.e0)
         self._edges_sorted = sorted(graph.edges, key=lambda e: e.eid)
         self._index = {e.eid: i for i, e in enumerate(self._edges_sorted)}
 

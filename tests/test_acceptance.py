@@ -208,13 +208,13 @@ def test_criterion_10_invariance_suite(f0_engine, f1arc_engine):
     d_ref = eng1.width_coefficient(E, h, "one_switch").D
     worst_base = 0.0
     rng = random.Random(21)
-    from crosswidth.geometry import _arc_to_x
+    from crosswidth.geometry import _arc_to_x, _junction_arcs
 
     def random_frac(e, eng):
         vfn = eng.p.v_np(e.channel)
         for _ in range(100):
             f = rng.uniform(0.01, 0.3)
-            juncs_ok = all(abs(f - a / e.arc_length) > 2e-3 for a in e._junction_arcs())
+            juncs_ok = all(abs(f - a / e.arc_length) > 2e-3 for a in _junction_arcs(e.pieces))
             if juncs_ok and float(vfn(_arc_to_x(e.pieces, f))) < eng.domain[0] - 0.01:
                 return f
         return e.base_frac

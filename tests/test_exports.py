@@ -1,0 +1,22 @@
+import importlib
+import pkgutil
+
+import crosswidth
+
+MODULES = [importlib.import_module(f"crosswidth.{m.name}")
+           for m in pkgutil.iter_modules(crosswidth.__path__)]
+
+
+def test_every_listed_name_exists():
+    checked = [mod for mod in MODULES if hasattr(mod, "__all__")]
+    assert checked
+    for mod in checked:
+        missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+        assert not missing, (mod.__name__, missing)
+
+
+def test_removed_names_stay_gone():
+    from crosswidth import model, oracle
+
+    assert not hasattr(model, "TailInfo")
+    assert not hasattr(oracle, "_Segment")

@@ -141,7 +141,7 @@ def test_sub_pieces_turning_count_split():
 def test_base_point_positions(f1arc_engine):
     _, g, _ = f1arc_engine
     for e in g.edges:
-        x = e.base_x
+        x = geometry._arc_to_x(e.pieces, e.base_frac)
         lo = min(pc.x_lo for pc in e.pieces)
         hi = max(pc.x_hi for pc in e.pieces)
         assert lo <= x <= hi

@@ -3,18 +3,22 @@
 Each case runs ``cli.main`` in-process and compares its exit code and its
 output with the files under ``tests/golden/``: byte for byte for the
 semiclassical commands, and at 1e-8 relative for the oracle, whose low
-digits depend on the BLAS build.  Regenerate the files after a deliberate
-output change with ``PYTHONPATH=src python tests/test_golden.py``.
+digits depend on the BLAS build.  ``anchors.out`` pins the repr of
+``pipeline.select_anchor`` over the shipped sweep on five configs, with the
+warning it gives when it falls back to e0.  Regenerate the files after a
+deliberate output change with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import json
 import math
 import os
 import sys
+import warnings
 
 import pytest
 
-from crosswidth import cli
+from crosswidth import cli, pipeline
+from crosswidth.config import load_config
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(ROOT, "tests", "golden")
@@ -26,11 +30,13 @@ for _name in CONFIGS:
     EXACT[f"analyze_{_name}"] = ["analyze", _name]
     EXACT[f"bs_{_name}"] = ["bs", _name, "--h", "0.05"]
     EXACT[f"widths_{_name}"] = ["widths", _name, "--h", "0.05"]
-EXACT["pseudo_f1"] = ["pseudo", "f1", "--h", "0.05"]
+    EXACT[f"pseudo_{_name}"] = ["pseudo", _name, "--h", "0.05"]
 for _m in (1, 2, 3):  # the stationary-phase arguments of acceptance criterion 7
     EXACT[f"stphase_m{_m}"] = ["stphase", "f0", "--m", str(_m), "--h-list", STPHASE_H,
                                "--phi", f"x^{_m + 1}", "--sigma", "1", "--calib", "2.0"]
 APPROX = {"oracle_f0": ["oracle", "f0", "--h", "0.05"]}
+ANCHOR_CONFIGS = ("f0", "f1", "f1_arc", "f2", "single_transversal")
+SWEEP = (0.08, 0.06, 0.05, 0.04, 0.03)  # the shipped [sweep] h_list
 
 
 def _run(argv, out_path):
@@ -45,6 +51,21 @@ def _golden(name):
         code = json.load(fh)[name]
     with open(os.path.join(GOLDEN, f"{name}.out"), "rb") as fh:
         return code, fh.read()
+
+
+def _anchors_text():
+    """One line per config: its anchor's repr over SWEEP, then any warning
+    it gave."""
+    lines = []
+    for name in ANCHOR_CONFIGS:
+        cfg = load_config(os.path.join(ROOT, "configs", f"{name}.cfg"))
+        _, _, engine = pipeline.build_engine(cfg.problem, calib=cfg.calib, h_max=max(SWEEP))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            anchor = pipeline.select_anchor(engine, SWEEP)
+        lines.append(f"{name} {anchor!r}")
+        lines.extend(f"{name} {w.category.__name__}: {w.message}" for w in caught)
+    return "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize("name", sorted(EXACT))
@@ -65,6 +86,11 @@ def test_oracle_output_close(tmp_path, name):
     assert got["residual"] <= 1e3 * max(want["residual"], 1e-300)
 
 
+def test_anchors_repr_identical():
+    with open(os.path.join(GOLDEN, "anchors.out"), encoding="utf-8") as fh:
+        assert _anchors_text() == fh.read()
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -79,3 +105,5 @@ if __name__ == "__main__":
     with open(os.path.join(GOLDEN, "exit_codes.json"), "w", encoding="utf-8") as fh:
         json.dump(codes, fh, indent=1, sort_keys=True)
         fh.write("\n")
+    with open(os.path.join(GOLDEN, "anchors.out"), "w", encoding="utf-8") as fh:
+        fh.write(_anchors_text())

@@ -126,12 +126,13 @@ def test_validate_no_well():
     assert not rep.assumption_flags["simple_well"][0]
 
 
-def test_validate_f1_passes_with_tails():
+def test_validate_f1_passes_with_tails(f1arc_engine):
     rep = validate_structure(fixtures.f1_arc())
     assert rep.passed
     assert rep.m0 == 2
-    outs = [t for t in rep.tails if t.kind == "outgoing"]
-    ins = [t for t in rep.tails if t.kind == "incoming"]
+    _, g, _ = f1arc_engine
+    outs = [t for t in g.tails if t.kind == "outgoing"]
+    ins = [t for t in g.tails if t.kind == "incoming"]
     assert len(outs) == 1 and outs[0].direction == +1
     assert len(ins) == 1
 

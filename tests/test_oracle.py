@@ -32,9 +32,9 @@ def _raw_final(track: PairTrack) -> np.ndarray:
     """The pair at t = 0 without the checkpoint orthonormalizations: the
     stored triangular factors multiplied back in, last to first."""
     raw = track.final
-    for seg in reversed(track.segments):
-        if seg.R is not None:
-            raw = raw @ seg.R
+    for R, _ in reversed(track.chunks):
+        if R is not None:
+            raw = raw @ R
     return raw
 
 

@@ -1,0 +1,29 @@
+import pytest
+
+from crosswidth.pipeline import select_anchor, tracked_seed
+
+SWEEP = (0.08, 0.06, 0.05, 0.04, 0.03)  # the shipped [sweep] h_list
+
+
+def test_tracked_seed_nearest_point():
+    assert tracked_seed([0.70, 0.74, 0.78], 0.755) == 0.74
+    assert tracked_seed([], 0.75) is None
+
+
+@pytest.mark.parametrize("name", ["f1_engine", "f1arc_engine"])
+def test_select_anchor_solves_each_grid_once(request, name):
+    _, _, engine = request.getfixturevalue(name)
+    calls = []
+    solve = engine.bohr_sommerfeld
+
+    def counted(h):
+        calls.append(h)
+        return solve(h)
+
+    engine.bohr_sommerfeld = counted
+    try:
+        select_anchor(engine, SWEEP)
+    finally:
+        del engine.bohr_sommerfeld
+    assert len(calls) == len(SWEEP)
+    assert set(calls) == set(SWEEP)
