@@ -140,7 +140,6 @@ class Problem:
 @dataclass(frozen=True)
 class TurningPoint:
     x: float
-    side: str  # "left" if the classically allowed region lies to the right
 
 
 @dataclass(frozen=True)
@@ -222,7 +221,7 @@ def turning_points(
         slope = float(vpfn(r))
         if abs(slope) <= tols.contact_tol:
             raise DegenerateTurningPoint(f"V' = {slope:.3e} at root x = {r:.12g}")
-        out.append(TurningPoint(x=r, side="left" if slope < 0 else "right"))
+        out.append(TurningPoint(x=r))
     out.sort(key=lambda t: t.x)
     return out
 
@@ -429,8 +428,8 @@ def validate_structure(p: Problem) -> StructureReport:
     flags["e0_off_limits"] = (limits_ok, "" if limits_ok else "e0 coincides with a potential limit")
 
     if a0 is None:
-        a0 = TurningPoint(x=p.window[0], side="left")
-        b0 = TurningPoint(x=p.window[1], side="right")
+        a0 = TurningPoint(x=p.window[0])
+        b0 = TurningPoint(x=p.window[1])
     return StructureReport(
         a0=a0,
         b0=b0,

@@ -66,7 +66,7 @@ def width_dips(engine: SemiclassicsEngine, h: float) -> List[float]:
         pass
     lo, hi = engine.box(h)
     es = np.linspace(lo, hi, 801)
-    dvals = np.array([engine.width_coefficient(float(E), h, "one_switch").D for E in es])
+    dvals = engine.width_coefficient(es, h, "one_switch").D
     top = float(np.max(dvals))
     if top <= 0:
         return []

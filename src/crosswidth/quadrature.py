@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
@@ -26,6 +26,7 @@ __all__ = [
     "BudgetExceeded",
     "PreconditionViolated",
     "ActionFn",
+    "ActionTable",
     "action_loop",
     "action_derivative",
     "action_edge",
@@ -335,6 +336,31 @@ def stationary_phase(sigma0: complex, phi_jet, m: int, h: float, calib: float = 
 # --- cached action evaluators -------------------------------------------------
 
 
+def _clenshaw(c_top, c_next, lower, t):
+    """numpy's ``chebval`` recurrence, in its operation order, on the
+    coefficients (c[-1], c[-2], then c[-3] down to c[0] in ``lower``) at the
+    mapped energy t.  The same code runs on Python floats for one series at
+    one energy and on arrays for several series at several energies; both
+    give numpy's floats bit for bit."""
+    x2 = 2 * t
+    c0, c1 = c_next, c_top
+    for c in lower:
+        c0_plus = c1 * x2
+        c0_plus += c0  # in place on arrays: one temporary fewer per step
+        c0, c1 = c - c1, c0_plus
+    return c0 + c1 * t
+
+
+def _split(coef):
+    """Coefficient rows in the order _clenshaw takes them."""
+    return coef[-1], coef[-2], list(coef[-3::-1])
+
+
+def _outside(E: float, domain: Tuple[float, float]) -> ValueError:
+    lo, hi = domain
+    return ValueError(f"E = {E:.8g} outside the cached domain [{lo:.8g}, {hi:.8g}]")
+
+
 @dataclass
 class ActionFn:
     """Chebyshev cache of a smooth energy-to-action map.
@@ -347,6 +373,11 @@ class ActionFn:
     domain: Tuple[float, float]
     err_estimate: float
     n_nodes: int
+
+    def __post_init__(self):
+        # Chebyshev.__call__'s domain map and coefficients as Python floats
+        self._map = tuple(float(v) for v in self.cheb.mapparms())
+        self._series = _split(self.cheb.coef.tolist())
 
     @classmethod
     def build(cls, fn: Callable[[float], float], domain: Tuple[float, float],
@@ -374,9 +405,51 @@ class ActionFn:
     def __call__(self, E: float) -> float:
         lo, hi = self.domain
         if not (lo - 1e-12 <= E <= hi + 1e-12):
-            raise ValueError(f"E = {E:.8g} outside the cached domain [{lo:.8g}, {hi:.8g}]")
-        return float(self.cheb(E))
+            raise _outside(E, self.domain)
+        off, scl = self._map
+        return _clenshaw(*self._series, off + scl * float(E))
 
     def derivative(self) -> "ActionFn":
         return ActionFn(cheb=self.cheb.deriv(), domain=self.domain,
                         err_estimate=self.err_estimate, n_nodes=self.n_nodes)
+
+
+class ActionTable:
+    """Several action caches over one shared domain, evaluated together.
+
+    For several energies the coefficients are stacked column by column,
+    zero-padded to the longest series (which changes no bit), and one
+    recurrence runs over an (N, n_series) array.  For one energy each
+    series runs on Python floats instead: there numpy's per-call overhead,
+    three calls per degree, would cost more than the arithmetic.  Every
+    value is bit-equal to the series' own ActionFn call.
+    """
+
+    def __init__(self, fns: Sequence[ActionFn]):
+        self.domain = fns[0].domain
+        self._map = fns[0]._map
+        if any(fn.domain != self.domain or fn._map != self._map for fn in fns):
+            raise ValueError("stacked action caches must share one domain")
+        self._series = [fn._series for fn in fns]
+        coef = np.zeros((max(len(fn.cheb.coef) for fn in fns), len(fns)))
+        for j, fn in enumerate(fns):
+            coef[: len(fn.cheb.coef), j] = fn.cheb.coef
+        self._coef = coef
+        self._rows = {}  # series count -> _split rows, shaped (1, count)
+
+    def __call__(self, E: np.ndarray, count: Optional[int] = None) -> np.ndarray:
+        """Values of the first ``count`` series (all by default) at the real
+        energies E, as an (N, count) array."""
+        lo, hi = self.domain
+        inside = (lo - 1e-12 <= E) & (E <= hi + 1e-12)
+        if not inside.all():
+            raise _outside(float(E[~inside][0]), self.domain)
+        count = len(self._series) if count is None else count
+        off, scl = self._map
+        if len(E) == 1:
+            t = off + scl * float(E[0])
+            return np.array([[_clenshaw(*series, t) for series in self._series[:count]]])
+        rows = self._rows.get(count)
+        if rows is None:
+            rows = self._rows[count] = _split(self._coef[:, None, :count])
+        return _clenshaw(*rows, (off + scl * E)[:, None])

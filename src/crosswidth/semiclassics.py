@@ -15,7 +15,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import brentq
@@ -23,7 +23,7 @@ from scipy.optimize import brentq
 from . import quadrature
 from .geometry import Edge, Graph, PathSeq, paths_one_switch, primitive_cycles
 from .model import CrossingPoint, Problem, StructureReport
-from .quadrature import ActionFn, action_derivative, action_edge
+from .quadrature import ActionFn, ActionTable, action_derivative, action_edge
 
 __all__ = [
     "BoxTooLarge",
@@ -123,6 +123,9 @@ class PseudoResonance:
 
 @dataclass(frozen=True)
 class WidthBreakdown:
+    """D(E) with its per-tail and per-path amplitudes; E, D and the
+    amplitudes are arrays when the width was asked for an array of E."""
+
     E: float
     h: float
     D: float
@@ -167,19 +170,34 @@ class _Segment:
     dfn: ActionFn
     nu: int
 
-    def value(self, E: complex) -> complex:
-        x, y = E.real, E.imag
-        if y == 0.0:
-            return complex(self.fn(x))
-        # first-order continuation off the real axis; |Im E| <= Lh keeps the
-        # quadratic remainder below the certified orders
-        return self.fn(x) + 1j * y * self.dfn(x)
+
+# A phase key names the segments of a phase list: (edge id, flo, fhi) each.
+PhaseKey = Tuple[Tuple[int, float, float], ...]
+
+
+def _cmul(ar, ai, br, bi):
+    """(ar + i ai)(br + i bi) in the operation order of Python's complex
+    product.  numpy's complex multiply may fuse multiply-adds, so array
+    products are spelled out on real and imaginary parts."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _path_key(path: PathSeq) -> PhaseKey:
+    """The segments whose phases a path's amplitude multiplies."""
+    last = len(path.edges) - 1
+    return tuple(
+        (e.eid, path.start_frac if k == 0 else 0.0, path.end_frac if k == last else 1.0)
+        for k, e in enumerate(path.edges)
+    )
 
 
 # residual bound of the Chebyshev edge-action caches
 _CACHE_TOL = 3e-13
 # energies on the argument-principle contour
 _COUNT_NODES = 4096
+# energies evaluated at a time by det_one_minus_m and the one-switch width:
+# bounds the memory of their temporaries
+_SLICE = 128
 
 
 class SemiclassicsEngine:
@@ -187,7 +205,11 @@ class SemiclassicsEngine:
 
     Edge actions are cached as Chebyshev interpolants over the energy
     domain covering the resonance box for every h up to ``h_max``; graph
-    topology stays frozen at the reference energy.
+    topology stays frozen at the reference energy.  Energies are evaluated
+    in arrays: the segment caches in use are stacked in one table that is
+    built on the first evaluation and extended when a new segment is needed.
+    A scalar energy is an array of one, and no value depends on how the
+    energies are batched.
     """
 
     def __init__(
@@ -208,10 +230,21 @@ class SemiclassicsEngine:
         self.domain = energy_domain(problem, report, h_max)
         self._segments: Dict[Tuple[int, float, float], _Segment] = {}
         self._transfer: Dict[Tuple[int, int, float], list] = {}
+        self._plans: Dict[PhaseKey, tuple] = {}
+        self._links: Dict[float, tuple] = {}
+        self._one_switch_paths: Optional[tuple] = None
         # A'(e0): Bohr-Sommerfeld energies near e0 lie 2 pi h / |A'(e0)| apart
         self.ap0 = action_derivative(problem, problem.e0)
         self._edges_sorted = sorted(graph.edges, key=lambda e: e.eid)
         self._index = {e.eid: i for i, e in enumerate(self._edges_sorted)}
+        # the monodromy's phases: both base-point halves of every edge
+        self._halves: PhaseKey = tuple((e.eid, 0.0, e.base_frac) for e in self._edges_sorted) + tuple(
+            (e.eid, e.base_frac, 1.0) for e in self._edges_sorted)
+        # stacked action table: column of each segment, the halves first and
+        # then any other segment a phase asks for; built on first use
+        self._columns: Dict[Tuple[int, float, float], int] = {k: j for j, k in enumerate(self._halves)}
+        self._table: Optional[ActionTable] = None
+        self._loop = [self._index[e.eid] for e in graph.gamma1_edges()]
 
     # --- cached quantities ---------------------------------------------------
 
@@ -244,20 +277,109 @@ class SemiclassicsEngine:
             self._transfer[key] = T
         return T[ch_to - 1][ch_from - 1]
 
-    def _phase(self, edge: Edge, flo: float, fhi: float, E: complex, h: float) -> complex:
-        if flo == fhi:
-            return 1.0 + 0.0j
-        f = edge.base_frac
-        if (flo, fhi) == (0.0, 1.0):
-            s1, s2 = self._segment(edge, 0.0, f), self._segment(edge, f, 1.0)
-            S = s1.value(E) + s2.value(E)
-            nu = edge.nu
-        else:
-            seg = self._segment(edge, flo, fhi)
-            S, nu = seg.value(E), seg.nu
-        return cmath.exp(1j * S / h - 1j * math.pi * nu / 2.0)
+    # --- the stacked action table ----------------------------------------------
+
+    def _column(self, key: Tuple[int, float, float]) -> int:
+        """Table column of a segment.  Columns are only ever appended, so a
+        column index stays valid."""
+        col = self._columns.get(key)
+        if col is None:
+            col = self._columns[key] = len(self._columns)
+            self._table = None
+        return col
+
+    def _plan(self, key: PhaseKey) -> tuple:
+        """Table columns and turning-point terms of the phases named by key:
+        a full edge (0, 1) sums its two base-point halves and takes the
+        edge's turning points; an empty segment has phase 1."""
+        plan = self._plans.get(key)
+        if plan is None:
+            first, full, second, nu_terms, units = [], [], [], [], []
+            for j, (eid, flo, fhi) in enumerate(key):
+                edge = self._edges_sorted[self._index[eid]]
+                nu = 0
+                if flo == fhi:
+                    units.append(j)
+                    first.append(0)
+                elif (flo, fhi) == (0.0, 1.0):
+                    first.append(self._column((eid, 0.0, edge.base_frac)))
+                    full.append(j)
+                    second.append(self._column((eid, edge.base_frac, 1.0)))
+                    nu = edge.nu
+                else:
+                    first.append(self._column((eid, flo, fhi)))
+                    nu = self._segment(edge, flo, fhi).nu
+                nu_terms.append(math.pi * nu / 2.0)
+            plan = self._plans[key] = tuple(np.array(a, dtype=t) for a, t in (
+                (first, int), (full, int), (second, int), (nu_terms, float), (units, int)))
+        return plan
+
+    def _actions(self, x: np.ndarray, derivatives: bool) -> np.ndarray:
+        """Segment actions at the real energies x, columns as in _column,
+        followed by their energy derivatives when asked for."""
+        if self._table is None:
+            segs = [self._segment(self._edges_sorted[self._index[eid]], flo, fhi)
+                    for eid, flo, fhi in self._columns]
+            self._table = ActionTable([s.fn for s in segs] + [s.dfn for s in segs])
+        return self._table(x, None if derivatives else len(self._columns))
+
+    def _loop_derivative(self, vals: np.ndarray) -> np.ndarray:
+        """A'(E) from the derivative columns of the loop edges' halves, summed
+        in the scalar sum's order."""
+        d = vals[:, len(self._columns):]
+        total = 0.0
+        for i in self._loop:
+            total = total + (d[:, i] + d[:, len(self._edges_sorted) + i])
+        return total
+
+    def _evaluate(self, E: np.ndarray, h: float, key: PhaseKey,
+                  loop_derivative: bool = False) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """Phases e^{iS/h - i pi nu/2} of the segments named by key at the
+        complex energies E, as an (N, len(key)) array, and A'(Re E) when
+        loop_derivative is set: one table evaluation for both.
+
+        Off the real axis the action continues to first order,
+        S(x + iy) = S(x) + i y S'(x); |Im E| <= Lh keeps the quadratic
+        remainder below the certified orders.  The argument is formed on
+        real and imaginary parts, (-Im S / h, Re S / h - pi nu / 2), which
+        are the floats Python's complex arithmetic gives.
+        """
+        first, full, second, nu_terms, units = self._plan(key)
+        x, y = E.real, E.imag
+        off_axis = bool(y.any())
+        vals = self._actions(x, off_axis or loop_derivative)
+        s_re = vals[:, first]
+        if full.size:
+            s_re[:, full] += vals[:, second]
+        arg = np.zeros(s_re.shape, dtype=complex)
+        arg.imag = s_re / h - nu_terms
+        if off_axis:
+            n = len(self._columns)
+            dy = y[:, None] * vals[:, n:]
+            s_im = dy[:, first]
+            if full.size:
+                s_im[:, full] += dy[:, second]
+            arg.real = -s_im / h
+        ph = np.exp(arg)
+        if units.size:
+            ph[:, units] = 1.0
+        return ph, (self._loop_derivative(vals) if loop_derivative else None)
 
     # --- probability amplitudes ----------------------------------------------
+
+    def _path_product(self, path: PathSeq, phases: Sequence[complex], cols: Sequence[int],
+                      h: float) -> complex:
+        """A path amplitude at one energy, given the phases of its segments
+        at the positions cols of phases."""
+        edges = path.edges
+        amp = 1.0 + 0.0j
+        for k, e in enumerate(edges):
+            if k > 0:
+                amp *= self.tau(edges[k - 1].channel, e.channel, edges[k - 1].target, h)
+            amp *= phases[cols[k]]
+        if path.tail is not None:
+            amp *= self.tau(edges[-1].channel, path.tail.channel, path.tail.attach, h)
+        return amp
 
     def probability_amplitude(self, path: PathSeq, E, h: float) -> complex:
         """Product of segment phases, turning-point factors and transfer
@@ -267,39 +389,53 @@ class SemiclassicsEngine:
         included but the tail's own (common, unimodular at real energy)
         phase factor is dropped.
         """
-        E = complex(E)
-        edges = path.edges
-        amp = 1.0 + 0.0j
-        for k, e in enumerate(edges):
-            flo = path.start_frac if k == 0 else 0.0
-            fhi = path.end_frac if k == len(edges) - 1 else 1.0
-            if k > 0:
-                amp *= self.tau(edges[k - 1].channel, e.channel, edges[k - 1].target, h)
-            amp *= self._phase(e, flo, fhi, E, h)
-        if path.tail is not None:
-            amp *= self.tau(edges[-1].channel, path.tail.channel, path.tail.attach, h)
-        return amp
+        phases = self._evaluate(np.array([complex(E)]), h, _path_key(path))[0][0].tolist()
+        return self._path_product(path, phases, range(len(path.edges)), h)
 
     # --- monodromy -------------------------------------------------------------
 
+    def _fill(self, M: np.ndarray, ph: np.ndarray, h: float) -> None:
+        """Write the monodromy entries M[i, j] = ph2[j] * tau * ph1[i] into
+        the zero stack M, given the halves' phases ph at the same energies;
+        the incidence and the tau of each entry are cached per h."""
+        links = self._links.get(h)
+        if links is None:
+            entries = [(i, j, self.tau(ep.channel, e.channel, ep.target, h))
+                       for j, ep in enumerate(self._edges_sorted)
+                       for i, e in enumerate(self._edges_sorted) if e.source.key == ep.target.key]
+            rows, cols, taus = (np.array(a) for a in zip(*entries))
+            links = self._links[h] = (rows, cols, len(self._edges_sorted) + cols, taus.real, taus.imag)
+        rows, cols, ph2_cols, tau_re, tau_im = links
+        ph2, ph1 = ph[:, ph2_cols], ph[:, rows]
+        m_re, m_im = _cmul(*_cmul(ph2.real, ph2.imag, tau_re, tau_im), ph1.real, ph1.imag)
+        M.real[:, rows, cols] = m_re
+        M.imag[:, rows, cols] = m_im
+
     def monodromy(self, E, h: float) -> np.ndarray:
         """Edge-indexed matrix of one-vertex amplitudes between base points
-        (rows/columns ordered by edge id)."""
-        E = complex(E)
+        (rows/columns ordered by edge id); an (N, n, n) stack for an array
+        of N energies."""
+        Es = np.asarray(E, dtype=complex)
+        flat = Es.reshape(-1)
         n = len(self._edges_sorted)
-        M = np.zeros((n, n), dtype=complex)
-        ph1 = [self._phase(e, 0.0, e.base_frac, E, h) for e in self._edges_sorted]
-        ph2 = [self._phase(e, e.base_frac, 1.0, E, h) for e in self._edges_sorted]
-        for j, ep in enumerate(self._edges_sorted):
-            v = ep.target
-            for i, e in enumerate(self._edges_sorted):
-                if e.source.key == v.key:
-                    M[i, j] = ph2[j] * self.tau(ep.channel, e.channel, v, h) * ph1[i]
-        return M
+        M = np.zeros((len(flat), n, n), dtype=complex)
+        self._fill(M, self._evaluate(flat, h, self._halves)[0], h)
+        return M if Es.ndim else M[0]
 
-    def det_one_minus_m(self, E, h: float) -> complex:
-        M = self.monodromy(E, h)
-        return complex(np.linalg.det(np.eye(M.shape[0], dtype=complex) - M))
+    def det_one_minus_m(self, E, h: float):
+        """det(I - M(E)): a complex, or an array for an array of energies,
+        whose monodromy stacks are formed _SLICE energies at a time."""
+        Es = np.asarray(E, dtype=complex)
+        flat = Es.reshape(-1)
+        d = np.empty(len(flat), dtype=complex)
+        eye = np.eye(len(self._edges_sorted), dtype=complex)
+        for i in range(0, len(flat), _SLICE):
+            M = self.monodromy(flat[i:i + _SLICE], h)
+            # I - M in place, as -M + I: the same floats
+            np.negative(M, out=M)
+            M += eye
+            d[i:i + _SLICE] = np.linalg.det(M)
+        return d if Es.ndim else complex(d[0])
 
     def det_cycle_expansion(self, E, h: float) -> complex:
         """det(I - M) from the primitive-cycle expansion: 1 plus the sum over
@@ -307,13 +443,15 @@ class SemiclassicsEngine:
         Combinatorial cross-check for the LU determinant."""
         E = complex(E)
         cycles = primitive_cycles(self.g)
+        key = tuple((e.eid, 0.0, 1.0) for e in self._edges_sorted)
+        full = self._evaluate(np.array([E]), h, key)[0][0].tolist()
         amps = []
         vsets = []
         for cyc in cycles:
             amp = 1.0 + 0.0j
             n = len(cyc)
             for k, e in enumerate(cyc):
-                amp *= self._phase(e, 0.0, 1.0, E, h)
+                amp *= full[self._index[e.eid]]
                 nxt = cyc[(k + 1) % n]
                 amp *= self.tau(e.channel, nxt.channel, e.target, h)
             amps.append(amp)
@@ -339,11 +477,7 @@ class SemiclassicsEngine:
         return sum(self.edge_action(e, E) for e in self.g.gamma1_edges())
 
     def _gamma1_action_derivative(self, E: float) -> float:
-        total = 0.0
-        for e in self.g.gamma1_edges():
-            f = e.base_frac
-            total += self._segment(e, 0.0, f).dfn(E) + self._segment(e, f, 1.0).dfn(E)
-        return total
+        return float(self._loop_derivative(self._actions(np.array([float(E)]), True))[0])
 
     def box(self, h: float) -> Tuple[float, float]:
         return (self.p.e0 - self.p.L * h, self.p.e0 + self.p.L * h)
@@ -364,7 +498,8 @@ class SemiclassicsEngine:
         for it in range(1, 51):
             if abs(fE) <= tol:
                 return PseudoResonance(E=E, seed=seed, residual=abs(fE), newton_iters=it - 1)
-            fp = (f(E + delta) - f(E - delta)) / (2.0 * delta)
+            f_plus, f_minus = f(np.array([E + delta, E - delta])).tolist()
+            fp = (f_plus - f_minus) / (2.0 * delta)
             if fp == 0:
                 break
             step = -fE / fp
@@ -395,7 +530,7 @@ class SemiclassicsEngine:
         for a, b in zip(corners, corners[1:] + corners[:1]):
             ts = np.arange(per) / per
             zs.extend(a + (b - a) * t for t in ts)
-        vals = np.array([self.det_one_minus_m(z, h) for z in zs], dtype=complex)
+        vals = self.det_one_minus_m(np.array(zs, dtype=complex), h)
         if np.any(np.abs(vals) < 1e-13):
             raise CountMismatch("det(I - M) vanishes on the counting contour")
         args = np.angle(vals)
@@ -435,9 +570,18 @@ class SemiclassicsEngine:
 
         Returns (alpha: eid -> complex, tail_amp: tid -> complex).
         """
-        E = complex(E)
-        M = self.monodromy(E, h)
-        n = M.shape[0]
+        alpha, tail_amp, _ = self._resolvent(E, h)
+        return alpha, tail_amp
+
+    def _resolvent(self, E, h: float, loop_derivative: bool = False):
+        """amplitude_vector's (alpha, tail_amp), plus A'(E) when asked for,
+        from one evaluation of the action table; the tail hops reuse the
+        monodromy's phases."""
+        ph, ap = self._evaluate(np.array([complex(E)]), h, self._halves, loop_derivative)
+        n = len(self._edges_sorted)
+        M = np.zeros((1, n, n), dtype=complex)
+        self._fill(M, ph, h)
+        M = M[0]
         i0 = self._index[self.g.e0.eid]
         Mt = M.copy()
         Mt[i0, :] = 0.0
@@ -460,14 +604,14 @@ class SemiclassicsEngine:
             total = 0.0 + 0.0j
             for i, e in enumerate(self._edges_sorted):
                 if e.target.key == t.attach.key:
-                    hop = self._phase(e, e.base_frac, 1.0, E, h) * self.tau(e.channel, t.channel, t.attach, h)
+                    hop = complex(ph[0, n + i]) * self.tau(e.channel, t.channel, t.attach, h)
                     total += hop * alpha_vec[i]
             tail_amp[t.tid] = complex(total)
-        return alpha, tail_amp
+        return alpha, tail_amp, (None if ap is None else float(ap[0]))
 
     # --- widths -------------------------------------------------------------------
 
-    def width_coefficient(self, E: float, h: float, variant: str = "one_switch") -> WidthBreakdown:
+    def width_coefficient(self, E, h: float, variant: str = "one_switch") -> WidthBreakdown:
         """Leading width coefficient D(E):
         h^{-2/(m0+1)} / (2 |A'(E)|) * sum over outgoing tails of
         |sum of path amplitudes from the reference base point|^2.
@@ -477,25 +621,54 @@ class SemiclassicsEngine:
         the box, but the energy-resolved value tracks the true widths much
         better at finite h).  The one-switch variant sums the finitely many
         single-switch paths; the full variant replaces the inner sum by the
-        resolvent amplitude.
+        resolvent amplitude.  The one-switch variant also takes a 1-D array
+        of energies; E, D and the per-tail and per-path amplitudes of its
+        breakdown are then arrays over the energies.
         """
-        tails = self.g.outgoing_tails()
-        per_tail: List[Tuple[int, complex]] = []
-        per_path: List[complex] = []
         if variant == "one_switch":
-            for t in tails:
-                amps = [self.probability_amplitude(pth, E, h) for pth in paths_one_switch(self.g, t)]
-                per_path.extend(amps)
-                per_tail.append((t.tid, complex(sum(amps))))
-        elif variant == "full":
-            _, tail_amp = self.amplitude_vector(E, h)
-            per_tail = [(t.tid, tail_amp[t.tid]) for t in tails]
-        else:
+            return self._one_switch(E, h)
+        if variant != "full":
             raise ValueError(f"unknown variant {variant!r}")
-        total = sum(abs(v) ** 2 for _, v in per_tail)
-        ap = self._gamma1_action_derivative(E)
-        D = h ** (-2.0 / (self.m0 + 1)) / (2.0 * abs(ap)) * total
-        return WidthBreakdown(E=E, h=h, D=D, per_tail=tuple(per_tail), per_path=tuple(per_path), variant=variant)
+        _, tail_amp, ap = self._resolvent(E, h, loop_derivative=True)
+        per_tail = tuple((t.tid, tail_amp[t.tid]) for t in self.g.outgoing_tails())
+        return WidthBreakdown(E, h, self._D([v for _, v in per_tail], ap, h), per_tail, (), variant)
+
+    def _D(self, tail_sums: List[complex], ap: float, h: float) -> float:
+        total = sum(abs(v) ** 2 for v in tail_sums)
+        return h ** (-2.0 / (self.m0 + 1)) / (2.0 * abs(ap)) * total
+
+    def _switch_paths(self):
+        """The one-switch paths of each outgoing tail, each with the
+        positions of its segments in the phase key that all of them share."""
+        if self._one_switch_paths is None:
+            tails = [(t.tid, [(pth, _path_key(pth)) for pth in paths_one_switch(self.g, t)])
+                     for t in self.g.outgoing_tails()]
+            key = tuple(dict.fromkeys(seg for _, ps in tails for _, k in ps for seg in k))
+            pos = {seg: j for j, seg in enumerate(key)}
+            self._one_switch_paths = key, [
+                (tid, [(pth, [pos[seg] for seg in k]) for pth, k in ps]) for tid, ps in tails]
+        return self._one_switch_paths
+
+    def _one_switch(self, E, h: float) -> WidthBreakdown:
+        es = np.asarray(E, dtype=float).reshape(-1)
+        key, tails = self._switch_paths()
+        amps = np.empty((len(es), sum(len(ps) for _, ps in tails)), dtype=complex)
+        sums = np.empty((len(es), len(tails)), dtype=complex)
+        D = np.empty(len(es))
+        for i in range(0, len(es), _SLICE):
+            ph, ap = self._evaluate(es[i:i + _SLICE].astype(complex), h, key, loop_derivative=True)
+            for k, (phases, a) in enumerate(zip(ph.tolist(), ap.tolist()), i):
+                row, tail_sums = [], []
+                for _, paths in tails:
+                    tail_amps = [self._path_product(pth, phases, cols, h) for pth, cols in paths]
+                    row.extend(tail_amps)
+                    tail_sums.append(complex(sum(tail_amps)))
+                amps[k], sums[k], D[k] = row, tail_sums, self._D(tail_sums, a, h)
+        tids = [tid for tid, _ in tails]
+        if np.ndim(E):
+            return WidthBreakdown(es, h, D, tuple(zip(tids, sums.T)), tuple(amps.T), "one_switch")
+        return WidthBreakdown(E, h, float(D[0]), tuple(zip(tids, sums[0].tolist())),
+                              tuple(amps[0].tolist()), "one_switch")
 
     def _simple_topology(self):
         """(crossing, outgoing tail, other vertex, mixed cycle) of the
@@ -574,9 +747,10 @@ class SemiclassicsEngine:
         rows = []
         pseudos = {pr.seed: pr for pr in self.pseudo_resonances(h)}
         expo = (self.m0 + 3.0) / (self.m0 + 1.0)
-        for seed in self.bohr_sommerfeld(h):
+        seeds = self.bohr_sommerfeld(h)
+        widths = self.width_coefficient(np.array(seeds), h, "one_switch").D.tolist()
+        for seed, D in zip(seeds, widths):
             pr = pseudos.get(seed)
-            D = self.width_coefficient(seed, h, "one_switch").D
             rows.append(
                 {
                     "seed": seed,

@@ -1,7 +1,9 @@
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crosswidth import cli
 from crosswidth.config import ConfigError, load_config
@@ -243,3 +245,25 @@ def test_oracle_theta_flag_equals_config_key(tmp_path):
     cfg = _f0_with_oracle(tmp_path, "theta = 0.35")
     assert cli.main(["oracle", cfg, "--h", "0.05", "--out", str(key)]) == 0
     assert flag.read_bytes() == key.read_bytes()
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(h=st.floats(0.005, 0.2), L=st.floats(0.1, 4.0))
+def test_pseudo_exit_code_contract_over_h_and_L(h, L):
+    # a config's (h, L) either runs (0), is rejected naming the problem (2),
+    # or fails numerically (3); none reaches the catch-all
+    with open(_cfg_path("f1_arc"), encoding="utf-8") as fh:
+        text = fh.read()
+    assert "L = 1.5" in text
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "run.cfg")
+        out = os.path.join(tmp, "out.json")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write(text.replace("L = 1.5", f"L = {L!r}"))
+        code = cli.main(["pseudo", cfg, "--h", repr(h), "--out", out])
+        with open(out, encoding="utf-8") as fh:
+            result = json.load(fh)
+    assert code in (0, 2, 3)
+    if isinstance(result, dict) and "diagnostics" in result:
+        assert not str(result["diagnostics"]).startswith("unexpected")
+        assert code in (2, 3)

@@ -5,16 +5,22 @@ output with the files under ``tests/golden/``: byte for byte for the
 semiclassical commands, and at 1e-8 relative for the oracle, whose low
 digits depend on the BLAS build.  ``anchors.out`` pins the repr of
 ``pipeline.select_anchor`` over the shipped sweep on five configs, with the
-warning it gives when it falls back to e0.  Regenerate the files after a
-deliberate output change with ``PYTHONPATH=src python tests/test_golden.py``.
+warning it gives when it falls back to e0.  ``count.out`` pins the
+argument-principle winding number (or the exception it raises) over the
+shipped sweep on six configs, and ``dips_f0.out`` the width dips of f0 with
+a digest of the one-switch D(E) on the 801-point scan.  Regenerate the
+files after a deliberate output change with
+``PYTHONPATH=src python tests/test_golden.py``.
 """
 
+import hashlib
 import json
 import math
 import os
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from crosswidth import cli, pipeline
@@ -36,6 +42,7 @@ for _m in (1, 2, 3):  # the stationary-phase arguments of acceptance criterion 7
                                "--phi", f"x^{_m + 1}", "--sigma", "1", "--calib", "2.0"]
 APPROX = {"oracle_f0": ["oracle", "f0", "--h", "0.05"]}
 ANCHOR_CONFIGS = ("f0", "f1", "f1_arc", "f2", "single_transversal")
+COUNT_CONFIGS = ("f0", "f0_decoupled", "f1", "f1_arc", "f2", "single_transversal")
 SWEEP = (0.08, 0.06, 0.05, 0.04, 0.03)  # the shipped [sweep] h_list
 
 
@@ -53,19 +60,55 @@ def _golden(name):
         return code, fh.read()
 
 
+def _sweep_engine(name):
+    cfg = load_config(os.path.join(ROOT, "configs", f"{name}.cfg"))
+    return pipeline.build_engine(cfg.problem, calib=cfg.calib, h_max=max(SWEEP))[2]
+
+
 def _anchors_text():
     """One line per config: its anchor's repr over SWEEP, then any warning
     it gave."""
     lines = []
     for name in ANCHOR_CONFIGS:
-        cfg = load_config(os.path.join(ROOT, "configs", f"{name}.cfg"))
-        _, _, engine = pipeline.build_engine(cfg.problem, calib=cfg.calib, h_max=max(SWEEP))
+        engine = _sweep_engine(name)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             anchor = pipeline.select_anchor(engine, SWEEP)
         lines.append(f"{name} {anchor!r}")
         lines.extend(f"{name} {w.category.__name__}: {w.message}" for w in caught)
     return "\n".join(lines) + "\n"
+
+
+def _count_text():
+    """One line per config and h: the winding number of det(I - M) around
+    the resonance box, or the exception it raised."""
+    lines = []
+    for name in COUNT_CONFIGS:
+        engine = _sweep_engine(name)
+        for h in SWEEP:
+            try:
+                got = repr(engine.count_by_argument_principle(h))
+            except Exception as exc:  # the message is part of the pinned output
+                got = f"{type(exc).__name__}: {exc}"
+            lines.append(f"{name} {h!r} {got}")
+    return "\n".join(lines) + "\n"
+
+
+def _dips_f0_text():
+    """Per h on f0: the repr of width_dips, and the sha256 of the reprs of
+    the one-switch D at each of the scan's energies, one scalar call each."""
+    engine = _sweep_engine("f0")
+    lines = []
+    for h in SWEEP:
+        lo, hi = engine.box(h)
+        ds = [repr(engine.width_coefficient(float(E), h, "one_switch").D)
+              for E in np.linspace(lo, hi, 801)]
+        digest = hashlib.sha256("\n".join(ds).encode()).hexdigest()
+        lines.append(f"{h!r} {pipeline.width_dips(engine, h)!r} {digest}")
+    return "\n".join(lines) + "\n"
+
+
+TEXTS = {"anchors.out": _anchors_text, "count.out": _count_text, "dips_f0.out": _dips_f0_text}
 
 
 @pytest.mark.parametrize("name", sorted(EXACT))
@@ -86,9 +129,21 @@ def test_oracle_output_close(tmp_path, name):
     assert got["residual"] <= 1e3 * max(want["residual"], 1e-300)
 
 
+def _golden_text(name):
+    with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
+        return fh.read()
+
+
 def test_anchors_repr_identical():
-    with open(os.path.join(GOLDEN, "anchors.out"), encoding="utf-8") as fh:
-        assert _anchors_text() == fh.read()
+    assert _anchors_text() == _golden_text("anchors.out")
+
+
+def test_count_identical():
+    assert _count_text() == _golden_text("count.out")
+
+
+def test_dips_f0_identical():
+    assert _dips_f0_text() == _golden_text("dips_f0.out")
 
 
 if __name__ == "__main__":
@@ -105,5 +160,6 @@ if __name__ == "__main__":
     with open(os.path.join(GOLDEN, "exit_codes.json"), "w", encoding="utf-8") as fh:
         json.dump(codes, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    with open(os.path.join(GOLDEN, "anchors.out"), "w", encoding="utf-8") as fh:
-        fh.write(_anchors_text())
+    for name, text in TEXTS.items():
+        with open(os.path.join(GOLDEN, name), "w", encoding="utf-8") as fh:
+            fh.write(text())

