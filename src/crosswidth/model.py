@@ -13,10 +13,9 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import exprs
 from .exprs import ExprAst
@@ -33,6 +32,7 @@ __all__ = [
     "ContactOrderOverflow",
     "NoCrossing",
     "MissedBracket",
+    "brentq",
     "turning_points",
     "crossing_points",
     "validate_structure",
@@ -182,9 +182,65 @@ def _grid(window: Tuple[float, float], n: int) -> np.ndarray:
     return np.linspace(window[0], window[1], n + 1)
 
 
+def brentq(f: Callable[[float], float], a: float, b: float, xtol: float) -> float:
+    """The root of f in [a, b] by Brent's method: a port of the C routine
+    behind scipy.optimize.brentq (``Zeros/brentq.c``) that does the same
+    float operations in the same order, so its roots are bit-identical to
+    scipy's, with rtol fixed at 8.9e-16 and at most 100 iterations.  Raises
+    ValueError when f(a) and f(b) have the same sign or f returns NaN, and
+    RuntimeError when it does not converge."""
+
+    def call(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x!r} is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + 8.9e-16 * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C gets an inf or a NaN, which bisects below
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise RuntimeError(f"failed to converge after 100 iterations, value is {xcur!r}")
+
+
 def _refine_root(fn, lo: float, hi: float, tol: float) -> float:
     try:
-        return brentq(fn, lo, hi, xtol=tol, rtol=8.9e-16)
+        return brentq(fn, lo, hi, tol)
     except ValueError as exc:
         warnings.warn(MissedBracket(f"bracket [{lo}, {hi}] lost its sign change: {exc}"))
         raise

@@ -24,10 +24,12 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-# solve_ivp is unused here, but perfbench/tracer.py wraps oracle.solve_ivp
-from scipy.integrate import simpson, solve_ivp  # noqa: F401
 
 from .model import Problem, StructureReport
+
+# the ODE counter of perfbench/tracer.py wraps this name; the oracle steps
+# with its own Magnus propagator and never calls it
+solve_ivp = None
 
 __all__ = [
     "BadContour",
@@ -42,6 +44,7 @@ __all__ = [
     "propagate",
     "MatchingProblem",
     "refine_resonance",
+    "simpson",
     "width_from_state",
     "exponent_fit",
 ]
@@ -450,6 +453,31 @@ def refine_resonance(p: Problem, seed: complex, h: float, c: Contour, m0: int,
             raise ThetaDependent(f"Im shifted by {rel:.2e} under a theta change")
         res = OracleResonance(E=root, residual=abs(wval), theta_shift=rel)
     return res
+
+
+def simpson(y: np.ndarray, x: np.ndarray) -> np.float64:
+    """Composite Simpson's rule for samples y on the increasing grid x of
+    at least 3 points: a port of scipy.integrate.simpson (1.17.1) for 1-D
+    input, with the same numpy operations in the same order, so its sums
+    are bit-identical to scipy's.  For an even number of points the last
+    interval takes Cartwright's correction."""
+    n = len(y)
+    stop = n - 2 if n % 2 else n - 3
+    d = np.diff(x)
+    h0, h1 = d[0:stop:2], d[1:stop + 1:2]
+    hsum, hprod = h0 + h1, h0 * h1
+    h0divh1 = h0 / h1
+    result = np.sum(hsum / 6.0 * (y[0:stop:2] * (2.0 - 1.0 / h0divh1)
+                                  + y[1:stop + 1:2] * (hsum * (hsum / hprod))
+                                  + y[2:stop + 2:2] * (2.0 - h0divh1)))
+    if n % 2 == 0:
+        # 0-d arrays, so that ** takes numpy's array path as in scipy
+        a, b = np.squeeze(d[-2:-1]), np.squeeze(d[-1:])
+        alpha = (2 * b ** 2 + 3 * a * b) / (6 * (b + a))
+        beta = (b ** 2 + 3.0 * a * b) / (6 * a)
+        eta = b ** 3 / (6 * a * (a + b))
+        result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
+    return result
 
 
 def width_from_state(p: Problem, E: complex, h: float, c: Contour, x1: float, x2: float,

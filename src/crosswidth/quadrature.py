@@ -15,10 +15,9 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
-from scipy.optimize import brentq
 
 from .geometry import Edge
-from .model import DegenerateTurningPoint, Problem, turning_points
+from .model import DegenerateTurningPoint, Problem, brentq, turning_points
 
 __all__ = [
     "NoTurningPoints",
@@ -197,7 +196,7 @@ def _resolve_turn(p: Problem, channel: int, E: float, x0: float, inward: float) 
     for _ in range(60):
         lo, hi = x0 - d, x0 + d
         if f(lo) * f(hi) < 0:
-            return brentq(f, lo, hi, xtol=p.tolerances.root_tol, rtol=8.9e-16)
+            return brentq(f, lo, hi, p.tolerances.root_tol)
         d *= 2.0
         if d > 10.0:
             break

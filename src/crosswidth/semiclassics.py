@@ -18,11 +18,10 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import quadrature
 from .geometry import Edge, Graph, PathSeq, paths_one_switch, primitive_cycles
-from .model import CrossingPoint, Problem, StructureReport
+from .model import CrossingPoint, Problem, StructureReport, brentq
 from .quadrature import ActionFn, ActionTable, action_derivative, action_edge
 
 __all__ = [
@@ -73,7 +72,7 @@ def _level_crossings(f: Callable[[float], float], lo: float, hi: float,
     out = []
     for target in levels(flo, fhi):
         if flo <= target <= fhi:
-            out.append(brentq(lambda E: f(E) - target, lo, hi, xtol=1e-15, rtol=8.9e-16))
+            out.append(brentq(lambda E: f(E) - target, lo, hi, 1e-15))
     return sorted(out)
 
 
@@ -544,7 +543,9 @@ class SemiclassicsEngine:
     def pseudo_resonances(self, h: float) -> List[PseudoResonance]:
         """One Newton run per Bohr-Sommerfeld seed on det(I - M), with the
         root count cross-checked by the argument principle."""
-        seeds = self.bohr_sommerfeld(h)
+        return self._roots_from_seeds(self.bohr_sommerfeld(h), h)
+
+    def _roots_from_seeds(self, seeds: List[float], h: float) -> List[PseudoResonance]:
         roots: List[PseudoResonance] = []
         for seed in seeds:
             pr = self._newton_root(seed, h)
@@ -745,9 +746,9 @@ class SemiclassicsEngine:
         it, so the prediction comes from the path-sum coefficient.
         """
         rows = []
-        pseudos = {pr.seed: pr for pr in self.pseudo_resonances(h)}
-        expo = (self.m0 + 3.0) / (self.m0 + 1.0)
         seeds = self.bohr_sommerfeld(h)
+        pseudos = {pr.seed: pr for pr in self._roots_from_seeds(seeds, h)}
+        expo = (self.m0 + 3.0) / (self.m0 + 1.0)
         widths = self.width_coefficient(np.array(seeds), h, "one_switch").D.tolist()
         for seed, D in zip(seeds, widths):
             pr = pseudos.get(seed)

@@ -3,16 +3,20 @@
 Each case runs ``cli.main`` in-process and compares its exit code and its
 output with the files under ``tests/golden/``: byte for byte for the
 semiclassical commands, and at 1e-8 relative for the oracle, whose low
-digits depend on the BLAS build.  ``anchors.out`` pins the repr of
-``pipeline.select_anchor`` over the shipped sweep on five configs, with the
-warning it gives when it falls back to e0.  ``count.out`` pins the
-argument-principle winding number (or the exception it raises) over the
-shipped sweep on six configs, and ``dips_f0.out`` the width dips of f0 with
-a digest of the one-switch D(E) on the 801-point scan.  Regenerate the
-files after a deliberate output change with
+digits depend on the BLAS build.  ``compare_f1.out`` is the shipped compare
+sweep on f1: its semiclassical columns and summary entries are compared
+exactly, its oracle columns and the summary entries built on them at 1e-8
+relative.  ``anchors.out`` pins the repr of ``pipeline.select_anchor`` over
+the shipped sweep on five configs, with the warning it gives when it falls
+back to e0.  ``count.out`` pins the argument-principle winding number (or
+the exception it raises) over the shipped sweep on six configs, and
+``dips_f0.out`` the width dips of f0 with a digest of the one-switch D(E)
+on the 801-point scan.  Regenerate the files after a deliberate output
+change with
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
+import csv
 import hashlib
 import json
 import math
@@ -41,6 +45,9 @@ for _m in (1, 2, 3):  # the stationary-phase arguments of acceptance criterion 7
     EXACT[f"stphase_m{_m}"] = ["stphase", "f0", "--m", str(_m), "--h-list", STPHASE_H,
                                "--phi", f"x^{_m + 1}", "--sigma", "1", "--calib", "2.0"]
 APPROX = {"oracle_f0": ["oracle", "f0", "--h", "0.05"]}
+COMPARE = {"compare_f1": ["compare", "f1"]}
+SEMICLASSICAL_COLS = ("h", "seed", "pseudo_re", "pseudo_im", "D", "im_pred")
+ORACLE_COLS = ("re_oracle", "im_oracle", "im_green", "ratio")
 ANCHOR_CONFIGS = ("f0", "f1", "f1_arc", "f2", "single_transversal")
 COUNT_CONFIGS = ("f0", "f0_decoupled", "f1", "f1_arc", "f2", "single_transversal")
 SWEEP = (0.08, 0.06, 0.05, 0.04, 0.03)  # the shipped [sweep] h_list
@@ -129,6 +136,40 @@ def test_oracle_output_close(tmp_path, name):
     assert got["residual"] <= 1e3 * max(want["residual"], 1e-300)
 
 
+def _parse_compare(text):
+    """The CSV rows of a compare output, as dicts, and its summary."""
+    *table, last = text.decode("utf-8").splitlines()
+    return list(csv.DictReader(table)), json.loads(last.removeprefix("# summary: "))
+
+
+def _flat(value):
+    """A summary entry (number, list or dict of numbers) as a list."""
+    if isinstance(value, dict):
+        return [value[k] for k in sorted(value)]
+    return value if isinstance(value, list) else [value]
+
+
+@pytest.mark.parametrize("name", sorted(COMPARE))
+def test_compare_output_close(tmp_path, name):
+    code, text = _run(COMPARE[name], tmp_path / "out")
+    want_code, want_text = _golden(name)
+    assert code == want_code
+    rows, summary = _parse_compare(text)
+    want_rows, want_summary = _parse_compare(want_text)
+    assert len(rows) == len(want_rows)
+    for got, want in zip(rows, want_rows):
+        assert [got[c] for c in SEMICLASSICAL_COLS] == [want[c] for c in SEMICLASSICAL_COLS]
+        for c in ORACLE_COLS:
+            assert math.isclose(float(got[c]), float(want[c]), rel_tol=1e-8), (got["h"], c)
+    assert set(summary) == set(want_summary)
+    for key in ("m0", "anchor", "exponent_expected", "fit_pred"):
+        assert summary[key] == want_summary[key], key
+    for key in ("fit_oracle", "ratio_drift", "calib_ratio"):
+        got, want = _flat(summary[key]), _flat(want_summary[key])
+        assert len(got) == len(want), key
+        assert all(math.isclose(a, b, rel_tol=1e-8) for a, b in zip(got, want)), key
+
+
 def _golden_text(name):
     with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
         return fh.read()
@@ -152,7 +193,7 @@ if __name__ == "__main__":
     os.makedirs(GOLDEN, exist_ok=True)
     codes = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for name, argv in sorted({**EXACT, **APPROX}.items()):
+        for name, argv in sorted({**EXACT, **APPROX, **COMPARE}.items()):
             codes[name], text = _run(argv, os.path.join(tmp, "out"))
             with open(os.path.join(GOLDEN, f"{name}.out"), "wb") as fh:
                 fh.write(text)

@@ -27,3 +27,21 @@ def test_select_anchor_solves_each_grid_once(request, name):
         del engine.bohr_sommerfeld
     assert len(calls) == len(SWEEP)
     assert set(calls) == set(SWEEP)
+
+
+def test_resonance_table_solves_its_grid_once(f1_engine):
+    _, _, engine = f1_engine
+    calls = []
+    solve = engine.bohr_sommerfeld
+
+    def counted(h):
+        calls.append(h)
+        return solve(h)
+
+    engine.bohr_sommerfeld = counted
+    try:
+        rows = engine.resonance_table(0.05)
+    finally:
+        del engine.bohr_sommerfeld
+    assert calls == [0.05]
+    assert [row["seed"] for row in rows] == solve(0.05)
