@@ -35,7 +35,6 @@ _CONVERGENCE_ERRORS = (
     oracle_mod.NotConverged,
     oracle_mod.StepUnderflow,
     oracle_mod.PolesOnContour,
-    oracle_mod.ThetaDependent,
     oracle_mod.InsufficientData,
 )
 

@@ -63,6 +63,14 @@ def _parse_float(raw: str, line: int, key: str) -> float:
         raise ConfigError(f"key '{key}' needs a number, got {raw!r}", line) from exc
 
 
+def _parse_count(raw: str, line: int, key: str) -> int:
+    """A whole number of at least 1, written as an integer or a float."""
+    value = _parse_float(raw, line, key)
+    if not (value.is_integer() and value >= 1):
+        raise ConfigError(f"key '{key}' needs an integer >= 1, got {raw!r}", line)
+    return int(value)
+
+
 def check_h_list(hs: Sequence[float], what: str, line: Optional[int] = None) -> None:
     """Every h must be finite and positive, and a list strictly decreasing.
     Whether the resonance box e0 +/- L*h fits is checked when the engine is
@@ -127,7 +135,7 @@ def load_config(path: str) -> RunConfig:
         if key in num:
             tol_kwargs[key] = _parse_float(num[key], lineno_of[("numerics", key)], key)
     if "scan_points" in num:
-        tol_kwargs["scan_points"] = int(_parse_float(num["scan_points"], lineno_of[("numerics", "scan_points")], "scan_points"))
+        tol_kwargs["scan_points"] = _parse_count(num["scan_points"], lineno_of[("numerics", "scan_points")], "scan_points")
     try:
         tols = ToleranceSet(**tol_kwargs)
         problem = Problem(
@@ -139,7 +147,7 @@ def load_config(path: str) -> RunConfig:
             window=window,
             L=_parse_float(prob["L"], lineno_of[("problem", "L")], "L"),
             tolerances=tols,
-            k_max=int(_parse_float(num.get("k_max", "12"), lineno_of.get(("numerics", "k_max"), 0), "k_max")),
+            k_max=_parse_count(num.get("k_max", "12"), lineno_of.get(("numerics", "k_max"), 0), "k_max"),
         )
     except ValueError as exc:
         if isinstance(exc, ConfigError):

@@ -74,8 +74,9 @@ class ToleranceSet:
 
     def __post_init__(self):
         for name in ("root_tol", "contact_tol", "newton_tol", "quad_tol", "ode_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if self.scan_points <= 0:
             raise ValueError("scan_points must be positive")
 

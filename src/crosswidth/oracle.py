@@ -38,7 +38,6 @@ __all__ = [
     "StepUnderflow",
     "PolesOnContour",
     "NotConverged",
-    "ThetaDependent",
     "InsufficientData",
     "default_contour",
     "propagate",
@@ -63,10 +62,6 @@ class PolesOnContour(Exception):
 
 
 class NotConverged(Exception):
-    pass
-
-
-class ThetaDependent(Exception):
     pass
 
 
@@ -112,7 +107,6 @@ def _check_theta(theta: float) -> None:
 class OracleResonance:
     E: complex
     residual: float
-    theta_shift: Optional[float] = None
 
 
 def default_contour(p: Problem, report: StructureReport, h: float, theta: float = 0.3,
@@ -414,11 +408,9 @@ def _muller(f, x0: complex, x1: complex, x2: complex, tol: float):
 
 
 def refine_resonance(p: Problem, seed: complex, h: float, c: Contour, m0: int,
-                     ode_tol: float = 1e-12, check_theta: bool = False) -> OracleResonance:
+                     ode_tol: float = 1e-12) -> OracleResonance:
     """Polish a resonance from a semiclassical seed by Muller iteration on
-    the matching determinant.  With ``check_theta`` the converged value is
-    recomputed on a contour rotated by +0.05 and must agree to 1e-3
-    relative in the imaginary part."""
+    the matching determinant."""
     scale = h ** ((m0 + 3.0) / (m0 + 1.0))
     tol = max(1e-14, 1e-6 * scale)
     # start spread well below the oscillation scale of W in E (set by the
@@ -442,17 +434,7 @@ def refine_resonance(p: Problem, seed: complex, h: float, c: Contour, m0: int,
         vals = [abs(mp.W(seed + complex(d))) for d in offsets]
         best = seed + complex(offsets[int(np.argmin(vals))])
         root, wval, _ = polish(best)
-    res = OracleResonance(E=root, residual=abs(wval))
-    if check_theta:
-        c2 = Contour(R0=c.R0, theta=c.theta + 0.05, X=c.X)
-        mp2 = MatchingProblem(p, h, c2, ode_tol)
-        root2, _, _ = _muller(mp2.W, root, root - 1j * spread * 0.3,
-                              root + spread * (0.15 - 0.15j), tol=tol)
-        rel = abs(root2.imag - root.imag) / max(abs(root.imag), 1e-300)
-        if rel > 1e-3:
-            raise ThetaDependent(f"Im shifted by {rel:.2e} under a theta change")
-        res = OracleResonance(E=root, residual=abs(wval), theta_shift=rel)
-    return res
+    return OracleResonance(E=root, residual=abs(wval))
 
 
 def simpson(y: np.ndarray, x: np.ndarray) -> np.float64:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
@@ -362,21 +362,15 @@ def _outside(E: float, domain: Tuple[float, float]) -> ValueError:
 
 @dataclass
 class ActionFn:
-    """Chebyshev cache of a smooth energy-to-action map.
-
-    Built once over the resonance box (plus margin); evaluations and the
-    energy derivative are then essentially free.
+    """Chebyshev fit of a smooth energy-to-action map over an energy domain,
+    with its residual and the number of function evaluations it took.
+    A record only: ActionTable evaluates fits and their energy derivatives.
     """
 
     cheb: Chebyshev
     domain: Tuple[float, float]
     err_estimate: float
     n_nodes: int
-
-    def __post_init__(self):
-        # Chebyshev.__call__'s domain map and coefficients as Python floats
-        self._map = tuple(float(v) for v in self.cheb.mapparms())
-        self._series = _split(self.cheb.coef.tolist())
 
     @classmethod
     def build(cls, fn: Callable[[float], float], domain: Tuple[float, float],
@@ -401,53 +395,55 @@ class ActionFn:
             raise QuadratureError(f"action cache residual {last_err:.3e} exceeds {tol:g}")
         return cls(cheb=cheb, domain=(lo, hi), err_estimate=last_err, n_nodes=nodes)
 
-    def __call__(self, E: float) -> float:
+
+class ActionTable:
+    """Values and energy derivatives of action fits over one shared domain,
+    evaluated together: with n fits, series j < n is fit j and series n + j
+    its energy derivative.
+
+    For several energies the coefficients are stacked column by column,
+    zero-padded to the longest series (which changes no bit), and one
+    recurrence runs over an (N, series) array.  For one energy the series
+    asked for run on Python floats instead: there numpy's per-call
+    overhead, three calls per degree, would cost more than the arithmetic.
+    Every value is bit-equal to numpy's own Chebyshev evaluation.
+    """
+
+    def __init__(self, fits: Sequence[ActionFn]):
+        self.domain = fits[0].domain
+        if any(fit.domain != self.domain for fit in fits):
+            raise ValueError("stacked action fits must share one domain")
+        chebs = [fit.cheb for fit in fits]
+        chebs += [cheb.deriv() for cheb in chebs]
+        # Chebyshev.__call__'s domain map and coefficients as Python floats
+        self._map = tuple(float(v) for v in chebs[0].mapparms())
+        self._series = [_split(cheb.coef.tolist()) for cheb in chebs]
+        coef = np.zeros((max(len(cheb.coef) for cheb in chebs), len(chebs)))
+        for j, cheb in enumerate(chebs):
+            coef[: len(cheb.coef), j] = cheb.coef
+        self._coef = coef
+        self._rows = {}  # series count -> _split rows, shaped (1, count)
+
+    def _at(self, E: float, series: Iterable[int]) -> List[float]:
+        """Values of the given series at the one real energy E."""
         lo, hi = self.domain
         if not (lo - 1e-12 <= E <= hi + 1e-12):
             raise _outside(E, self.domain)
         off, scl = self._map
-        return _clenshaw(*self._series, off + scl * float(E))
-
-    def derivative(self) -> "ActionFn":
-        return ActionFn(cheb=self.cheb.deriv(), domain=self.domain,
-                        err_estimate=self.err_estimate, n_nodes=self.n_nodes)
-
-
-class ActionTable:
-    """Several action caches over one shared domain, evaluated together.
-
-    For several energies the coefficients are stacked column by column,
-    zero-padded to the longest series (which changes no bit), and one
-    recurrence runs over an (N, n_series) array.  For one energy each
-    series runs on Python floats instead: there numpy's per-call overhead,
-    three calls per degree, would cost more than the arithmetic.  Every
-    value is bit-equal to the series' own ActionFn call.
-    """
-
-    def __init__(self, fns: Sequence[ActionFn]):
-        self.domain = fns[0].domain
-        self._map = fns[0]._map
-        if any(fn.domain != self.domain or fn._map != self._map for fn in fns):
-            raise ValueError("stacked action caches must share one domain")
-        self._series = [fn._series for fn in fns]
-        coef = np.zeros((max(len(fn.cheb.coef) for fn in fns), len(fns)))
-        for j, fn in enumerate(fns):
-            coef[: len(fn.cheb.coef), j] = fn.cheb.coef
-        self._coef = coef
-        self._rows = {}  # series count -> _split rows, shaped (1, count)
+        t = off + scl * float(E)
+        return [_clenshaw(*self._series[j], t) for j in series]
 
     def __call__(self, E: np.ndarray, count: Optional[int] = None) -> np.ndarray:
         """Values of the first ``count`` series (all by default) at the real
         energies E, as an (N, count) array."""
+        count = len(self._series) if count is None else count
+        if len(E) == 1:
+            return np.array([self._at(E[0], range(count))])
         lo, hi = self.domain
         inside = (lo - 1e-12 <= E) & (E <= hi + 1e-12)
         if not inside.all():
             raise _outside(float(E[~inside][0]), self.domain)
-        count = len(self._series) if count is None else count
         off, scl = self._map
-        if len(E) == 1:
-            t = off + scl * float(E[0])
-            return np.array([[_clenshaw(*series, t) for series in self._series[:count]]])
         rows = self._rows.get(count)
         if rows is None:
             rows = self._rows[count] = _split(self._coef[:, None, :count])

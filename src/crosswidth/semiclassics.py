@@ -161,15 +161,6 @@ def transfer_matrix(c: CrossingPoint, sign: int, h: float, calib: float = 1.0) -
     return np.array([[1.0, -1j * w.conjugate() * s], [-1j * w * s, 1.0]], dtype=complex)
 
 
-@dataclass
-class _Segment:
-    """Cached action (and derivative) of a fraction of an edge."""
-
-    fn: ActionFn
-    dfn: ActionFn
-    nu: int
-
-
 # A phase key names the segments of a phase list: (edge id, flo, fhi) each.
 PhaseKey = Tuple[Tuple[int, float, float], ...]
 
@@ -202,13 +193,14 @@ _SLICE = 128
 class SemiclassicsEngine:
     """All monodromy/width computations for one validated problem.
 
-    Edge actions are cached as Chebyshev interpolants over the energy
-    domain covering the resonance box for every h up to ``h_max``; graph
-    topology stays frozen at the reference energy.  Energies are evaluated
-    in arrays: the segment caches in use are stacked in one table that is
-    built on the first evaluation and extended when a new segment is needed.
-    A scalar energy is an array of one, and no value depends on how the
-    energies are batched.
+    Segment actions are fitted as Chebyshev interpolants over the energy
+    domain covering the resonance box for every h up to ``h_max``, each on
+    its first evaluation, and kept in one dict of fits; graph topology stays
+    frozen at the reference energy.  Every action value, and every energy
+    derivative, comes from one ActionTable that stacks the fits in use.  It
+    is built on the first evaluation and rebuilt when a new segment is
+    needed.  Energies are evaluated in arrays; a scalar energy is an array
+    of one, and no value depends on how the energies are batched.
     """
 
     def __init__(
@@ -227,7 +219,7 @@ class SemiclassicsEngine:
         self.h_max = h_max
         self._quad_tol = min(problem.tolerances.quad_tol, 1e-13)
         self.domain = energy_domain(problem, report, h_max)
-        self._segments: Dict[Tuple[int, float, float], _Segment] = {}
+        self._fits: Dict[Tuple[int, float, float], ActionFn] = {}
         self._transfer: Dict[Tuple[int, int, float], list] = {}
         self._plans: Dict[PhaseKey, tuple] = {}
         self._links: Dict[float, tuple] = {}
@@ -239,33 +231,28 @@ class SemiclassicsEngine:
         # the monodromy's phases: both base-point halves of every edge
         self._halves: PhaseKey = tuple((e.eid, 0.0, e.base_frac) for e in self._edges_sorted) + tuple(
             (e.eid, e.base_frac, 1.0) for e in self._edges_sorted)
-        # stacked action table: column of each segment, the halves first and
-        # then any other segment a phase asks for; built on first use
-        self._columns: Dict[Tuple[int, float, float], int] = {k: j for j, k in enumerate(self._halves)}
+        # stacked action table: column of each segment, the loop edges'
+        # halves first (A'(E) reads them) and then each segment in the order
+        # an evaluation first asks for it; built on first use
+        loop = [(e.eid, lo, hi) for e in graph.gamma1_edges()
+                for lo, hi in ((0.0, e.base_frac), (e.base_frac, 1.0))]
+        self._columns: Dict[Tuple[int, float, float], int] = {k: j for j, k in enumerate(loop)}
         self._table: Optional[ActionTable] = None
-        self._loop = [self._index[e.eid] for e in graph.gamma1_edges()]
+        self._n_loop = len(loop)
 
     # --- cached quantities ---------------------------------------------------
-
-    def _segment(self, edge: Edge, flo: float, fhi: float) -> _Segment:
-        key = (edge.eid, flo, fhi)
-        seg = self._segments.get(key)
-        if seg is None:
-            fn = ActionFn.build(
-                lambda E: action_edge(self.p, edge, E, flo, fhi, quad_tol=self._quad_tol),
-                self.domain,
-                tol=_CACHE_TOL,
-            )
-            _, nu = edge.sub_pieces(flo, fhi)
-            seg = _Segment(fn=fn, dfn=fn.derivative(), nu=nu)
-            self._segments[key] = seg
-        return seg
 
     def edge_action(self, edge: Edge, E: float) -> float:
         """Full edge action as the sum of its two base-point halves (the
         same floats the monodromy and path sums use)."""
         f = edge.base_frac
-        return self._segment(edge, 0.0, f).fn(E) + self._segment(edge, f, 1.0).fn(E)
+        cols = [self._column((edge.eid, 0.0, f)), self._column((edge.eid, f, 1.0))]
+        first, second = self._action_table()._at(E, cols)
+        return first + second
+
+    def _action_sum(self, edges: Sequence[Edge], E: float) -> float:
+        """Action of a cycle: the sum of its edge actions."""
+        return sum(self.edge_action(e, E) for e in edges)
 
     def tau(self, ch_from: int, ch_to: int, vertex, h: float) -> complex:
         """Transfer-matrix entry from channel ch_from to ch_to at a vertex."""
@@ -307,28 +294,40 @@ class SemiclassicsEngine:
                     nu = edge.nu
                 else:
                     first.append(self._column((eid, flo, fhi)))
-                    nu = self._segment(edge, flo, fhi).nu
+                    _, nu = edge.sub_pieces(flo, fhi)
                 nu_terms.append(math.pi * nu / 2.0)
             plan = self._plans[key] = tuple(np.array(a, dtype=t) for a, t in (
                 (first, int), (full, int), (second, int), (nu_terms, float), (units, int)))
         return plan
 
+    def _fit(self, key: Tuple[int, float, float]) -> ActionFn:
+        if key not in self._fits:
+            eid, flo, fhi = key
+            edge = self._edges_sorted[self._index[eid]]
+            self._fits[key] = ActionFn.build(
+                lambda E: action_edge(self.p, edge, E, flo, fhi, quad_tol=self._quad_tol),
+                self.domain, tol=_CACHE_TOL)
+        return self._fits[key]
+
+    def _action_table(self) -> ActionTable:
+        """The table of every column's fit; a new column's segment is fitted
+        here, on the first evaluation that asks for it."""
+        if self._table is None:
+            self._table = ActionTable([self._fit(key) for key in self._columns])
+        return self._table
+
     def _actions(self, x: np.ndarray, derivatives: bool) -> np.ndarray:
         """Segment actions at the real energies x, columns as in _column,
         followed by their energy derivatives when asked for."""
-        if self._table is None:
-            segs = [self._segment(self._edges_sorted[self._index[eid]], flo, fhi)
-                    for eid, flo, fhi in self._columns]
-            self._table = ActionTable([s.fn for s in segs] + [s.dfn for s in segs])
-        return self._table(x, None if derivatives else len(self._columns))
+        return self._action_table()(x, None if derivatives else len(self._columns))
 
     def _loop_derivative(self, vals: np.ndarray) -> np.ndarray:
         """A'(E) from the derivative columns of the loop edges' halves, summed
         in the scalar sum's order."""
         d = vals[:, len(self._columns):]
         total = 0.0
-        for i in self._loop:
-            total = total + (d[:, i] + d[:, len(self._edges_sorted) + i])
+        for j in range(0, self._n_loop, 2):
+            total = total + (d[:, j] + d[:, j + 1])
         return total
 
     def _evaluate(self, E: np.ndarray, h: float, key: PhaseKey,
@@ -473,7 +472,7 @@ class SemiclassicsEngine:
     # --- quantization ----------------------------------------------------------
 
     def gamma1_action(self, E: float) -> float:
-        return sum(self.edge_action(e, E) for e in self.g.gamma1_edges())
+        return self._action_sum(self.g.gamma1_edges(), E)
 
     def _gamma1_action_derivative(self, E: float) -> float:
         return float(self._loop_derivative(self._actions(np.array([float(E)]), True))[0])
@@ -705,7 +704,7 @@ class SemiclassicsEngine:
         mu = quadrature.crossing_phase(m, other.sign * c.xi * c.dv)
         eta = self.calib * mu * math.gamma((m + 2) / (m + 1)) * (2.0 * math.factorial(m + 1) / v0) ** (1.0 / (m + 1))
         u_o = c.u(other.sign).conjugate()
-        s_gamma = sum(self.edge_action(e, E) for e in mixed)
+        s_gamma = self._action_sum(mixed, E)
         F = (eta * u_o * cmath.exp(1j * s_gamma / (2.0 * h))).imag
         ap = self._gamma1_action_derivative(E)
         return 2.0 * (c.xi * c.xi) ** (-m / (m + 1.0)) / abs(ap) * F * F
@@ -724,16 +723,13 @@ class SemiclassicsEngine:
         lo = max(lo, self.domain[0])
         hi = min(hi, self.domain[1])
 
-        def s_gamma(E: float) -> float:
-            return sum(self.edge_action(e, E) for e in mixed)
-
         def levels(slo: float, shi: float) -> List[float]:
             # S/2h + psi = k*pi
             k_lo = math.ceil(slo / (2.0 * math.pi * h) + psi / math.pi)
             k_hi = math.floor(shi / (2.0 * math.pi * h) + psi / math.pi)
             return [2.0 * h * (math.pi * k - psi) for k in range(k_lo, k_hi + 1)]
 
-        return _level_crossings(s_gamma, lo, hi, levels)
+        return _level_crossings(lambda E: self._action_sum(mixed, E), lo, hi, levels)
 
     # --- the scorecard -----------------------------------------------------------
 

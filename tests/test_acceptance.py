@@ -233,7 +233,7 @@ def test_criterion_10_invariance_suite(f0_engine, f1arc_engine):
     g2 = dataclasses.replace(g0)
     g2.e0 = g0.e0_alternatives[1]
     eng2 = SemiclassicsEngine(eng0.p, rep0, g2, calib=1.0, h_max=0.08)
-    eng2._segments = eng0._segments
+    eng2._fits = eng0._fits
     rel_e0 = abs(eng2.width_coefficient(E0f, h, "one_switch").D - da) / da
     msgs.append(f"e0 choice {rel_e0:.2e}")
 

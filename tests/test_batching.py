@@ -75,14 +75,20 @@ def test_contour_phases_and_entries_follow_python_complex_arithmetic(f0_engine):
     # S(x + iy) = S(x) + i y S'(x), e^{iS/h - i pi nu/2} and ph2 * tau * ph1
     _, _, engine = f0_engine
     zs = _contour_nodes(engine, H)
+    # the segment actions and their derivatives are numpy's own evaluation
+    # of the fits
     ph = engine._evaluate(zs, H, engine._halves)[0]
-    segs = [engine._segments[key] for key in engine._halves]
+    segs = []
+    for eid, flo, fhi in engine._halves:
+        fit = engine._fits[(eid, flo, fhi)]
+        _, nu = engine._edges_sorted[engine._index[eid]].sub_pieces(flo, fhi)
+        segs.append((fit.cheb, fit.cheb.deriv(), nu))
     want = []
     for z in zs.tolist():
         x, y = z.real, z.imag
-        for seg in segs:
-            S = complex(seg.fn(x)) if y == 0.0 else seg.fn(x) + 1j * y * seg.dfn(x)
-            want.append(cmath.exp(1j * S / H - 1j * math.pi * seg.nu / 2.0))
+        for fn, dfn, nu in segs:
+            S = complex(float(fn(x))) if y == 0.0 else float(fn(x)) + 1j * y * float(dfn(x))
+            want.append(cmath.exp(1j * S / H - 1j * math.pi * nu / 2.0))
     assert ph.tobytes() == _bits(want)
     stack = engine.monodromy(zs, H)
     edges = engine._edges_sorted
@@ -94,6 +100,26 @@ def test_contour_phases_and_entries_follow_python_complex_arithmetic(f0_engine):
                 if e.source.key == ep.target.key:
                     M[i, j] = row[n + j] * engine.tau(ep.channel, e.channel, ep.target, H) * row[i]
         assert stack[k].tobytes() == M.tobytes()
+
+
+@pytest.mark.parametrize("name", ["f0_engine", "f1arc_engine"])
+def test_scalar_actions_equal_numpy_evaluation_of_the_fits(request, name):
+    # edge_action and gamma1_action read the table's one-energy path; each
+    # must give numpy's evaluation of the fits, summed in the same order
+    _, g, engine = request.getfixturevalue(name)
+    lo, hi = engine.box(H)
+    engine.monodromy(engine.p.e0, H)  # every base-point half is fitted
+
+    def numpy_edge_action(e, E):
+        first = engine._fits[(e.eid, 0.0, e.base_frac)].cheb(E)
+        second = engine._fits[(e.eid, e.base_frac, 1.0)].cheb(E)
+        return float(first) + float(second)
+
+    for E in np.linspace(lo, hi, 7).tolist():
+        for e in g.edges:
+            assert _bits([engine.edge_action(e, E)]) == _bits([numpy_edge_action(e, E)])
+        want = sum(numpy_edge_action(e, E) for e in g.gamma1_edges())
+        assert _bits([engine.gamma1_action(E)]) == _bits([want])
 
 
 def _signed(rng):

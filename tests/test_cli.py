@@ -239,6 +239,27 @@ def test_bad_oracle_config_exits_2(tmp_path, section, problem):
     assert problem in json.loads(out.read_text())["diagnostics"]
 
 
+@pytest.mark.parametrize("setting, problem", [
+    ("root_tol = nan", "root_tol must be finite and positive"),
+    ("quad_tol = nan", "quad_tol must be finite and positive"),
+    ("newton_tol = nan", "newton_tol must be finite and positive"),
+    ("contact_tol = nan", "contact_tol must be finite and positive"),
+    ("ode_tol = inf", "ode_tol must be finite and positive"),
+    ("root_tol = -1e-12", "root_tol must be finite and positive"),
+    ("k_max = -1", "key 'k_max' needs an integer >= 1"),
+    ("k_max = 2.7", "key 'k_max' needs an integer >= 1"),
+    ("scan_points = 0", "key 'scan_points' needs an integer >= 1"),
+    ("scan_points = 100.5", "key 'scan_points' needs an integer >= 1"),
+])
+def test_bad_numerics_config_exits_2(tmp_path, setting, problem):
+    text = open(_cfg_path("f0"), encoding="utf-8").read().replace("calib = 1.0", f"calib = 1.0\n{setting}")
+    out = tmp_path / "out.json"
+    code = cli.main(["bs", _write(tmp_path, text), "--h", "0.05", "--out", str(out)])
+    diagnostics = json.loads(out.read_text())["diagnostics"]
+    assert code == 2
+    assert problem in diagnostics and not diagnostics.startswith("unexpected")
+
+
 def test_oracle_theta_flag_equals_config_key(tmp_path):
     flag, key = tmp_path / "flag.json", tmp_path / "key.json"
     assert cli.main(["oracle", _cfg_path("f0"), "--h", "0.05", "--theta", "0.35", "--out", str(flag)]) == 0

@@ -16,7 +16,12 @@ def test_every_listed_name_exists():
 
 
 def test_removed_names_stay_gone():
-    from crosswidth import model, oracle
+    from crosswidth import model, oracle, quadrature, semiclassics
 
     assert not hasattr(model, "TailInfo")
     assert not hasattr(oracle, "_Segment")
+    assert not hasattr(semiclassics, "_Segment")
+    assert not hasattr(oracle, "ThetaDependent")
+    # a fit is a record; ActionTable is the one evaluator
+    assert "__call__" not in vars(quadrature.ActionFn)
+    assert not hasattr(quadrature.ActionFn, "derivative")

@@ -112,8 +112,9 @@ def test_theta_independence(f0_engine):
     seed = eng.bohr_sommerfeld(h)[1]
     D = eng.width_coefficient(seed, h).D
     c = default_contour(p, rep, h)
-    res = refine_resonance(p, complex(seed, -D * h * h), h, c, eng.m0, check_theta=True)
-    assert res.theta_shift is not None and res.theta_shift <= 1e-3
+    res = refine_resonance(p, complex(seed, -D * h * h), h, c, eng.m0)
+    rotated = refine_resonance(p, res.E, h, Contour(R0=c.R0, theta=c.theta + 0.05, X=c.X), eng.m0)
+    assert abs(rotated.E.imag - res.E.imag) <= 1e-3 * abs(res.E.imag)
 
 
 def test_width_from_state_decoupled(f0_decoupled_engine):

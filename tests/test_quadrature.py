@@ -7,6 +7,7 @@ from crosswidth import exprs, fixtures, quadrature
 from crosswidth.geometry import Edge, Piece
 from crosswidth.quadrature import (
     ActionFn,
+    ActionTable,
     BudgetExceeded,
     NoTurningPoints,
     PreconditionViolated,
@@ -169,11 +170,21 @@ def test_stationary_phase_preconditions():
 
 
 def test_action_fn_cache():
-    fn = ActionFn.build(math.sin, (0.0, 1.0), tol=1e-13)
+    fit = ActionFn.build(math.sin, (0.0, 1.0), tol=1e-13)
+    table = ActionTable([fit])
     xs = np.linspace(0.05, 0.95, 17)
-    assert max(abs(fn(float(x)) - math.sin(x)) for x in xs) < 1e-12
-    dfn = fn.derivative()
-    assert max(abs(dfn(float(x)) - math.cos(x)) for x in xs) < 1e-9
-    assert fn.err_estimate <= 1e-13
+    vals = table(xs)
+    # numpy's own evaluation is the reference, on arrays and one energy at a time
+    assert vals[:, 0].tobytes() == fit.cheb(xs).tobytes()
+    assert vals[:, 1].tobytes() == fit.cheb.deriv()(xs).tobytes()
+    for k, x in enumerate(xs.tolist()):
+        one = np.array(table._at(x, [0, 1]))
+        assert one.tobytes() == np.array([fit.cheb(x), fit.cheb.deriv()(x)]).tobytes()
+        assert table(np.array([x])).tobytes() == vals[k].tobytes()
+    assert np.max(np.abs(vals[:, 0] - np.sin(xs))) < 1e-12
+    assert np.max(np.abs(vals[:, 1] - np.cos(xs))) < 1e-9
+    assert fit.err_estimate <= 1e-13
     with pytest.raises(ValueError):
-        fn(2.0)
+        table._at(2.0, [0])
+    with pytest.raises(ValueError):
+        table(np.array([0.5, 2.0]))

@@ -345,7 +345,7 @@ def test_width_invariant_under_e0_choice(f0_engine):
     g2 = dataclasses.replace(g)
     g2.e0 = g.e0_alternatives[1]
     eng2 = SemiclassicsEngine(eng.p, rep, g2, calib=1.0, h_max=0.06)
-    eng2._segments = eng._segments  # same cached actions: isolate the path algebra
+    eng2._fits = eng._fits  # same action fits: isolate the path algebra
     d2 = eng2.width_coefficient(E, h, "one_switch").D
     assert abs(d2 - d_ref) <= 1e-12 * d_ref
 
