@@ -5,7 +5,8 @@ crosswidth <analyze|bs|pseudo|widths|oracle|compare|stphase> <config> [flags]
 Outputs are deterministic for a fixed config: JSON for structured results,
 CSV for sweep tables, all floats printed with 17 significant digits.
 Exit codes: 0 success, 2 invalid input (structure validation, config,
-h or contour parameters), 3 numerical non-convergence.
+h or contour parameters, an expression undefined where it is evaluated),
+3 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from . import exprs, oracle as oracle_mod, quadrature
 from .config import ConfigError, RunConfig, check_h_list, load_config
 from .geometry import graph_to_dict
-from .model import StructureError, validate_structure
+from .model import StructureError
 from .pipeline import ValidationFailed, build_engine, compare_sweep, oracle_row
 from .semiclassics import BoxTooLarge, CountMismatch, NewtonDiverged, SingularSystem, TopologyMismatch
 
@@ -101,16 +102,14 @@ def _report_dict(report) -> dict:
 
 
 def cmd_analyze(cfg: RunConfig, args) -> int:
-    report = validate_structure(cfg.problem)
-    payload = {"report": _report_dict(report)}
-    if not report.passed:
-        payload["diagnostics"] = "structure validation failed"
+    h_max = args.h or (max(cfg.h_list) if cfg.h_list else 0.08)
+    try:
+        report, graph, _ = build_engine(cfg.problem, calib=cfg.calib, h_max=h_max)
+    except ValidationFailed as exc:
+        payload = {"report": _report_dict(exc.report), "diagnostics": "structure validation failed"}
         _emit(_to_json(payload), args.out)
         return 2
-    h_max = args.h or (max(cfg.h_list) if cfg.h_list else 0.08)
-    _, graph, _ = build_engine(cfg.problem, calib=cfg.calib, h_max=h_max)
-    payload["graph"] = graph_to_dict(graph)
-    _emit(_to_json(payload), args.out)
+    _emit(_to_json({"report": _report_dict(report), "graph": graph_to_dict(graph)}), args.out)
     return 0
 
 
@@ -299,7 +298,7 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](cfg, args)
     except (ValidationFailed, StructureError, ConfigError, BoxTooLarge, oracle_mod.BadContour,
-            quadrature.PreconditionViolated) as exc:
+            quadrature.PreconditionViolated, exprs.DomainError) as exc:
         _emit(_to_json({"diagnostics": str(exc)}), args.out)
         return 2
     except _CONVERGENCE_ERRORS as exc:

@@ -36,7 +36,7 @@ _NUMERICS_KEYS = {
     "k_max",
 }
 _SWEEP_KEYS = {"h_list"}
-_ORACLE_KEYS = {"theta", "X", "R0", "ode_tol"}
+_ORACLE_KEYS = {"theta", "X", "R0"}
 _SECTIONS = {
     "problem": _PROBLEM_KEYS,
     "numerics": _NUMERICS_KEYS,
@@ -53,7 +53,6 @@ class RunConfig:
     theta: float = 0.3
     contour_R0: Optional[float] = None
     contour_X: Optional[float] = None
-    oracle_ode_tol: Optional[float] = None
 
 
 def _parse_float(raw: str, line: int, key: str) -> float:
@@ -160,13 +159,17 @@ def load_config(path: str) -> RunConfig:
         h_list = [_parse_float(part, lineno, "h_list") for part in values["sweep"]["h_list"].split(",")]
         check_h_list(h_list, "h_list", lineno)
 
+    calib_line = lineno_of.get(("numerics", "calib"))
+    calib = _parse_float(num.get("calib", "1.0"), calib_line, "calib")
+    if not (math.isfinite(calib) and calib > 0):
+        raise ConfigError(f"calib must be finite and positive, got {calib!r}", calib_line)
+
     orc = values["oracle"]
     return RunConfig(
         problem=problem,
         h_list=h_list,
-        calib=_parse_float(num.get("calib", "1.0"), lineno_of.get(("numerics", "calib"), 0), "calib"),
+        calib=calib,
         theta=_parse_float(orc.get("theta", "0.3"), lineno_of.get(("oracle", "theta"), 0), "theta"),
         contour_R0=_parse_float(orc["R0"], lineno_of[("oracle", "R0")], "R0") if "R0" in orc else None,
         contour_X=_parse_float(orc["X"], lineno_of[("oracle", "X")], "X") if "X" in orc else None,
-        oracle_ode_tol=_parse_float(orc["ode_tol"], lineno_of[("oracle", "ode_tol")], "ode_tol") if "ode_tol" in orc else None,
     )

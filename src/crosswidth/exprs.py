@@ -3,15 +3,16 @@
 Potentials and coupling coefficients are given as strings in a small infix
 language (variable ``x``, constant ``pi``, the functions exp/log/sin/cos/
 sinh/cosh/tanh/sqrt, and +, -, *, /, ^ with integer exponents).  Parsed
-expressions are immutable trees that can be evaluated at real or complex
-points and differentiated to arbitrary order by propagating truncated
-Taylor series through the tree.
+expressions are immutable trees.  One walker propagates truncated Taylor
+series through a tree: its order-0 jet is the value at a real point, with
+poles and branch cuts raising DomainError.  Complex and array arguments go
+through :func:`compile_fn` instead.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, List, Union
@@ -49,8 +50,9 @@ class ExprSyntaxError(ValueError):
 
 
 class DomainError(ArithmeticError):
-    """Evaluation hit a pole or a branch cut (division by zero, log/sqrt
-    of a non-positive real, or a point exactly on the principal cut)."""
+    """Evaluation hit a pole, a branch cut or an overflow (division by
+    zero, log of a non-positive or sqrt of a negative real, sqrt jet of
+    order >= 1 at a root, exp/sinh/cosh overflow)."""
 
 
 # --- AST -------------------------------------------------------------------
@@ -302,134 +304,45 @@ def unparse(e: ExprAst) -> str:
 # --- evaluation ------------------------------------------------------------
 
 
-def _ipow(base, n: int):
-    """Integer power by binary exponentiation.
-
-    Shared by the scalar evaluators and the jet engine so that the order-0
-    jet coefficient is bit-identical to pointwise evaluation.
-    """
+def _ipow(base, n: int, mul=operator.mul):
+    """Integer power by binary exponentiation, of a float or, with
+    ``mul=_jmul``, of a jet (n >= 1 there)."""
     result = None
     acc = base
     k = n
     while k > 0:
         if k & 1:
-            result = acc if result is None else result * acc
-        acc = acc * acc
+            result = acc if result is None else mul(result, acc)
+        acc = mul(acc, acc)
         k >>= 1
     return 1.0 if result is None else result
 
 
-_REAL_FN = {
-    "exp": math.exp,
-    "log": math.log,
-    "sin": math.sin,
-    "cos": math.cos,
-    "sinh": math.sinh,
-    "cosh": math.cosh,
-    "tanh": math.tanh,
-    "sqrt": math.sqrt,
-}
+def evaluate(e: ExprAst, x: float) -> float:
+    """Value at a real point: the order-0 Taylor jet.
 
-_COMPLEX_FN = {
-    "exp": cmath.exp,
-    "log": cmath.log,
-    "sin": cmath.sin,
-    "cos": cmath.cos,
-    "sinh": cmath.sinh,
-    "cosh": cmath.cosh,
-    "tanh": cmath.tanh,
-    "sqrt": cmath.sqrt,
-}
-
-
-def _eval_real(e: ExprAst, x: float) -> float:
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Pi):
-        return math.pi
-    if isinstance(e, Var):
-        return x
-    if isinstance(e, Neg):
-        return -_eval_real(e.arg, x)
-    if isinstance(e, Add):
-        return _eval_real(e.lhs, x) + _eval_real(e.rhs, x)
-    if isinstance(e, Sub):
-        return _eval_real(e.lhs, x) - _eval_real(e.rhs, x)
-    if isinstance(e, Mul):
-        return _eval_real(e.lhs, x) * _eval_real(e.rhs, x)
-    if isinstance(e, Div):
-        denom = _eval_real(e.rhs, x)
-        if denom == 0.0:
-            raise DomainError("division by zero")
-        return _eval_real(e.lhs, x) / denom
-    if isinstance(e, Pow):
-        return _ipow(_eval_real(e.base, x), e.exponent)
-    v = _eval_real(e.arg, x)
-    if e.fn == "log" and v <= 0.0:
-        raise DomainError("log of a non-positive real")
-    if e.fn == "sqrt" and v < 0.0:
-        raise DomainError("sqrt of a negative real")
-    try:
-        return _REAL_FN[e.fn](v)
-    except OverflowError as exc:
-        raise DomainError(f"{e.fn} overflow at {v}") from exc
-
-
-def _eval_complex(e: ExprAst, z: complex) -> complex:
-    if isinstance(e, Num):
-        return complex(e.value)
-    if isinstance(e, Pi):
-        return complex(math.pi)
-    if isinstance(e, Var):
-        return z
-    if isinstance(e, Neg):
-        return -_eval_complex(e.arg, z)
-    if isinstance(e, Add):
-        return _eval_complex(e.lhs, z) + _eval_complex(e.rhs, z)
-    if isinstance(e, Sub):
-        return _eval_complex(e.lhs, z) - _eval_complex(e.rhs, z)
-    if isinstance(e, Mul):
-        return _eval_complex(e.lhs, z) * _eval_complex(e.rhs, z)
-    if isinstance(e, Div):
-        denom = _eval_complex(e.rhs, z)
-        if denom == 0:
-            raise DomainError("division by zero")
-        return _eval_complex(e.lhs, z) / denom
-    if isinstance(e, Pow):
-        return _ipow(_eval_complex(e.base, z), e.exponent)
-    v = _eval_complex(e.arg, z)
-    if e.fn in ("log", "sqrt") and v.imag == 0.0 and (v.real < 0.0 or (v.real == 0.0 and e.fn == "log")):
-        raise DomainError(f"{e.fn} on the principal branch cut at {v}")
-    return _COMPLEX_FN[e.fn](v)
-
-
-def evaluate(e: ExprAst, x) -> complex:
-    """Evaluate at a real or complex point.
-
-    Real arguments run through pure real arithmetic, so real-coefficient
-    expressions come back with imaginary part exactly zero.
+    Raises DomainError where the expression is undefined (a pole, log or
+    sqrt of a negative real, log of zero) or overflows.
     """
-    if isinstance(x, complex) and x.imag != 0.0:
-        return _eval_complex(e, x)
-    xr = x.real if isinstance(x, complex) else float(x)
-    return complex(_eval_real(e, xr), 0.0)
+    return _jet(e, float(x), 0)[0]
 
 
 # --- Taylor jets ------------------------------------------------------------
 #
 # A jet is a list c[0..K] with c[k] = f^(k)(x0)/k!.  Arithmetic propagates
-# through the tree; every c[0] is produced by the same scalar operation as
-# pointwise evaluation.
+# through the tree; c[0] is the point value, so the order-0 jet is the
+# scalar evaluator.
 
 
 def _jmul(a: List[float], b: List[float]) -> List[float]:
+    # c[0] is the bare product: a sum starting from 0 would turn -0.0 into 0.0
     K = len(a) - 1
-    return [sum(a[j] * b[k - j] for j in range(k + 1)) for k in range(K + 1)]
+    return [a[0] * b[0]] + [sum(a[j] * b[k - j] for j in range(k + 1)) for k in range(1, K + 1)]
 
 
 def _jdiv(a: List[float], b: List[float]) -> List[float]:
     if b[0] == 0.0:
-        raise DomainError("division by zero in jet")
+        raise DomainError("division by zero")
     K = len(a) - 1
     q = [0.0] * (K + 1)
     for k in range(K + 1):
@@ -442,16 +355,8 @@ def _jpow(f: List[float], n: int) -> List[float]:
     if n == 0:
         return [1.0] + [0.0] * K
     if f[0] == 0.0:
-        # fall back to binary exponentiation of the jet itself
-        result = None
-        acc = f
-        k = n
-        while k > 0:
-            if k & 1:
-                result = acc if result is None else _jmul(result, acc)
-            acc = _jmul(acc, acc)
-            k >>= 1
-        return result
+        # the recurrence divides by f[0]: exponentiate the jet itself
+        return _ipow(f, n, _jmul)
     g = [0.0] * (K + 1)
     g[0] = _ipow(f[0], n)
     for k in range(1, K + 1):
@@ -469,7 +374,7 @@ def _jcall(fn: str, f: List[float]) -> List[float]:
         return g
     if fn == "log":
         if f[0] <= 0.0:
-            raise DomainError("log of a non-positive real in jet")
+            raise DomainError("log of a non-positive real")
         g = [0.0] * (K + 1)
         g[0] = math.log(f[0])
         for k in range(1, K + 1):
@@ -477,8 +382,8 @@ def _jcall(fn: str, f: List[float]) -> List[float]:
         return g
     if fn == "sqrt":
         if f[0] < 0.0:
-            raise DomainError("sqrt of a negative real in jet")
-        if f[0] == 0.0:
+            raise DomainError("sqrt of a negative real")
+        if f[0] == 0.0 and K >= 1:
             raise DomainError("sqrt jet at a root of the argument")
         g = [0.0] * (K + 1)
         g[0] = math.sqrt(f[0])
@@ -538,7 +443,11 @@ def _jet(e: ExprAst, x0: float, K: int) -> List[float]:
         return _jdiv(_jet(e.lhs, x0, K), _jet(e.rhs, x0, K))
     if isinstance(e, Pow):
         return _jpow(_jet(e.base, x0, K), e.exponent)
-    return _jcall(e.fn, _jet(e.arg, x0, K))
+    f = _jet(e.arg, x0, K)
+    try:
+        return _jcall(e.fn, f)
+    except OverflowError as exc:  # exp, sinh, cosh
+        raise DomainError(f"{e.fn} overflow at {f[0]}") from exc
 
 
 def taylor_jet(e: ExprAst, x0: float, K: int) -> TaylorJet:
@@ -625,7 +534,7 @@ def _emit(e: ExprAst) -> str:
 
 def compile_fn(e: ExprAst) -> Callable:
     """Compile to a fast numpy callable that handles scalars and arrays,
-    real or complex.  Compiled callables skip the branch-cut checks of
+    real or complex.  Compiled callables skip the domain checks of
     :func:`evaluate` (the contours used by callers are chosen to stay off
     the cuts).
     """

@@ -13,7 +13,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -100,6 +100,8 @@ class Problem:
     k_max: int = 12
 
     def __post_init__(self):
+        if not all(math.isfinite(w) for w in self.window):
+            raise ValueError(f"window bounds must be finite, got {self.window!r}")
         if not self.window[0] < self.window[1]:
             raise ValueError("window must satisfy x_min < x_max")
         if not self.L > 0:
@@ -247,21 +249,16 @@ def _refine_root(fn, lo: float, hi: float, tol: float) -> float:
         raise
 
 
-def turning_points(
-    V: ExprAst,
-    E: float,
-    window: Tuple[float, float],
-    tols: Optional[ToleranceSet] = None,
-) -> List[TurningPoint]:
-    """All simple roots of V(x) = E in the window, sorted and refined.
+def turning_points(p: Problem, channel: int, E: float) -> List[TurningPoint]:
+    """All simple roots of V(x) = E in the window, for the potential of
+    channel 1 or 2, sorted and refined.
 
     Raises DegenerateTurningPoint when `|V'|` at a root falls below the
     contact tolerance (the root is not simple).
     """
-    tols = tols or ToleranceSet()
-    vfn = exprs.compile_fn(V)
-    vpfn = exprs.compile_fn(exprs.differentiate(V))
-    xs = _grid(window, tols.scan_points)
+    tols = p.tolerances
+    vfn, vpfn = p.v_np(channel), p.vp_np(channel)
+    xs = _grid(p.window, tols.scan_points)
     vals = np.asarray(vfn(xs), dtype=float) - E
     roots: List[float] = []
     for i in range(len(xs) - 1):
@@ -284,7 +281,7 @@ def turning_points(
 
 
 def _well_walls(p: Problem) -> Tuple[TurningPoint, TurningPoint]:
-    tps = turning_points(p.v1, p.e0, p.window, p.tolerances)
+    tps = turning_points(p, 1, p.e0)
     if len(tps) != 2:
         raise NoCrossing(
             f"V1 = e0 has {len(tps)} roots in the window; a simple well needs exactly 2"
@@ -390,8 +387,8 @@ def crossing_points(p: Problem) -> List[CrossingPoint]:
             )
         xi = math.sqrt(p.e0 - level)
         dv = d[m] * math.factorial(m)
-        r0v = exprs.evaluate(p.r0, x_c).real
-        r1v = exprs.evaluate(p.r1, x_c).real
+        r0v = exprs.evaluate(p.r0, x_c)
+        r1v = exprs.evaluate(p.r1, x_c)
         out.append(
             CrossingPoint(
                 x=x_c,
@@ -436,7 +433,7 @@ def validate_structure(p: Problem) -> StructureReport:
     # channel-2 turning points all simple
     v2_turning: List[TurningPoint] = []
     try:
-        v2_turning = turning_points(p.v2, p.e0, p.window, tols)
+        v2_turning = turning_points(p, 2, p.e0)
         flags["v2_simple_roots"] = (True, "")
     except StructureError as exc:
         flags["v2_simple_roots"] = (False, str(exc))

@@ -140,7 +140,7 @@ def oracle_row(cfg: RunConfig, report: StructureReport, engine: SemiclassicsEngi
     contour = oracle_mod.default_contour(
         cfg.problem, report, h, theta=cfg.theta, R0=cfg.contour_R0, X=cfg.contour_X
     )
-    ode_tol = cfg.oracle_ode_tol or cfg.problem.tolerances.ode_tol
+    ode_tol = cfg.problem.tolerances.ode_tol
     res = oracle_mod.refine_resonance(
         cfg.problem, complex(seed, im_pred), h, contour, engine.m0, ode_tol=ode_tol
     )

@@ -143,7 +143,7 @@ def sqrt_piece_integral(vfn: Callable, E: float, lo: float, hi: float,
 
 def _well_at(p: Problem, E: float) -> Optional[Tuple[float, float]]:
     try:
-        tps = turning_points(p.v1, E, p.window, p.tolerances)
+        tps = turning_points(p, 1, E)
     except DegenerateTurningPoint:
         tps = []
     if len(tps) == 2:

@@ -231,6 +231,8 @@ def _f0_with_oracle(tmp_path, section):
     ("theta = nan", "theta must lie in (0, pi/2)"),
     ("X = 2", "contour needs finite X > R0 > 0"),
     ("R0 = -1", "contour needs finite X > R0 > 0"),
+    # [numerics] ode_tol is the one oracle step tolerance
+    ("ode_tol = 1e-10", "unknown key 'ode_tol' in section [oracle]"),
 ])
 def test_bad_oracle_config_exits_2(tmp_path, section, problem):
     out = tmp_path / "out.json"
@@ -250,14 +252,44 @@ def test_bad_oracle_config_exits_2(tmp_path, section, problem):
     ("k_max = 2.7", "key 'k_max' needs an integer >= 1"),
     ("scan_points = 0", "key 'scan_points' needs an integer >= 1"),
     ("scan_points = 100.5", "key 'scan_points' needs an integer >= 1"),
+    ("calib = nan", "calib must be finite and positive"),
+    ("calib = 0", "calib must be finite and positive"),
 ])
 def test_bad_numerics_config_exits_2(tmp_path, setting, problem):
-    text = open(_cfg_path("f0"), encoding="utf-8").read().replace("calib = 1.0", f"calib = 1.0\n{setting}")
+    # the setting takes the place of f0's "calib = 1.0", which is the default
+    text = open(_cfg_path("f0"), encoding="utf-8").read().replace("calib = 1.0", setting)
     out = tmp_path / "out.json"
     code = cli.main(["bs", _write(tmp_path, text), "--h", "0.05", "--out", str(out)])
     diagnostics = json.loads(out.read_text())["diagnostics"]
     assert code == 2
     assert problem in diagnostics and not diagnostics.startswith("unexpected")
+
+
+@pytest.mark.parametrize("window", ["-inf, 8", "-8, nan"])
+def test_non_finite_window_exits_2(tmp_path, window):
+    text = open(_cfg_path("f0"), encoding="utf-8").read().replace("window = -8.0, 8.0", f"window = {window}")
+    out = tmp_path / "out.json"
+    code = cli.main(["analyze", _write(tmp_path, text), "--out", str(out)])
+    assert code == 2
+    assert "window bounds must be finite" in json.loads(out.read_text())["diagnostics"]
+
+
+_STPHASE = ["stphase", "--m", "1", "--h-list", "1e-2"]
+
+
+@pytest.mark.parametrize("r0, argv, problem", [
+    ("0.3", [*_STPHASE, "--phi", "x^2", "--sigma", "log(x)", "--x0=-1", "--interval=-2,0"],
+     "log of a non-positive real"),
+    ("0.3", [*_STPHASE, "--phi", "sqrt(x+1)", "--sigma", "1", "--x0=-1"],
+     "sqrt jet at a root of the argument"),
+    ("log(x)", ["analyze"], "log of a non-positive real"),
+])
+def test_expression_undefined_at_a_point_exits_2(tmp_path, r0, argv, problem):
+    text = open(_cfg_path("f0"), encoding="utf-8").read().replace("r0 = 0.3", f"r0 = {r0}")
+    out = tmp_path / "out.json"
+    code = cli.main([argv[0], _write(tmp_path, text), *argv[1:], "--out", str(out)])
+    assert code == 2
+    assert json.loads(out.read_text())["diagnostics"] == problem
 
 
 def test_oracle_theta_flag_equals_config_key(tmp_path):

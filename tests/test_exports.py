@@ -16,12 +16,15 @@ def test_every_listed_name_exists():
 
 
 def test_removed_names_stay_gone():
-    from crosswidth import model, oracle, quadrature, semiclassics
+    from crosswidth import exprs, model, oracle, quadrature, semiclassics
 
     assert not hasattr(model, "TailInfo")
     assert not hasattr(oracle, "_Segment")
     assert not hasattr(semiclassics, "_Segment")
     assert not hasattr(oracle, "ThetaDependent")
+    # the order-0 Taylor jet is the one scalar evaluator
+    assert not hasattr(exprs, "_eval_real")
+    assert not hasattr(exprs, "_eval_complex")
     # a fit is a record; ActionTable is the one evaluator
     assert "__call__" not in vars(quadrature.ActionFn)
     assert not hasattr(quadrature.ActionFn, "derivative")

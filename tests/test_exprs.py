@@ -1,4 +1,3 @@
-import cmath
 import math
 import random
 
@@ -70,12 +69,19 @@ def test_eval_domain_errors():
     with pytest.raises(DomainError):
         evaluate(parse("1/x"), 0.0)
     with pytest.raises(DomainError):
-        evaluate(parse("sqrt(x)"), complex(-1.0, 0.0))  # exactly on the cut
+        evaluate(parse("log(x)"), 0.0)
+    with pytest.raises(DomainError):
+        evaluate(parse("exp(x)"), 1000.0)  # overflow
+    with pytest.raises(DomainError):
+        taylor_jet(parse("sqrt(x)"), 0.0, 1)  # sqrt' has a pole at a root
 
 
-def test_eval_complex_point():
-    z = complex(0.3, 0.7)
-    assert abs(evaluate(parse("exp(x)"), z) - cmath.exp(z)) < 1e-15
+def test_eval_keeps_the_sign_of_zero():
+    # sqrt has a value at a root, where its order-1 jet does not
+    assert math.copysign(1.0, evaluate(parse("sqrt(x)"), 0.0)) == 1.0
+    assert math.copysign(1.0, evaluate(parse("sqrt(-x)"), 0.0)) == -1.0
+    assert math.copysign(1.0, evaluate(parse("x * 0 - 0"), -1.0)) == -1.0
+    assert math.copysign(1.0, evaluate(parse("x^3"), -0.0)) == -1.0
 
 
 def test_jet_cubic_binomial():
@@ -121,19 +127,23 @@ def test_jet_first_coefficient_matches_finite_difference():
         checked += 1
 
 
-def test_jet_order_zero_is_bitwise_eval():
-    sources = [
-        "1 - 1/cosh(x)^2",
-        "0.3 - 0.6*tanh(x)",
-        "exp(sin(x)) * (x^3 - 2*x)/(x^2 + 1)",
-        "sqrt(x^2 + 2) - log(cosh(x))",
-    ]
+def test_jet_order_zero_matches_mpmath():
+    sources = {
+        "1 - 1/cosh(x)^2": lambda t: 1 - 1 / mpmath.cosh(t) ** 2,
+        "0.3 - 0.6*tanh(x)": lambda t: mpmath.mpf("0.3") - mpmath.mpf("0.6") * mpmath.tanh(t),
+        "exp(sin(x)) * (x^3 - 2*x)/(x^2 + 1)":
+            lambda t: mpmath.exp(mpmath.sin(t)) * (t**3 - 2 * t) / (t**2 + 1),
+        "sqrt(x^2 + 2) - log(cosh(x))": lambda t: mpmath.sqrt(t**2 + 2) - mpmath.log(mpmath.cosh(t)),
+    }
+    mpmath.mp.dps = 50
     rng = random.Random(7)
-    for src in sources:
+    for src, exact in sources.items():
         e = parse(src)
         for _ in range(50):
             x = rng.uniform(-3.0, 3.0)
-            assert taylor_jet(e, x, 4).coeffs[0] == evaluate(e, x).real
+            want = float(exact(mpmath.mpf(x)))
+            assert abs(evaluate(e, x) - want) <= 1e-14 * max(1.0, abs(want)), (src, x)
+            assert taylor_jet(e, x, 4).coeffs[0] == evaluate(e, x)
 
 
 # random well-formed expression trees for the round-trip property

@@ -22,8 +22,12 @@ def _mk(v1, v2, e0, window=(-8.0, 8.0), r0="0.3", r1="0.15", L=1.5):
     )
 
 
+def _channel_1(v1, window):
+    return _mk(v1, "0 - x", 1.0, window=window)
+
+
 def test_turning_points_parabola():
-    tps = turning_points(exprs.parse("x^2"), 1.0, (-6.0, 6.0))
+    tps = turning_points(_channel_1("x^2", (-6.0, 6.0)), 1, 1.0)
     assert len(tps) == 2
     assert abs(tps[0].x + 1.0) < 1e-12 and abs(tps[1].x - 1.0) < 1e-12
     assert tps[0].x < tps[1].x
@@ -32,19 +36,19 @@ def test_turning_points_parabola():
 def test_turning_points_sech_well():
     # sech(x)^2 = 1/4 at x = arccosh(2)
     want = math.acosh(2.0)
-    tps = turning_points(exprs.parse("1-1/cosh(x)^2"), 0.75, (-8.0, 8.0))
+    tps = turning_points(_channel_1("1-1/cosh(x)^2", (-8.0, 8.0)), 1, 0.75)
     assert len(tps) == 2
     assert abs(tps[1].x - want) < 1e-11
     assert abs(tps[0].x + want) < 1e-11
 
 
 def test_turning_points_none():
-    assert turning_points(exprs.parse("x^2"), -1.0, (-6.0, 6.0)) == []
+    assert turning_points(_channel_1("x^2", (-6.0, 6.0)), 1, -1.0) == []
 
 
 def test_turning_point_degenerate():
     with pytest.raises(DegenerateTurningPoint):
-        turning_points(exprs.parse("x^2"), 0.0, (-6.0, 6.0))
+        turning_points(_channel_1("x^2", (-6.0, 6.0)), 1, 0.0)
 
 
 def test_crossing_transversal_textbook():

@@ -102,8 +102,8 @@ def test_mixed_cycle_action_matches_direct_quadrature():
     E = p.e0
     got = sum(action_edge(p, e, E) for e in mixed)
     x_c = rep.crossings[0].x
-    b = model.turning_points(p.v1, E, p.window)[1].x
-    cc = model.turning_points(p.v2, E, p.window)[0].x
+    b = model.turning_points(p, 1, E)[1].x
+    cc = model.turning_points(p, 2, E)[0].x
     want = 2 * sqrt_piece_integral(p.v1_np, E, x_c, b, False, True, 1e-13) \
         + 2 * sqrt_piece_integral(p.v2_np, E, cc, x_c, True, False, 1e-13)
     assert abs(got - want) < 1e-10
