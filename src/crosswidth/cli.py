@@ -120,39 +120,22 @@ def cmd_bs(cfg: RunConfig, args) -> int:
     return 0
 
 
+# the columns of a resonance-table record, in output order
+_TABLE_COLUMNS = ("seed", "pseudo_re", "pseudo_im", "D", "im_pred")
+
+
 def cmd_pseudo(cfg: RunConfig, args) -> int:
     _, _, engine = build_engine(cfg.problem, calib=cfg.calib, h_max=args.h)
-    expo = (engine.m0 + 3.0) / (engine.m0 + 1.0)
-    records = []
-    for pr in engine.pseudo_resonances(args.h):
-        D = engine.width_coefficient(pr.seed, args.h, "one_switch").D
-        records.append(
-            {
-                "seed": pr.seed,
-                "pseudo_re": pr.E.real,
-                "pseudo_im": pr.E.imag,
-                "D": D,
-                "im_pred": -D * args.h**expo,
-                "residual": pr.residual,
-                "newton_iters": pr.newton_iters,
-            }
-        )
+    records = [{**{c: row[c] for c in _TABLE_COLUMNS}, "residual": row["pseudo"].residual,
+                "newton_iters": row["pseudo"].newton_iters}
+               for row in engine.resonance_table(args.h) if row["pseudo"]]
     _emit(_to_json({"h": args.h, "records": records}), args.out)
     return 0
 
 
 def cmd_widths(cfg: RunConfig, args) -> int:
     _, _, engine = build_engine(cfg.problem, calib=cfg.calib, h_max=args.h)
-    records = [
-        {
-            "seed": row["seed"],
-            "pseudo_re": row["pseudo_re"],
-            "pseudo_im": row["pseudo_im"],
-            "D": row["D"],
-            "im_pred": row["im_pred"],
-        }
-        for row in engine.resonance_table(args.h)
-    ]
+    records = [{c: row[c] for c in _TABLE_COLUMNS} for row in engine.resonance_table(args.h)]
     _emit(_to_json({"h": args.h, "records": records}), args.out)
     return 0
 
@@ -167,7 +150,8 @@ def cmd_oracle(cfg: RunConfig, args) -> int:
         raise ConfigError(f"seed index {idx} out of range 0..{len(seeds) - 1}")
     overrides = {"theta": args.theta, "contour_X": args.X}
     cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
-    row = oracle_row(cfg, report, engine, seeds[idx], args.h)
+    im_pred = engine.predicted_widths([seeds[idx]], args.h)[1][0]
+    row = oracle_row(cfg, report, engine.m0, complex(seeds[idx], im_pred), args.h)
     res = row["res"]
     payload = {"E_re": res.E.real, "E_im": res.E.imag, "residual": res.residual, "im_green": row["im_green"]}
     _emit(_to_json(payload), args.out)
@@ -202,6 +186,8 @@ def cmd_stphase(cfg: RunConfig, args) -> int:
         raise ConfigError(f"--interval needs two comma-separated numbers lo,hi, got {args.interval!r}")
     lo, hi = args.interval
     x0 = args.x0
+    if not math.isfinite(x0):
+        raise ConfigError(f"--x0 must be finite, got {x0!r}")
     m = args.m
     jet = exprs.taylor_jet(phi_ast, x0, m + 1)
     sigma0 = exprs.evaluate(sigma_ast, x0)
@@ -210,7 +196,7 @@ def cmd_stphase(cfg: RunConfig, args) -> int:
         numeric = quadrature.oscillatory_integral(
             sigma, phi, (lo, hi), h, quad_tol=cfg.problem.tolerances.quad_tol
         )
-        asym = quadrature.stationary_phase(sigma0, jet, m, h, calib=args.calib)
+        asym = quadrature.stationary_phase(sigma0, jet, m, h)
         rows.append(
             {
                 "h": h,
@@ -269,7 +255,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sigma", required=True)
     sp.add_argument("--x0", type=float, default=0.0)
     sp.add_argument("--interval", type=lambda s: tuple(float(v) for v in s.split(",")), default=(-1.0, 1.0))
-    sp.add_argument("--calib", type=float, default=2.0)
     return parser
 
 

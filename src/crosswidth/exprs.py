@@ -324,7 +324,7 @@ def evaluate(e: ExprAst, x: float) -> float:
     Raises DomainError where the expression is undefined (a pole, log or
     sqrt of a negative real, log of zero) or overflows.
     """
-    return _jet(e, float(x), 0)[0]
+    return taylor_jet(e, x, 0).coeffs[0]
 
 
 # --- Taylor jets ------------------------------------------------------------
@@ -451,10 +451,16 @@ def _jet(e: ExprAst, x0: float, K: int) -> List[float]:
 
 
 def taylor_jet(e: ExprAst, x0: float, K: int) -> TaylorJet:
-    """Taylor coefficients f^(k)(x0)/k!, k = 0..K, by jet propagation."""
+    """Taylor coefficients f^(k)(x0)/k!, k = 0..K, by jet propagation.  A
+    DomainError names the operation, the expression and the point."""
     if K < 0:
         raise ValueError("jet order must be non-negative")
-    return TaylorJet(x0=float(x0), order=K, coeffs=tuple(_jet(e, float(x0), K)))
+    x0 = float(x0)
+    try:
+        coeffs = tuple(_jet(e, x0, K))
+    except DomainError as exc:
+        raise DomainError(f"{exc} in {unparse(e)} at x = {x0!r}") from exc
+    return TaylorJet(x0=x0, order=K, coeffs=coeffs)
 
 
 # --- symbolic derivative ----------------------------------------------------

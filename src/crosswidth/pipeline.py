@@ -127,29 +127,25 @@ def select_anchor(engine: SemiclassicsEngine, h_list: Sequence[float]) -> float:
     return best_anchor
 
 
-def oracle_row(cfg: RunConfig, report: StructureReport, engine: SemiclassicsEngine,
-               seed: float, h: float, include_green: bool = True) -> dict:
-    """The oracle resonance refined from one Bohr-Sommerfeld seed.
+def oracle_row(cfg: RunConfig, report: StructureReport, m0: int,
+               start: complex, h: float, include_green: bool = True) -> dict:
+    """The oracle resonance refined from ``start``, the seed and its
+    predicted imaginary part.
 
-    Returns the width coefficient ``D``, the predicted imaginary part
-    ``im_pred`` that starts the refinement, the refined resonance ``res``
-    and the Green-identity width ``im_green`` (None without include_green).
+    Returns the refined resonance ``res`` and the Green-identity width
+    ``im_green`` (None without include_green).
     """
-    D = engine.width_coefficient(seed, h, "one_switch").D
-    im_pred = -D * h ** ((engine.m0 + 3.0) / (engine.m0 + 1.0))
     contour = oracle_mod.default_contour(
         cfg.problem, report, h, theta=cfg.theta, R0=cfg.contour_R0, X=cfg.contour_X
     )
     ode_tol = cfg.problem.tolerances.ode_tol
-    res = oracle_mod.refine_resonance(
-        cfg.problem, complex(seed, im_pred), h, contour, engine.m0, ode_tol=ode_tol
-    )
+    res = oracle_mod.refine_resonance(cfg.problem, start, h, contour, m0, ode_tol=ode_tol)
     im_green = None
     if include_green:
         im_green = oracle_mod.width_from_state(
             cfg.problem, res.E, h, contour, report.a0.x - 1.0, report.b0.x + 1.0, ode_tol=ode_tol
         )
-    return {"D": D, "im_pred": im_pred, "res": res, "im_green": im_green}
+    return {"res": res, "im_green": im_green}
 
 
 def compare_sweep(
@@ -163,22 +159,23 @@ def compare_sweep(
         raise ValueError("compare needs a non-empty h_list")
     report, graph, engine = build_engine(cfg.problem, calib=cfg.calib, h_max=max(hs))
     anchor = select_anchor(engine, hs)
-    expo = (engine.m0 + 3.0) / (engine.m0 + 1.0)
     rows = []
     for h in hs:
-        seed = tracked_seed(engine.bohr_sommerfeld(h), anchor)
+        table = {entry["seed"]: entry for entry in engine.resonance_table(h)}
+        seed = tracked_seed(list(table), anchor)
         if seed is None:
             raise ValueError(f"no Bohr-Sommerfeld seed near {anchor} for h = {h}")
-        pseudo = {pr.seed: pr for pr in engine.pseudo_resonances(h)}.get(seed)
-        row = oracle_row(cfg, report, engine, seed, h, include_green)
-        res, im_pred = row["res"], row["im_pred"]
+        entry = table[seed]
+        im_pred = entry["im_pred"]
+        row = oracle_row(cfg, report, engine.m0, complex(seed, im_pred), h, include_green)
+        res = row["res"]
         rows.append(
             {
                 "h": h,
                 "seed": seed,
-                "pseudo_re": pseudo.E.real if pseudo else math.nan,
-                "pseudo_im": pseudo.E.imag if pseudo else math.nan,
-                "D": row["D"],
+                "pseudo_re": entry["pseudo_re"],
+                "pseudo_im": entry["pseudo_im"],
+                "D": entry["D"],
                 "im_pred": im_pred,
                 "im_oracle": res.E.imag,
                 "re_oracle": res.E.real,
@@ -192,7 +189,7 @@ def compare_sweep(
     out = {
         "m0": engine.m0,
         "anchor": anchor,
-        "exponent_expected": expo,
+        "exponent_expected": engine.width_exponent,
         "rows": rows,
         "ratio_drift": [abs(r["ratio"] - 1.0) for r in rows],
     }

@@ -303,13 +303,12 @@ def crossing_phase(m: int, sign: float) -> complex:
     return complex(math.cos(math.pi / (2 * (m + 1))))
 
 
-def stationary_phase(sigma0: complex, phi_jet, m: int, h: float, calib: float = 2.0) -> complex:
+def stationary_phase(sigma0: complex, phi_jet, m: int, h: float) -> complex:
     """Leading-order value of the oscillatory integral with a single interior
     stationary point of degeneracy m (phi' = ... = phi^(m) = 0 there).
 
-    calib rescales the one-sided textbook constant; calib = 2 accounts for
-    both sides of an interior stationary point and reproduces the Fresnel
-    value at m = 1.
+    The one-sided textbook constant is doubled for the two sides of an
+    interior stationary point, which reproduces the Fresnel value at m = 1.
     """
     if m < 1:
         raise PreconditionViolated("m must be >= 1")
@@ -329,7 +328,7 @@ def stationary_phase(sigma0: complex, phi_jet, m: int, h: float, calib: float = 
         * (math.factorial(m + 1) / abs(dphi)) ** (1.0 / (m + 1))
         * math.gamma((m + 2) / (m + 1))
     )
-    return calib * amp * np.exp(1j * coeffs[0] / h) * h ** (1.0 / (m + 1))
+    return 2.0 * amp * np.exp(1j * coeffs[0] / h) * h ** (1.0 / (m + 1))
 
 
 # --- cached action evaluators -------------------------------------------------

@@ -216,6 +216,8 @@ class SemiclassicsEngine:
         self.g = graph
         self.calib = calib
         self.m0 = report.m0
+        # the paper's width law: Im E ~ -D(E) h^width_exponent
+        self.width_exponent = (self.m0 + 3.0) / (self.m0 + 1.0)
         self.h_max = h_max
         self._quad_tol = min(problem.tolerances.quad_tol, 1e-13)
         self.domain = energy_domain(problem, report, h_max)
@@ -733,9 +735,17 @@ class SemiclassicsEngine:
 
     # --- the scorecard -----------------------------------------------------------
 
+    def predicted_widths(self, E: Sequence[float], h: float) -> Tuple[List[float], List[float]]:
+        """The one-switch width coefficients D at real energies E and the
+        predicted imaginary parts -D h^width_exponent, as lists."""
+        D = self.width_coefficient(np.array(E, dtype=float), h, "one_switch").D.tolist()
+        return D, [-d * h ** self.width_exponent for d in D]
+
     def resonance_table(self, h: float) -> List[dict]:
-        """Per Bohr-Sommerfeld seed: the pseudo-resonance, the width
-        coefficient and the predicted imaginary part -D(E) h^{(m0+3)/(m0+1)}.
+        """Per Bohr-Sommerfeld seed: the pseudo-resonance (None where Newton
+        from that seed found no new root in the box) with its real and
+        imaginary parts, the width coefficient D and the predicted imaginary
+        part im_pred.
 
         The pseudo-resonance imaginary part is reported but is not the
         width prediction: the first-order transfer matrices do not certify
@@ -744,19 +754,16 @@ class SemiclassicsEngine:
         rows = []
         seeds = self.bohr_sommerfeld(h)
         pseudos = {pr.seed: pr for pr in self._roots_from_seeds(seeds, h)}
-        expo = (self.m0 + 3.0) / (self.m0 + 1.0)
-        widths = self.width_coefficient(np.array(seeds), h, "one_switch").D.tolist()
-        for seed, D in zip(seeds, widths):
+        for seed, D, im_pred in zip(seeds, *self.predicted_widths(seeds, h)):
             pr = pseudos.get(seed)
             rows.append(
                 {
                     "seed": seed,
+                    "pseudo": pr,
                     "pseudo_re": pr.E.real if pr else math.nan,
                     "pseudo_im": pr.E.imag if pr else math.nan,
                     "D": D,
-                    "im_pred": -D * h ** expo,
-                    "m0": self.m0,
-                    "h": h,
+                    "im_pred": im_pred,
                 }
             )
         return rows

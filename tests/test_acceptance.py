@@ -153,7 +153,7 @@ def test_criterion_7_stationary_phase():
         for h in hs:
             numeric = quadrature.oscillatory_integral(
                 lambda x: np.ones_like(x), lambda x, q=m + 1: x**q, (-1.0, 1.0), h)
-            asym = quadrature.stationary_phase(1.0, jet, m, h, calib=2.0)
+            asym = quadrature.stationary_phase(1.0, jet, m, h)
             scaled = abs(numeric - asym) / h ** (1.0 / (m + 1))
             if prev is not None:
                 factors.append(float(prev / scaled))

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from crosswidth import cli
 from crosswidth.config import ConfigError, load_config
+from crosswidth.semiclassics import SemiclassicsEngine
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIGS = os.path.join(ROOT, "configs")
@@ -133,7 +134,7 @@ def test_stphase_csv(tmp_path):
     out = tmp_path / "stphase.csv"
     code = cli.main([
         "stphase", _cfg_path("f0"), "--m", "1", "--h-list", "0.01,0.001",
-        "--phi", "x^2", "--sigma", "1", "--calib", "2.0", "--out", str(out),
+        "--phi", "x^2", "--sigma", "1", "--out", str(out),
     ])
     assert code == 0
     lines = out.read_text().strip().splitlines()
@@ -279,17 +280,55 @@ _STPHASE = ["stphase", "--m", "1", "--h-list", "1e-2"]
 
 @pytest.mark.parametrize("r0, argv, problem", [
     ("0.3", [*_STPHASE, "--phi", "x^2", "--sigma", "log(x)", "--x0=-1", "--interval=-2,0"],
-     "log of a non-positive real"),
+     "log of a non-positive real in log(x) at x = -1.0"),
     ("0.3", [*_STPHASE, "--phi", "sqrt(x+1)", "--sigma", "1", "--x0=-1"],
-     "sqrt jet at a root of the argument"),
-    ("log(x)", ["analyze"], "log of a non-positive real"),
-])
+     "sqrt jet at a root of the argument in sqrt(x + 1.0) at x = -1.0"),
+    ("log(x)", ["analyze"], "log of a non-positive real in log(x) at x = -0.9414546926294146"),
+], ids=["0.3-argv0-log of a non-positive real", "0.3-argv1-sqrt jet at a root of the argument",
+        "log(x)-argv2-log of a non-positive real"])  # named by the failing operation
 def test_expression_undefined_at_a_point_exits_2(tmp_path, r0, argv, problem):
     text = open(_cfg_path("f0"), encoding="utf-8").read().replace("r0 = 0.3", f"r0 = {r0}")
     out = tmp_path / "out.json"
     code = cli.main([argv[0], _write(tmp_path, text), *argv[1:], "--out", str(out)])
     assert code == 2
     assert json.loads(out.read_text())["diagnostics"] == problem
+
+
+@pytest.mark.parametrize("x0", ["nan", "inf", "-inf"])
+def test_stphase_non_finite_x0_exits_2(tmp_path, x0):
+    out = tmp_path / "out.json"
+    code = cli.main([_STPHASE[0], _cfg_path("f0"), *_STPHASE[1:], "--phi", "x^2", "--sigma", "1",
+                     f"--x0={x0}", "--out", str(out)])
+    assert code == 2
+    assert json.loads(out.read_text())["diagnostics"] == f"--x0 must be finite, got {float(x0)!r}"
+
+
+def test_stphase_has_no_calib_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([_STPHASE[0], _cfg_path("f0"), *_STPHASE[1:], "--phi", "x^2", "--sigma", "1",
+                  "--calib", "2.0"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --calib" in capsys.readouterr().err
+
+
+def test_pseudo_omits_and_widths_nulls_a_seed_without_root(tmp_path, monkeypatch):
+    # drop the middle seed's root, as _roots_from_seeds does for a root
+    # that duplicates another or leaves the box
+    roots = SemiclassicsEngine._roots_from_seeds
+    monkeypatch.setattr(SemiclassicsEngine, "_roots_from_seeds", lambda self, seeds, h: [
+        pr for pr in roots(self, seeds, h) if pr.seed != seeds[1]])
+    got = {}
+    for command in ("pseudo", "widths"):
+        out = tmp_path / f"{command}.json"
+        assert cli.main([command, _cfg_path("f1"), "--h", "0.05", "--out", str(out)]) == 0
+        got[command] = json.loads(out.read_text())["records"]
+    want = {command: json.loads(open(os.path.join(ROOT, "tests", "golden", f"{command}_f1.out"),
+                                     encoding="utf-8").read())["records"]
+            for command in ("pseudo", "widths")}
+    assert len(want["widths"]) == 3
+    assert got["pseudo"] == want["pseudo"][:1] + want["pseudo"][2:]
+    nulled = {**want["widths"][1], "pseudo_re": None, "pseudo_im": None}
+    assert got["widths"] == [want["widths"][0], nulled, want["widths"][2]]
 
 
 def test_oracle_theta_flag_equals_config_key(tmp_path):

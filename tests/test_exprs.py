@@ -76,6 +76,15 @@ def test_eval_domain_errors():
         taylor_jet(parse("sqrt(x)"), 0.0, 1)  # sqrt' has a pole at a root
 
 
+def test_domain_error_names_expression_and_point():
+    with pytest.raises(DomainError) as exc:
+        evaluate(parse("2*log(x)"), -1.2)
+    assert str(exc.value) == "log of a non-positive real in 2.0 * log(x) at x = -1.2"
+    with pytest.raises(DomainError) as exc:
+        taylor_jet(parse("1/(x - 1)"), 1, 2)
+    assert str(exc.value) == "division by zero in 1.0 / (x - 1.0) at x = 1.0"
+
+
 def test_eval_keeps_the_sign_of_zero():
     # sqrt has a value at a root, where its order-1 jet does not
     assert math.copysign(1.0, evaluate(parse("sqrt(x)"), 0.0)) == 1.0

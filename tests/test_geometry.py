@@ -1,6 +1,10 @@
+import dataclasses
+import math
+import re
+
 import pytest
 
-from crosswidth import fixtures, geometry, pipeline
+from crosswidth import exprs, fixtures, geometry, pipeline
 from crosswidth.geometry import (
     InternalInconsistency,
     PathSeq,
@@ -179,3 +183,33 @@ def test_open_channel_topology(f1_engine):
     assert len(primitive_cycles(g)) == 1
     for tail in g.outgoing_tails():
         assert len(paths_one_switch(g, tail)) == 1
+
+
+def _mirrored(problem):
+    """The problem reflected by x -> -x, for an even V1 (the shipped well):
+    V2(-x), r0(-x) and, since the coupling's xi flips sign with x, -r1(-x);
+    the window reflected."""
+    def flip(e):
+        return exprs.parse(re.sub(r"\bx\b", "(-x)", exprs.unparse(e)))
+
+    lo, hi = problem.window
+    return dataclasses.replace(
+        problem, v2=flip(problem.v2), r0=flip(problem.r0),
+        r1=exprs.parse(f"-({exprs.unparse(flip(problem.r1))})"), window=(-hi, -lo))
+
+
+@pytest.mark.parametrize("make", [fixtures.single_transversal, fixtures.f1_arc])
+def test_left_open_channel_2_mirrors_right_open(make):
+    # the mirror image turns the right-open channel-2 interval into a
+    # left-open one; the resonances do not move.  Both engines cache their
+    # actions for h_max = h, as the CLI does.
+    h = 0.05
+    _, g, engine = pipeline.build_engine(make(), calib=1.0, h_max=h)
+    _, g_m, mirror = pipeline.build_engine(_mirrored(make()), calib=1.0, h_max=h)
+    assert {t.direction for t in g.tails} == {+1}
+    assert {t.direction for t in g_m.tails} == {-1}
+    rows, rows_m = engine.resonance_table(h), mirror.resonance_table(h)
+    assert [r["seed"] for r in rows_m] == [r["seed"] for r in rows]
+    for r, r_m in zip(rows, rows_m):
+        for key in ("D", "pseudo_im"):
+            assert math.isclose(r_m[key], r[key], rel_tol=1e-10), key

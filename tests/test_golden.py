@@ -41,9 +41,11 @@ for _name in CONFIGS:
     EXACT[f"bs_{_name}"] = ["bs", _name, "--h", "0.05"]
     EXACT[f"widths_{_name}"] = ["widths", _name, "--h", "0.05"]
     EXACT[f"pseudo_{_name}"] = ["pseudo", _name, "--h", "0.05"]
+    EXACT[f"widths_{_name}_h003"] = ["widths", _name, "--h", "0.03"]
+    EXACT[f"pseudo_{_name}_h003"] = ["pseudo", _name, "--h", "0.03"]
 for _m in (1, 2, 3):  # the stationary-phase arguments of acceptance criterion 7
     EXACT[f"stphase_m{_m}"] = ["stphase", "f0", "--m", str(_m), "--h-list", STPHASE_H,
-                               "--phi", f"x^{_m + 1}", "--sigma", "1", "--calib", "2.0"]
+                               "--phi", f"x^{_m + 1}", "--sigma", "1"]
 APPROX = {"oracle_f0": ["oracle", "f0", "--h", "0.05"]}
 COMPARE = {"compare_f1": ["compare", "f1"]}
 SEMICLASSICAL_COLS = ("h", "seed", "pseudo_re", "pseudo_im", "D", "im_pred")

@@ -1,6 +1,9 @@
 import pytest
 
-from crosswidth.pipeline import select_anchor, tracked_seed
+from crosswidth import fixtures
+from crosswidth.config import RunConfig
+from crosswidth.pipeline import compare_sweep, select_anchor, tracked_seed
+from crosswidth.semiclassics import SemiclassicsEngine
 
 SWEEP = (0.08, 0.06, 0.05, 0.04, 0.03)  # the shipped [sweep] h_list
 
@@ -45,3 +48,19 @@ def test_resonance_table_solves_its_grid_once(f1_engine):
         del engine.bohr_sommerfeld
     assert calls == [0.05]
     assert [row["seed"] for row in rows] == solve(0.05)
+
+
+def test_compare_solves_each_grid_twice(monkeypatch):
+    # once for the anchor search and once for the resonance table
+    calls = []
+    solve = SemiclassicsEngine.bohr_sommerfeld
+
+    def counted(self, h):
+        calls.append(h)
+        return solve(self, h)
+
+    monkeypatch.setattr(SemiclassicsEngine, "bohr_sommerfeld", counted)
+    hs = [0.08, 0.06]
+    result = compare_sweep(RunConfig(problem=fixtures.f1(), h_list=hs), hs, include_green=False)
+    assert [row["h"] for row in result["rows"]] == hs
+    assert sorted(calls) == sorted(2 * hs)

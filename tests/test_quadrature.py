@@ -133,16 +133,16 @@ def test_oscillatory_budget():
 def test_stationary_phase_fresnel_value():
     jet = exprs.taylor_jet(exprs.parse("x^2"), 0.0, 2)
     for h in (1e-3, 1e-5):
-        got = stationary_phase(1.0, jet, 1, h, calib=2.0)
+        got = stationary_phase(1.0, jet, 1, h)
         want = math.sqrt(math.pi * h) * np.exp(1j * math.pi / 4)
         assert abs(got - want) < 1e-14
 
 
 def test_stationary_phase_cubic_modulus():
-    # interior cubic stationary point: |value| = calib cos(pi/6) Gamma(4/3) h^{1/3}
+    # interior cubic stationary point: |value| = 2 cos(pi/6) Gamma(4/3) h^{1/3}
     jet = exprs.taylor_jet(exprs.parse("x^3"), 0.0, 3)
     h = 1e-4
-    got = stationary_phase(1.0, jet, 2, h, calib=2.0)
+    got = stationary_phase(1.0, jet, 2, h)
     want = 2.0 * math.cos(math.pi / 6) * math.gamma(4.0 / 3.0) * h ** (1.0 / 3.0)
     assert abs(abs(got) - want) < 1e-14
 
@@ -150,7 +150,7 @@ def test_stationary_phase_cubic_modulus():
 def test_stationary_phase_sign_of_phase():
     # negative phi''' flips the odd-order phase factor to its conjugate
     jet_neg = exprs.taylor_jet(exprs.parse("0 - x^2"), 0.0, 2)
-    got = stationary_phase(1.0, jet_neg, 1, 1e-3, calib=2.0)
+    got = stationary_phase(1.0, jet_neg, 1, 1e-3)
     want = math.sqrt(math.pi * 1e-3) * np.exp(-1j * math.pi / 4)
     assert abs(got - want) < 1e-14
 

@@ -365,7 +365,13 @@ def test_resonance_table_schema(f1_engine):
     rows = eng.resonance_table(h)
     assert rows
     expo = (eng.m0 + 3.0) / (eng.m0 + 1.0)
-    for row in rows:
-        assert set(row) == {"seed", "pseudo_re", "pseudo_im", "D", "im_pred", "m0", "h"}
+    assert eng.width_exponent == expo
+    D, im_pred = eng.predicted_widths([row["seed"] for row in rows], h)
+    for row, d, im in zip(rows, D, im_pred):
+        assert set(row) == {"seed", "pseudo", "pseudo_re", "pseudo_im", "D", "im_pred"}
+        assert (row["D"], row["im_pred"]) == (d, im)
         assert row["im_pred"] == -row["D"] * h ** expo
         assert row["D"] >= 0.0
+        pr = row["pseudo"]
+        assert pr.seed == row["seed"]
+        assert (row["pseudo_re"], row["pseudo_im"]) == (pr.E.real, pr.E.imag)
