@@ -24,7 +24,8 @@ from .config import ConfigError, RunConfig, check_h_list, load_config
 from .geometry import graph_to_dict
 from .model import StructureError
 from .pipeline import ValidationFailed, build_engine, compare_sweep, oracle_row
-from .semiclassics import BoxTooLarge, CountMismatch, NewtonDiverged, SingularSystem, TopologyMismatch
+from .semiclassics import (BoxTooLarge, CountMismatch, HUnresolved, NewtonDiverged, SingularSystem,
+                           TopologyMismatch)
 
 _CONVERGENCE_ERRORS = (
     NewtonDiverged,
@@ -159,10 +160,7 @@ def cmd_oracle(cfg: RunConfig, args) -> int:
 
 
 def cmd_compare(cfg: RunConfig, args) -> int:
-    hs = args.h_list or cfg.h_list
-    if not hs:
-        raise ConfigError("compare needs h_list (config [sweep] or --h-list)")
-    result = compare_sweep(cfg, hs, include_green=not args.no_green)
+    result = compare_sweep(cfg, args.h_list, include_green=not args.no_green)
     cols = [
         "h", "seed", "pseudo_re", "pseudo_im", "D", "im_pred",
         "re_oracle", "im_oracle", "im_green", "ratio",
@@ -282,7 +280,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return _COMMANDS[args.command](cfg, args)
-    except (ValidationFailed, StructureError, ConfigError, BoxTooLarge, oracle_mod.BadContour,
+    except (ValidationFailed, StructureError, ConfigError, BoxTooLarge, HUnresolved, oracle_mod.BadContour,
             quadrature.PreconditionViolated, exprs.DomainError) as exc:
         _emit(_to_json({"diagnostics": str(exc)}), args.out)
         return 2

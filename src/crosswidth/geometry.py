@@ -9,10 +9,10 @@ the monodromy matrix and the width formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
-from .model import CrossingPoint, Problem, StructureReport, TurningPoint
+from .model import CrossingPoint, Problem, StructureReport
 
 __all__ = [
     "Vertex",
@@ -118,19 +118,13 @@ class Tail:
     tid: int
     direction: int  # +1 toward +infinity, -1 toward -infinity
     xi_sign: int
-    kind: str  # "incoming" or "outgoing"
-    attach: Optional[Vertex]
+    attach: Vertex
     channel: int = 2
 
-    def __post_init__(self):
-        outgoing = (self.direction > 0 and self.xi_sign > 0) or (
-            self.direction < 0 and self.xi_sign < 0
-        )
-        if (self.kind == "outgoing") != outgoing:
-            raise InternalInconsistency("tail kind inconsistent with flow direction")
-
-
-Node = Union[Vertex, Tail]
+    @property
+    def kind(self) -> str:
+        """Outgoing where the flow runs toward the tail's infinity."""
+        return "outgoing" if self.direction == self.xi_sign else "incoming"
 
 
 @dataclass
@@ -139,26 +133,19 @@ class Graph:
     edges: List[Edge]
     tails: List[Tail]
     e0: Edge
-    out_edge: Dict[Tuple, Edge] = field(default_factory=dict)  # (vertex key, channel) -> Edge
-    out_tail: Dict[Tuple, Tail] = field(default_factory=dict)
-    in_edge: Dict[Tuple, Edge] = field(default_factory=dict)
-    in_tail: Dict[Tuple, Tail] = field(default_factory=dict)
-    e0_alternatives: List[Edge] = field(default_factory=list)
+    # (vertex key, channel) -> the edge or tail leaving / entering that slot
+    out: Dict[Tuple, Union[Edge, Tail]]
+    into: Dict[Tuple, Union[Edge, Tail]]
+    e0_alternatives: List[Edge]
 
     def gamma1_edges(self) -> List[Edge]:
         return [e for e in self.edges if e.channel == 1]
 
     def outgoing_tails(self) -> List[Tail]:
-        return [t for t in self.tails if t.kind == "outgoing" and t.attach is not None]
+        return [t for t in self.tails if t.kind == "outgoing"]
 
     def out_of(self, v: Vertex) -> List[Union[Edge, Tail]]:
-        hops = []
-        for ch in (1, 2):
-            if (v.key, ch) in self.out_edge:
-                hops.append(self.out_edge[(v.key, ch)])
-            elif (v.key, ch) in self.out_tail:
-                hops.append(self.out_tail[(v.key, ch)])
-        return hops
+        return [self.out[(v.key, ch)] for ch in (1, 2) if (v.key, ch) in self.out]
 
 
 @dataclass(frozen=True)
@@ -174,7 +161,6 @@ class PathSeq:
     tail: Optional[Tail] = None
     start_frac: float = 0.0
     end_frac: float = 1.0
-    switch_count: int = 0
 
     def __post_init__(self):
         for a, b in zip(self.edges, self.edges[1:]):
@@ -183,11 +169,10 @@ class PathSeq:
         if self.tail is not None and self.tail.attach.key != self.edges[-1].target.key:
             raise InternalInconsistency("tail does not attach at the path end")
 
-    def recount_switches(self) -> int:
-        n = sum(1 for a, b in zip(self.edges, self.edges[1:]) if a.channel != b.channel)
-        if self.tail is not None and self.edges[-1].channel != self.tail.channel:
-            n += 1
-        return n
+    @property
+    def switch_count(self) -> int:
+        channels = [e.channel for e in self.edges] + ([self.tail.channel] if self.tail else [])
+        return sum(1 for a, b in zip(channels, channels[1:]) if a != b)
 
 
 _BASE_CANDIDATES = (
@@ -239,51 +224,50 @@ def _pick_base_frac(pieces: Tuple[Piece, ...], vfn, e_floor: float) -> float:
     raise InternalInconsistency("no admissible base fraction found")
 
 
-def _mk_edge(eid: int, channel: int, source: Vertex, target: Vertex,
-             pieces: Tuple[Piece, ...], vfns, e_floor: float) -> Edge:
-    return Edge(eid, channel, source, target, pieces,
-                base_frac=_pick_base_frac(pieces, vfns[channel - 1], e_floor))
+def _component(edges: List[Edge], tails: List[Tail], channel: int, ups: List[Vertex],
+               dns: List[Vertex], left: Optional[float], right: Optional[float], vfn,
+               e_floor: float) -> None:
+    """Append one allowed component of ``channel`` to ``edges`` and ``tails``.
+
+    ``ups``/``dns`` are its crossings on the upper/lower branch, sorted by
+    x; ``left``/``right`` are its turning points, None where it is open to
+    the window edge.  Edges follow the flow: rightward along the upper
+    branch, round the right turning point, leftward along the lower
+    branch, round the left turning point.  Each open side gets an incoming
+    and an outgoing tail, in the order upper left, upper right, lower
+    right, lower left.  Ids are the list positions.
+    """
+    def edge(source: Vertex, target: Vertex, *pieces: Piece):
+        edges.append(Edge(len(edges), channel, source, target, pieces,
+                          base_frac=_pick_base_frac(pieces, vfn, e_floor)))
+
+    def tail(direction: int, xi_sign: int, attach: Vertex):
+        tails.append(Tail(len(tails), direction, xi_sign, attach, channel))
+
+    if left is None:
+        tail(-1, +1, ups[0])
+    for a, b in zip(ups, ups[1:]):
+        edge(a, b, Piece(a.crossing.x, b.crossing.x, +1, False, False))
+    if right is None:
+        tail(+1, +1, ups[-1])
+        tail(+1, -1, dns[-1])
+    else:
+        xr = ups[-1].crossing.x
+        edge(ups[-1], dns[-1], Piece(xr, right, +1, False, True), Piece(xr, right, -1, False, True))
+    leftward = dns[::-1]
+    for a, b in zip(leftward, leftward[1:]):
+        edge(a, b, Piece(b.crossing.x, a.crossing.x, -1, False, False))
+    if left is None:
+        tail(-1, -1, dns[0])
+    else:
+        xl = dns[0].crossing.x
+        edge(dns[0], ups[0], Piece(left, xl, -1, True, False), Piece(left, xl, +1, True, False))
 
 
-def _gamma1_edges(vertices: List[Vertex], a0: TurningPoint, b0: TurningPoint, next_id,
-                  vfns, e_floor: float) -> List[Edge]:
-    n = len(vertices) // 2
-    up = [v for v in vertices if v.sign > 0]
-    dn = [v for v in vertices if v.sign < 0]
-    edges: List[Edge] = []
-    for i in range(n - 1):
-        edges.append(
-            _mk_edge(next_id(), 1, up[i], up[i + 1], (Piece(up[i].crossing.x, up[i + 1].crossing.x, +1, False, False),), vfns, e_floor)
-        )
-    xr = up[-1].crossing.x
-    edges.append(
-        _mk_edge(
-            next_id(),
-            1,
-            up[-1],
-            dn[-1],
-            (Piece(xr, b0.x, +1, False, True), Piece(xr, b0.x, -1, False, True)),
-            vfns,
-            e_floor,
-        )
-    )
-    for i in range(n - 1, 0, -1):
-        edges.append(
-            _mk_edge(next_id(), 1, dn[i], dn[i - 1], (Piece(dn[i - 1].crossing.x, dn[i].crossing.x, -1, False, False),), vfns, e_floor)
-        )
-    xl = dn[0].crossing.x
-    edges.append(
-        _mk_edge(
-            next_id(),
-            1,
-            dn[0],
-            up[0],
-            (Piece(a0.x, xl, -1, True, False), Piece(a0.x, xl, +1, True, False)),
-            vfns,
-            e_floor,
-        )
-    )
-    return edges
+def _fill(slots: Dict[Tuple, Union[Edge, Tail]], key: Tuple, hop: Union[Edge, Tail]) -> None:
+    if key in slots:
+        raise InternalInconsistency(f"duplicate adjacency slot {key}")
+    slots[key] = hop
 
 
 def build_graph(report: StructureReport, problem: Problem, e_floor: float) -> Graph:
@@ -292,134 +276,55 @@ def build_graph(report: StructureReport, problem: Problem, e_floor: float) -> Gr
     The topology is computed at the reference energy; edge actions are the
     only energy-dependent quantities downstream.  Base points are placed
     where the trajectory stays classically allowed down to the energy floor
-    (needed for base-split actions across the whole resonance box).
+    (needed for base-split actions across the whole resonance box).  Edges
+    are numbered in flow order within each component, the channel-1 loop
+    first.
     """
-    vfns = (problem.v1_np, problem.v2_np)
     if not report.passed:
         raise InternalInconsistency("structure report did not pass validation")
     crossings = sorted(report.crossings, key=lambda c: c.x)
-    vertices: List[Vertex] = []
-    for i, c in enumerate(crossings):
-        vertices.append(Vertex(i, +1, c))
-        vertices.append(Vertex(i, -1, c))
-    vmap = {v.key: v for v in vertices}
-
-    counter = [0]
-
-    def next_id():
-        counter[0] += 1
-        return counter[0] - 1
-
-    edges = _gamma1_edges(vertices, report.a0, report.b0, next_id, vfns, e_floor)
+    ups = [Vertex(i, +1, c) for i, c in enumerate(crossings)]
+    dns = [Vertex(i, -1, c) for i, c in enumerate(crossings)]
+    vertices = [v for pair in zip(ups, dns) for v in pair]
+    edges: List[Edge] = []
+    tails: List[Tail] = []
+    _component(edges, tails, 1, ups, dns, report.a0.x, report.b0.x, problem.v1_np, e_floor)
 
     # channel-2 components of the allowed region, read off turning points
-    # and window-boundary tails
-    turns = sorted(t.x for t in report.v2_turning)
+    # and window-boundary tails; a segment of {V2 <= e0} holding crossings
+    # (where V2 < e0) is one component
     xmin, xmax = report.window
-    bounds = [xmin] + turns + [xmax]
-    components = []
+    bounds = [xmin] + sorted(t.x for t in report.v2_turning) + [xmax]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         members = [i for i, c in enumerate(crossings) if lo < c.x < hi]
-        # a segment of {V2 <= e0} contains the crossings (where V2 < e0)
-        if members:
-            components.append((lo, hi, members))
-    tails: List[Tail] = []
-    tid = [0]
-
-    def next_tid():
-        tid[0] += 1
-        return tid[0] - 1
-
-    for lo, hi, members in components:
-        left_open = lo == xmin  # touches the -infinity proxy
-        right_open = hi == xmax
-        ups = [vmap[(i, +1)] for i in members]
-        dns = [vmap[(i, -1)] for i in members]
-        for a, b in zip(ups[:-1], ups[1:]):
-            edges.append(_mk_edge(next_id(), 2, a, b, (Piece(a.crossing.x, b.crossing.x, +1, False, False),), vfns, e_floor))
-        for a, b in zip(dns[:0:-1], dns[-2::-1]):
-            edges.append(_mk_edge(next_id(), 2, a, b, (Piece(b.crossing.x, a.crossing.x, -1, False, False),), vfns, e_floor))
-        if left_open and right_open:
-            tails.append(Tail(next_tid(), -1, +1, "incoming", ups[0]))
-            tails.append(Tail(next_tid(), +1, +1, "outgoing", ups[-1]))
-            tails.append(Tail(next_tid(), +1, -1, "incoming", dns[-1]))
-            tails.append(Tail(next_tid(), -1, -1, "outgoing", dns[0]))
-        elif left_open:
-            # allowed interval (-inf, hi] with a turning point at hi
-            xk = ups[-1].crossing.x
-            edges.append(
-                _mk_edge(
-                    next_id(),
-                    2,
-                    ups[-1],
-                    dns[-1],
-                    (Piece(xk, hi, +1, False, True), Piece(xk, hi, -1, False, True)),
-                    vfns,
-                    e_floor,
-                )
-            )
-            tails.append(Tail(next_tid(), -1, +1, "incoming", ups[0]))
-            tails.append(Tail(next_tid(), -1, -1, "outgoing", dns[0]))
-        elif right_open:
-            # allowed interval [lo, +inf) with a turning point at lo
-            xk = dns[0].crossing.x
-            edges.append(
-                _mk_edge(
-                    next_id(),
-                    2,
-                    dns[0],
-                    ups[0],
-                    (Piece(lo, xk, -1, True, False), Piece(lo, xk, +1, True, False)),
-                    vfns,
-                    e_floor,
-                )
-            )
-            tails.append(Tail(next_tid(), +1, +1, "outgoing", ups[-1]))
-            tails.append(Tail(next_tid(), +1, -1, "incoming", dns[-1]))
-        else:
-            raise InternalInconsistency("bounded allowed component survived validation")
-
-    g = Graph(vertices=vertices, edges=edges, tails=tails, e0=edges[0])
-    for e in edges:
-        kout = (e.source.key, e.channel)
-        kin = (e.target.key, e.channel)
-        if kout in g.out_edge or kin in g.in_edge:
-            raise InternalInconsistency("duplicate adjacency slot")
-        g.out_edge[kout] = e
-        g.in_edge[kin] = e
-    for t in tails:
-        if t.attach is None:
+        if not members:
             continue
-        slot = (t.attach.key, t.channel)
-        if t.kind == "outgoing":
-            if slot in g.out_edge or slot in g.out_tail:
-                raise InternalInconsistency("duplicate outgoing slot for tail")
-            g.out_tail[slot] = t
-        else:
-            if slot in g.in_edge or slot in g.in_tail:
-                raise InternalInconsistency("duplicate incoming slot for tail")
-            g.in_tail[slot] = t
+        if lo != xmin and hi != xmax:
+            raise InternalInconsistency("bounded allowed component survived validation")
+        _component(edges, tails, 2, [ups[i] for i in members], [dns[i] for i in members],
+                   None if lo == xmin else lo, None if hi == xmax else hi, problem.v2_np, e_floor)
+
+    out: Dict[Tuple, Union[Edge, Tail]] = {}
+    into: Dict[Tuple, Union[Edge, Tail]] = {}
+    for e in edges:
+        _fill(out, (e.source.key, e.channel), e)
+        _fill(into, (e.target.key, e.channel), e)
+    for t in tails:
+        _fill(out if t.kind == "outgoing" else into, (t.attach.key, t.channel), t)
 
     # degree invariant: one in and one out per channel at every vertex
     for v in vertices:
         for ch in (1, 2):
-            has_out = ((v.key, ch) in g.out_edge) or ((v.key, ch) in g.out_tail)
-            has_in = ((v.key, ch) in g.in_edge) or ((v.key, ch) in g.in_tail)
-            if not (has_out and has_in):
+            if (v.key, ch) not in out or (v.key, ch) not in into:
                 raise InternalInconsistency(f"vertex {v.key} misses a channel-{ch} connection")
 
     # reference edge: the channel-1 edge ending where the outgoing tail to
     # -infinity starts; fall back to the +infinity tail when absent
-    candidates = []
-    for t in sorted(g.outgoing_tails(), key=lambda t: t.direction):
-        e_in = g.in_edge.get((t.attach.key, 1))
-        if e_in is not None:
-            candidates.append(e_in)
+    outgoing = sorted((t for t in tails if t.kind == "outgoing"), key=lambda t: t.direction)
+    candidates = [into[(t.attach.key, 1)] for t in outgoing]
     if not candidates:
         raise InternalInconsistency("no outgoing tail attaches to the graph")
-    g.e0 = candidates[0]
-    g.e0_alternatives = candidates
-    return g
+    return Graph(vertices, edges, tails, candidates[0], out, into, candidates)
 
 
 def primitive_cycles(g: Graph) -> List[Tuple[Edge, ...]]:
@@ -459,8 +364,6 @@ def paths_bounded(g: Graph, tail: Tail, max_switch: int) -> List[PathSeq]:
     passing the base point again."""
     if tail.kind != "outgoing":
         raise ValueError("target must be an outgoing tail")
-    if tail.attach is None:
-        return []  # tail on a component the closed trajectory never reaches
     e0 = g.e0
     results: List[PathSeq] = []
     budget = [_PATH_BUDGET]
@@ -480,7 +383,6 @@ def paths_bounded(g: Graph, tail: Tail, max_switch: int) -> List[PathSeq]:
                         tail=tail,
                         start_frac=e0.base_frac,
                         end_frac=1.0,
-                        switch_count=sw,
                     )
                 )
         for hop in g.out_of(v):
@@ -525,7 +427,7 @@ def graph_to_dict(g: Graph) -> dict:
                 "direction": t.direction,
                 "xi_sign": t.xi_sign,
                 "kind": t.kind,
-                "attach": list(t.attach.key) if t.attach else None,
+                "attach": list(t.attach.key),
             }
             for t in g.tails
         ],

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import oracle as oracle_mod
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .geometry import build_graph
 from .model import Problem, StructureReport, validate_structure
 from .semiclassics import SemiclassicsEngine, TopologyMismatch, energy_domain
@@ -95,7 +95,7 @@ def select_anchor(engine: SemiclassicsEngine, h_list: Sequence[float]) -> float:
     from log h (and keep a quarter spacing away from the width dips).
     """
     e0 = engine.p.e0
-    sp0 = 2.0 * math.pi * max(h_list) / abs(engine.ap0)
+    sp0 = engine.level_spacing(max(h_list))
     logh = np.log(np.asarray(h_list, dtype=float))
     logh = logh - logh.mean()
     grids = {h: engine.bohr_sommerfeld(h) for h in h_list}
@@ -109,7 +109,7 @@ def select_anchor(engine: SemiclassicsEngine, h_list: Sequence[float]) -> float:
             if s is None:
                 ok = False
                 break
-            quarter = 0.25 * 2.0 * math.pi * h / abs(engine.ap0)
+            quarter = 0.25 * engine.level_spacing(h)
             dips = dips_by_h[h]
             if dips and min(abs(s - d) for d in dips) < quarter:
                 ok = False
@@ -155,8 +155,9 @@ def compare_sweep(
 ) -> dict:
     """Joined semiclassical/oracle table over the h sweep plus exponent fits."""
     hs = list(h_list if h_list is not None else (cfg.h_list or []))
-    if not hs:
-        raise ValueError("compare needs a non-empty h_list")
+    if len(hs) < 2:
+        # select_anchor decorrelates the tracked energies from log h
+        raise ConfigError(f"compare needs at least two values of h (h_list or --h-list), got {len(hs)}")
     report, graph, engine = build_engine(cfg.problem, calib=cfg.calib, h_max=max(hs))
     anchor = select_anchor(engine, hs)
     rows = []

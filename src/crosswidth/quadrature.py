@@ -319,13 +319,17 @@ def stationary_phase(sigma0: complex, phi_jet, m: int, h: float) -> complex:
     for k in range(1, m + 1):
         if abs(coeffs[k]) > 1e-9 * scale:
             raise PreconditionViolated(f"phi jet coefficient c_{k} = {coeffs[k]:g} is not 0")
-    dphi = coeffs[m + 1] * math.factorial(m + 1)  # phi^(m+1)(x0)
+    try:
+        fact = float(math.factorial(m + 1))
+    except OverflowError:
+        raise PreconditionViolated(f"m = {m} is too large: (m+1)! overflows a float") from None
+    dphi = coeffs[m + 1] * fact  # phi^(m+1)(x0)
     if dphi == 0.0:
         raise PreconditionViolated("phi^(m+1)(x0) must not vanish")
     amp = (
         crossing_phase(m, dphi)
         * complex(sigma0)
-        * (math.factorial(m + 1) / abs(dphi)) ** (1.0 / (m + 1))
+        * (fact / abs(dphi)) ** (1.0 / (m + 1))
         * math.gamma((m + 2) / (m + 1))
     )
     return 2.0 * amp * np.exp(1j * coeffs[0] / h) * h ** (1.0 / (m + 1))

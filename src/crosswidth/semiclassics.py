@@ -26,6 +26,7 @@ from .quadrature import ActionFn, ActionTable, action_derivative, action_edge
 
 __all__ = [
     "BoxTooLarge",
+    "HUnresolved",
     "PseudoResonance",
     "WidthBreakdown",
     "SingularSystem",
@@ -62,6 +63,11 @@ def energy_domain(problem: Problem, report: StructureReport, h_max: float) -> Tu
     return domain
 
 
+# the energy tolerance of _level_crossings: levels closer than this cannot
+# be told apart
+_LEVEL_XTOL = 1e-15
+
+
 def _level_crossings(f: Callable[[float], float], lo: float, hi: float,
                      levels: Callable[[float, float], List[float]]) -> List[float]:
     """Sorted energies in [lo, hi] where the increasing function f meets
@@ -72,7 +78,7 @@ def _level_crossings(f: Callable[[float], float], lo: float, hi: float,
     out = []
     for target in levels(flo, fhi):
         if flo <= target <= fhi:
-            out.append(brentq(lambda E: f(E) - target, lo, hi, 1e-15))
+            out.append(brentq(lambda E: f(E) - target, lo, hi, _LEVEL_XTOL))
     return sorted(out)
 
 
@@ -94,6 +100,10 @@ def bohr_sommerfeld(action: Callable[[float], float], lo: float, hi: float,
 
 class BoxTooLarge(ValueError):
     """The resonance box e0 +/- L*h does not fit the energy domain."""
+
+
+class HUnresolved(ValueError):
+    """h is too small for the Bohr-Sommerfeld levels to be told apart."""
 
 
 class SingularSystem(Exception):
@@ -228,6 +238,7 @@ class SemiclassicsEngine:
         self._one_switch_paths: Optional[tuple] = None
         # A'(e0): Bohr-Sommerfeld energies near e0 lie 2 pi h / |A'(e0)| apart
         self.ap0 = action_derivative(problem, problem.e0)
+        self.box(h_max)  # rejects an unresolvable h before any fit
         self._edges_sorted = sorted(graph.edges, key=lambda e: e.eid)
         self._index = {e.eid: i for i, e in enumerate(self._edges_sorted)}
         # the monodromy's phases: both base-point halves of every edge
@@ -479,7 +490,18 @@ class SemiclassicsEngine:
     def _gamma1_action_derivative(self, E: float) -> float:
         return float(self._loop_derivative(self._actions(np.array([float(E)]), True))[0])
 
+    def level_spacing(self, h: float) -> float:
+        """Spacing 2 pi h / |A'(e0)| of the Bohr-Sommerfeld levels near e0."""
+        return 2.0 * math.pi * h / abs(self.ap0)
+
     def box(self, h: float) -> Tuple[float, float]:
+        """The resonance box e0 +/- L*h, for an h whose Bohr-Sommerfeld
+        levels the solver can still separate."""
+        if not self.level_spacing(h) > _LEVEL_XTOL:
+            raise HUnresolved(
+                f"h = {h!r} is too small: Bohr-Sommerfeld levels "
+                f"{self.level_spacing(h):.3g} apart, not above the solver's {_LEVEL_XTOL:g}"
+            )
         return (self.p.e0 - self.p.L * h, self.p.e0 + self.p.L * h)
 
     def bohr_sommerfeld(self, h: float) -> List[float]:

@@ -207,6 +207,12 @@ def test_exit_3_on_budget_blowup(tmp_path):
       "--interval", "1"], "--interval needs two comma-separated numbers"),
     (["stphase", "f0", "--m", "1", "--h-list", "1e-2", "--phi", "x^3", "--sigma", "1"],
      "phi^(m+1)(x0) must not vanish"),
+    (["bs", "f0", "--h", "1e-300"], "h = 1e-300 is too small"),
+    (["bs", "f0", "--h", "1e-16"], "h = 1e-16 is too small"),
+    (["compare", "f1", "--h-list", "0.05"], "at least two values of h (h_list or --h-list)"),
+    (["compare", "f1", "--h-list", "0.08,0.06,0.05,1e-300", "--no-green"], "h = 1e-300 is too small"),
+    (["stphase", "f0", "--m", "199", "--h-list", "1e-2", "--phi", "x^200", "--sigma", "1"],
+     "m = 199 is too large"),
 ])
 def test_bad_h_exits_2_naming_the_problem(tmp_path, argv, problem):
     out = tmp_path / "out.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import pkgutil
 
@@ -16,7 +17,7 @@ def test_every_listed_name_exists():
 
 
 def test_removed_names_stay_gone():
-    from crosswidth import exprs, model, oracle, quadrature, semiclassics
+    from crosswidth import exprs, geometry, model, oracle, quadrature, semiclassics
 
     assert not hasattr(model, "TailInfo")
     assert not hasattr(oracle, "_Segment")
@@ -28,3 +29,8 @@ def test_removed_names_stay_gone():
     # a fit is a record; ActionTable is the one evaluator
     assert "__call__" not in vars(quadrature.ActionFn)
     assert not hasattr(quadrature.ActionFn, "derivative")
+    # one component builder lays out the loop and every channel-2 component
+    assert not hasattr(geometry, "_gamma1_edges")
+    assert not hasattr(geometry, "_mk_edge")
+    assert not hasattr(geometry.PathSeq, "recount_switches")
+    assert "out_edge" not in {f.name for f in dataclasses.fields(geometry.Graph)}
