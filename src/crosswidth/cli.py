@@ -163,7 +163,7 @@ def cmd_compare(cfg: RunConfig, args) -> int:
     result = compare_sweep(cfg, args.h_list, include_green=not args.no_green)
     cols = [
         "h", "seed", "pseudo_re", "pseudo_im", "D", "im_pred",
-        "re_oracle", "im_oracle", "im_green", "ratio",
+        "re_oracle", "im_oracle", "im_green", "ratio", "residual",
     ]
     for row in result["rows"]:
         if row["im_green"] is None:

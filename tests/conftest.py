@@ -1,6 +1,7 @@
 import pytest
 
-from crosswidth import fixtures, pipeline
+import fixtures
+from crosswidth import pipeline
 
 
 @pytest.fixture(scope="session")

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import exprs
-from .model import Problem, ToleranceSet
+from crosswidth import exprs
+from crosswidth.model import Problem, ToleranceSet
 
 V1_WELL = "1 - 1/cosh(x)^2"
 

@@ -14,7 +14,8 @@ import time
 import numpy as np
 import pytest
 
-from crosswidth import exprs, fixtures, quadrature
+import fixtures
+from crosswidth import exprs, quadrature
 from crosswidth.config import RunConfig
 from crosswidth.geometry import PathSeq, paths_one_switch
 from crosswidth.oracle import default_contour, refine_resonance

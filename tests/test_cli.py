@@ -161,6 +161,26 @@ def test_oracle_subcommand(tmp_path):
     assert abs(payload["im_green"] / payload["E_im"] - 1.0) < 0.1
 
 
+def test_oracle_moves_off_a_stalled_muller_point(tmp_path):
+    # from the predicted start, Muller stalls on f1_arc at h = 0.08 where
+    # |W| = 0.0656 and no zero lies; the |W| scan then reaches the true root
+    out = tmp_path / "oracle.json"
+    code = cli.main(["oracle", _cfg_path("f1_arc"), "--h", "0.08", "--out", str(out)])
+    assert code == 0
+    payload = json.loads(out.read_text())
+    assert abs(complex(payload["E_re"], payload["E_im"]) - complex(0.7726653, -4.5103e-3)) < 1e-6
+    assert payload["residual"] < 1e-10
+
+
+def test_oracle_exit_3_when_no_start_reaches_a_root(tmp_path):
+    # on f2 at h = 0.05 both the predicted start and the scan's best point
+    # stall at |W| = 0.109, so the oracle reports non-convergence
+    out = tmp_path / "oracle.json"
+    code = cli.main(["oracle", _cfg_path("f2"), "--h", "0.05", "--out", str(out)])
+    assert code == 3
+    assert json.loads(out.read_text())["diagnostics"].startswith("NotConverged: Muller stalled")
+
+
 def test_compare_csv(tmp_path):
     out = tmp_path / "compare.csv"
     code = cli.main([

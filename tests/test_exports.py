@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import importlib.util
 import pkgutil
 
 import crosswidth
@@ -34,3 +35,5 @@ def test_removed_names_stay_gone():
     assert not hasattr(geometry, "_mk_edge")
     assert not hasattr(geometry.PathSeq, "recount_switches")
     assert "out_edge" not in {f.name for f in dataclasses.fields(geometry.Graph)}
+    # the named test problems live with the tests
+    assert importlib.util.find_spec("crosswidth.fixtures") is None

@@ -4,7 +4,8 @@ import re
 
 import pytest
 
-from crosswidth import exprs, fixtures, geometry, pipeline
+import fixtures
+from crosswidth import exprs, geometry, pipeline
 from crosswidth.geometry import (
     InternalInconsistency,
     PathSeq,

@@ -6,7 +6,7 @@ semiclassical commands, and at 1e-8 relative for the oracle, whose low
 digits depend on the BLAS build.  ``compare_f1.out`` is the shipped compare
 sweep on f1: its semiclassical columns and summary entries are compared
 exactly, its oracle columns and the summary entries built on them at 1e-8
-relative.  ``anchors.out`` pins the repr of ``pipeline.select_anchor`` over
+relative, and its ``residual`` column against the oracle's acceptance bound.  ``anchors.out`` pins the repr of ``pipeline.select_anchor`` over
 the shipped sweep on five configs, with the warning it gives when it falls
 back to e0.  ``count.out`` pins the argument-principle winding number (or
 the exception it raises) over the shipped sweep on six configs, and
@@ -27,7 +27,7 @@ import warnings
 import numpy as np
 import pytest
 
-from crosswidth import cli, pipeline
+from crosswidth import cli, oracle, pipeline
 from crosswidth.config import load_config
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -156,6 +156,7 @@ def test_compare_output_close(tmp_path, name):
     code, text = _run(COMPARE[name], tmp_path / "out")
     want_code, want_text = _golden(name)
     assert code == want_code
+    assert text.splitlines()[0] == want_text.splitlines()[0]  # the column order
     rows, summary = _parse_compare(text)
     want_rows, want_summary = _parse_compare(want_text)
     assert len(rows) == len(want_rows)
@@ -163,6 +164,8 @@ def test_compare_output_close(tmp_path, name):
         assert [got[c] for c in SEMICLASSICAL_COLS] == [want[c] for c in SEMICLASSICAL_COLS]
         for c in ORACLE_COLS:
             assert math.isclose(float(got[c]), float(want[c]), rel_tol=1e-8), (got["h"], c)
+        # |W| at the root is roundoff: checked against the acceptance bound
+        assert float(got["residual"]) <= oracle._RESIDUAL_MAX, got["h"]
     assert set(summary) == set(want_summary)
     for key in ("m0", "anchor", "exponent_expected", "fit_pred"):
         assert summary[key] == want_summary[key], key

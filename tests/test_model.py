@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from crosswidth import exprs, fixtures, model
+import fixtures
+from crosswidth import exprs, model
 from crosswidth.model import (
     CrossingAtTurningPoint,
     DegenerateTurningPoint,

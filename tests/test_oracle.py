@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from crosswidth import exprs, fixtures, oracle, pipeline
+import fixtures
+from crosswidth import exprs, oracle, pipeline
 from crosswidth.model import Problem
 from crosswidth.oracle import (
     Contour,
@@ -193,8 +194,61 @@ def test_batched_expm_matches_scipy(norm):
     X = rng.standard_normal((64, 4, 4)) + 1j * rng.standard_normal((64, 4, 4))
     X *= norm / np.abs(X).sum(axis=-2).max()  # largest 1-norm of the stack
     want = scipy.linalg.expm(X)
-    err = np.linalg.norm(oracle._expm(X) - want, axis=(1, 2)) / np.linalg.norm(want, axis=(1, 2))
+    got = np.moveaxis(oracle._expm(np.moveaxis(X, 0, -1)), -1, 0)  # the kernel is step-last
+    err = np.linalg.norm(got - want, axis=(1, 2)) / np.linalg.norm(want, axis=(1, 2))
     assert err.max() < 1e-13
+
+
+def _sequential_products(M):
+    """M[k] @ ... @ M[0] for every k of an (N, 4, 4) stack, one @ at a time."""
+    out = [M[0]]
+    for m in M[1:]:
+        out.append(m @ out[-1])
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+def test_stack_products_match_sequential_loop(n):
+    # scaled near unitary, as the step propagators are, so the bound is relative
+    rng = np.random.default_rng(n)
+    M = np.eye(4) + 0.3 * (rng.standard_normal((n, 4, 4)) + 1j * rng.standard_normal((n, 4, 4)))
+    want = _sequential_products(M)
+    stack = np.moveaxis(M, 0, -1)
+    prefix = np.moveaxis(oracle._prefix_products(stack), -1, 0)
+    scale = np.linalg.norm(want, axis=(1, 2))
+    assert (np.linalg.norm(prefix - want, axis=(1, 2)) / scale).max() < 1e-13
+    assert np.linalg.norm(oracle._product(stack) - want[-1]) / scale[-1] < 1e-13
+
+
+def test_step_propagators_match_scipy_per_step(f1_engine):
+    # one chunk on the rotated ray, Omega assembled step by step from the
+    # scalar coefficients and exponentiated by scipy
+    rep, _, eng = f1_engine
+    p = eng.p
+    h = 0.05
+    E = complex(0.76, -3e-4)
+    c = default_contour(p, rep, h)
+    phi = cmath.exp(1j * c.theta)
+    ts, _ = oracle._step_ends(c.X, np.array([c.X - 0.3]), h / 24.0)
+    z0 = c.z(c.X)
+    got = oracle._step_propagators(p, E, h, ts, z0, phi)
+    assert got.shape == (4, 4, len(ts) - 1)
+
+    def a_matrix(z):
+        v1, v2, r0, r1, r1p = (complex(np.asarray(fn(np.array([z]))).reshape(-1)[0]) for fn in p.coeffs_np)
+        return phi * np.array([
+            [0, 1 / h, 0, 0],
+            [(v1 - E) / h, 0, r0, r1],
+            [0, 0, 0, 1 / h],
+            [r0 - h * r1p, -r1, (v2 - E) / h, 0],
+        ])
+
+    for k in range(len(ts) - 1):
+        dt = ts[k + 1] - ts[k]
+        a1, a2 = (a_matrix(z0 + phi * (ts[k] + g * dt - ts[0])) for g in oracle._GAUSS)
+        omega = 0.5 * dt * (a1 + a2) + math.sqrt(3.0) / 12.0 * dt * dt * (a2 @ a1 - a1 @ a2)
+        want = scipy.linalg.expm(omega)
+        assert np.linalg.norm(got[..., k] - want) / np.linalg.norm(want) < 1e-13
 
 
 def test_magnus_fourth_order(f0_engine):

@@ -1,6 +1,6 @@
 import pytest
 
-from crosswidth import fixtures
+import fixtures
 from crosswidth.config import RunConfig
 from crosswidth.pipeline import compare_sweep, select_anchor, tracked_seed
 from crosswidth.semiclassics import SemiclassicsEngine

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from crosswidth import exprs, fixtures, quadrature
+import fixtures
+from crosswidth import exprs, quadrature
 from crosswidth.geometry import Edge, Piece
 from crosswidth.quadrature import (
     ActionFn,

@@ -5,7 +5,8 @@ import random
 import numpy as np
 import pytest
 
-from crosswidth import fixtures, quadrature
+import fixtures
+from crosswidth import quadrature
 from crosswidth.geometry import PathSeq, paths_bounded, paths_one_switch, primitive_cycles
 from crosswidth.model import CrossingPoint
 from crosswidth.semiclassics import (
