@@ -23,7 +23,7 @@ from . import exprs, oracle as oracle_mod, quadrature
 from .config import ConfigError, RunConfig, check_h_list, load_config
 from .geometry import graph_to_dict
 from .model import StructureError
-from .pipeline import ValidationFailed, build_engine, compare_sweep, oracle_row
+from .pipeline import ValidationFailed, box_levels, build_engine, compare_sweep, oracle_row
 from .semiclassics import (BoxTooLarge, CountMismatch, HUnresolved, NewtonDiverged, SingularSystem,
                            TopologyMismatch)
 
@@ -143,14 +143,12 @@ def cmd_widths(cfg: RunConfig, args) -> int:
 
 def cmd_oracle(cfg: RunConfig, args) -> int:
     report, _, engine = build_engine(cfg.problem, calib=cfg.calib, h_max=args.h)
-    seeds = engine.bohr_sommerfeld(args.h)
-    if not seeds:
-        raise oracle_mod.NotConverged("empty Bohr-Sommerfeld grid")
+    seeds = box_levels(engine, args.h)
     idx = args.seed_index if args.seed_index is not None else len(seeds) // 2
     if not 0 <= idx < len(seeds):
         raise ConfigError(f"seed index {idx} out of range 0..{len(seeds) - 1}")
-    overrides = {"theta": args.theta, "contour_X": args.X}
-    cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+    if args.theta is not None:
+        cfg = dataclasses.replace(cfg, theta=args.theta)
     im_pred = engine.predicted_widths([seeds[idx]], args.h)[1][0]
     row = oracle_row(cfg, report, engine.m0, complex(seeds[idx], im_pred), args.h)
     res = row["res"]
@@ -191,9 +189,7 @@ def cmd_stphase(cfg: RunConfig, args) -> int:
     sigma0 = exprs.evaluate(sigma_ast, x0)
     rows = []
     for h in args.h_list:
-        numeric = quadrature.oscillatory_integral(
-            sigma, phi, (lo, hi), h, quad_tol=cfg.problem.tolerances.quad_tol
-        )
+        numeric = quadrature.oscillatory_integral(sigma, phi, (lo, hi), h)
         asym = quadrature.stationary_phase(sigma0, jet, m, h)
         rows.append(
             {
@@ -238,7 +234,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--h", type=float, required=True)
     sp.add_argument("--seed-index", type=int, default=None)
     sp.add_argument("--theta", type=float, default=None)
-    sp.add_argument("--X", type=float, default=None)
 
     sp = sub.add_parser("compare", help="joined semiclassics/oracle sweep with exponent fits")
     common(sp)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from . import exprs
-from .model import Problem, ToleranceSet
+from .model import Problem
 
 __all__ = ["ConfigError", "RunConfig", "check_h_list", "load_config"]
 
@@ -25,18 +25,9 @@ class ConfigError(ValueError):
 
 
 _PROBLEM_KEYS = {"v1", "v2", "r0", "r1", "e0", "window", "L"}
-_NUMERICS_KEYS = {
-    "root_tol",
-    "contact_tol",
-    "newton_tol",
-    "quad_tol",
-    "ode_tol",
-    "scan_points",
-    "calib",
-    "k_max",
-}
+_NUMERICS_KEYS = {"calib"}
 _SWEEP_KEYS = {"h_list"}
-_ORACLE_KEYS = {"theta", "X", "R0"}
+_ORACLE_KEYS = {"theta"}
 _SECTIONS = {
     "problem": _PROBLEM_KEYS,
     "numerics": _NUMERICS_KEYS,
@@ -51,8 +42,6 @@ class RunConfig:
     h_list: Optional[List[float]] = None
     calib: float = 1.0
     theta: float = 0.3
-    contour_R0: Optional[float] = None
-    contour_X: Optional[float] = None
 
 
 def _parse_float(raw: str, line: int, key: str) -> float:
@@ -60,14 +49,6 @@ def _parse_float(raw: str, line: int, key: str) -> float:
         return float(raw)
     except ValueError as exc:
         raise ConfigError(f"key '{key}' needs a number, got {raw!r}", line) from exc
-
-
-def _parse_count(raw: str, line: int, key: str) -> int:
-    """A whole number of at least 1, written as an integer or a float."""
-    value = _parse_float(raw, line, key)
-    if not (value.is_integer() and value >= 1):
-        raise ConfigError(f"key '{key}' needs an integer >= 1, got {raw!r}", line)
-    return int(value)
 
 
 def check_h_list(hs: Sequence[float], what: str, line: Optional[int] = None) -> None:
@@ -128,15 +109,7 @@ def load_config(path: str) -> RunConfig:
         _parse_float(win_raw[1], lineno_of[("problem", "window")], "window"),
     )
 
-    num = values["numerics"]
-    tol_kwargs = {}
-    for key in ("root_tol", "contact_tol", "newton_tol", "quad_tol", "ode_tol"):
-        if key in num:
-            tol_kwargs[key] = _parse_float(num[key], lineno_of[("numerics", key)], key)
-    if "scan_points" in num:
-        tol_kwargs["scan_points"] = _parse_count(num["scan_points"], lineno_of[("numerics", "scan_points")], "scan_points")
     try:
-        tols = ToleranceSet(**tol_kwargs)
         problem = Problem(
             v1=expr_of("v1"),
             v2=expr_of("v2"),
@@ -145,8 +118,6 @@ def load_config(path: str) -> RunConfig:
             e0=_parse_float(prob["e0"], lineno_of[("problem", "e0")], "e0"),
             window=window,
             L=_parse_float(prob["L"], lineno_of[("problem", "L")], "L"),
-            tolerances=tols,
-            k_max=_parse_count(num.get("k_max", "12"), lineno_of.get(("numerics", "k_max"), 0), "k_max"),
         )
     except ValueError as exc:
         if isinstance(exc, ConfigError):
@@ -160,16 +131,9 @@ def load_config(path: str) -> RunConfig:
         check_h_list(h_list, "h_list", lineno)
 
     calib_line = lineno_of.get(("numerics", "calib"))
-    calib = _parse_float(num.get("calib", "1.0"), calib_line, "calib")
+    calib = _parse_float(values["numerics"].get("calib", "1.0"), calib_line, "calib")
     if not (math.isfinite(calib) and calib > 0):
         raise ConfigError(f"calib must be finite and positive, got {calib!r}", calib_line)
 
-    orc = values["oracle"]
-    return RunConfig(
-        problem=problem,
-        h_list=h_list,
-        calib=calib,
-        theta=_parse_float(orc.get("theta", "0.3"), lineno_of.get(("oracle", "theta"), 0), "theta"),
-        contour_R0=_parse_float(orc["R0"], lineno_of[("oracle", "R0")], "R0") if "R0" in orc else None,
-        contour_X=_parse_float(orc["X"], lineno_of[("oracle", "X")], "X") if "X" in orc else None,
-    )
+    theta = _parse_float(values["oracle"].get("theta", "0.3"), lineno_of.get(("oracle", "theta")), "theta")
+    return RunConfig(problem=problem, h_list=h_list, calib=calib, theta=theta)

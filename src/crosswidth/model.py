@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, List, Tuple
 
@@ -21,7 +21,10 @@ from . import exprs
 from .exprs import ExprAst
 
 __all__ = [
-    "ToleranceSet",
+    "ROOT_TOL",
+    "CONTACT_TOL",
+    "SCAN_POINTS",
+    "K_MAX",
     "Problem",
     "TurningPoint",
     "CrossingPoint",
@@ -63,22 +66,14 @@ class MissedBracket(UserWarning):
     """Grid-level sign pattern was inconsistent on refinement."""
 
 
-@dataclass(frozen=True)
-class ToleranceSet:
-    root_tol: float = 1e-12
-    contact_tol: float = 1e-9
-    newton_tol: float = 1e-12
-    quad_tol: float = 1e-11
-    ode_tol: float = 1e-12
-    scan_points: int = 4096
-
-    def __post_init__(self):
-        for name in ("root_tol", "contact_tol", "newton_tol", "quad_tol", "ode_tol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        if self.scan_points <= 0:
-            raise ValueError("scan_points must be positive")
+# Fixed accuracy targets of the structure checks: brentq's xtol for turning
+# and crossing points; the slope, relative jet agreement and margin below e0
+# within which a root counts as degenerate; the intervals of the window
+# scans; and the highest Taylor order a contact order is read from.
+ROOT_TOL = 1e-12
+CONTACT_TOL = 1e-9
+SCAN_POINTS = 4096
+K_MAX = 12
 
 
 @dataclass
@@ -96,8 +91,6 @@ class Problem:
     e0: float
     window: Tuple[float, float]
     L: float
-    tolerances: ToleranceSet = field(default_factory=ToleranceSet)
-    k_max: int = 12
 
     def __post_init__(self):
         if not all(math.isfinite(w) for w in self.window):
@@ -256,9 +249,8 @@ def turning_points(p: Problem, channel: int, E: float) -> List[TurningPoint]:
     Raises DegenerateTurningPoint when `|V'|` at a root falls below the
     contact tolerance (the root is not simple).
     """
-    tols = p.tolerances
     vfn, vpfn = p.v_np(channel), p.vp_np(channel)
-    xs = _grid(p.window, tols.scan_points)
+    xs = _grid(p.window, SCAN_POINTS)
     vals = np.asarray(vfn(xs), dtype=float) - E
     roots: List[float] = []
     for i in range(len(xs) - 1):
@@ -267,13 +259,13 @@ def turning_points(p: Problem, channel: int, E: float) -> List[TurningPoint]:
             roots.append(xs[i])
             continue
         if a * b < 0.0:
-            roots.append(_refine_root(lambda x: float(vfn(x)) - E, xs[i], xs[i + 1], tols.root_tol))
+            roots.append(_refine_root(lambda x: float(vfn(x)) - E, xs[i], xs[i + 1], ROOT_TOL))
     if vals[-1] == 0.0:
         roots.append(xs[-1])
     out = []
     for r in roots:
         slope = float(vpfn(r))
-        if abs(slope) <= tols.contact_tol:
+        if abs(slope) <= CONTACT_TOL:
             raise DegenerateTurningPoint(f"V' = {slope:.3e} at root x = {r:.12g}")
         out.append(TurningPoint(x=r))
     out.sort(key=lambda t: t.x)
@@ -294,7 +286,7 @@ def _well_walls(p: Problem) -> Tuple[TurningPoint, TurningPoint]:
 _CLUSTER_RADIUS = 1e-3
 
 
-def _contact_order(p: Problem, x0: float, tols: ToleranceSet):
+def _contact_order(p: Problem, x0: float):
     """Contact order and refined position of a crossing near x0.
 
     The jets give the local difference polynomial (V2 - V1)(x0 + u) exactly;
@@ -304,13 +296,13 @@ def _contact_order(p: Problem, x0: float, tols: ToleranceSet):
     """
     x_c = x0
     for _ in range(2):
-        j1 = exprs.taylor_jet(p.v1, x_c, p.k_max)
-        j2 = exprs.taylor_jet(p.v2, x_c, p.k_max)
+        j1 = exprs.taylor_jet(p.v1, x_c, K_MAX)
+        j2 = exprs.taylor_jet(p.v2, x_c, K_MAX)
         d = [c2 - c1 for c1, c2 in zip(j1.coeffs, j2.coeffs)]
-        if all(abs(d[k]) <= tols.contact_tol * max(1.0, abs(j1.coeffs[k]), abs(j2.coeffs[k]))
-               for k in range(1, p.k_max + 1)):
+        if all(abs(d[k]) <= CONTACT_TOL * max(1.0, abs(j1.coeffs[k]), abs(j2.coeffs[k]))
+               for k in range(1, K_MAX + 1)):
             raise ContactOrderOverflow(
-                f"V1 and V2 agree to order {p.k_max} at x = {x_c:.12g}"
+                f"V1 and V2 agree to order {K_MAX} at x = {x_c:.12g}"
             )
         roots = np.roots(d[::-1])
         cluster = roots[np.abs(roots) < _CLUSTER_RADIUS]
@@ -320,12 +312,12 @@ def _contact_order(p: Problem, x0: float, tols: ToleranceSet):
         x_c += shift
         if abs(shift) < 1e-14 * max(1.0, abs(x_c)):
             break
-    j1 = exprs.taylor_jet(p.v1, x_c, p.k_max)
-    j2 = exprs.taylor_jet(p.v2, x_c, p.k_max)
+    j1 = exprs.taylor_jet(p.v1, x_c, K_MAX)
+    j2 = exprs.taylor_jet(p.v2, x_c, K_MAX)
     d = [c2 - c1 for c1, c2 in zip(j1.coeffs, j2.coeffs)]
     roots = np.roots(d[::-1])
     m = int(np.sum(np.abs(roots) < _CLUSTER_RADIUS))
-    if m < 1 or m > p.k_max:
+    if m < 1 or m > K_MAX:
         raise ContactOrderOverflow(f"contact order {m} out of range at x = {x_c:.12g}")
     return x_c, m, d
 
@@ -337,14 +329,13 @@ def crossing_points(p: Problem) -> List[CrossingPoint]:
     tangential roots (even order) from interior minima of |V1 - V2| that
     refine to below the root tolerance.
     """
-    tols = p.tolerances
     a0, b0 = _well_walls(p)
     # the scan stays a hair inside the well: a root exactly at a wall is a
     # turning-point crossing, which is not part of the crossing set at the
     # reference energy (roots merely close to a wall still get flagged by
     # the level check below)
-    pad = 10.0 * tols.root_tol
-    xs = _grid((a0.x + pad, b0.x - pad), tols.scan_points)
+    pad = 10.0 * ROOT_TOL
+    xs = _grid((a0.x + pad, b0.x - pad), SCAN_POINTS)
     g = np.asarray(p.v1_np(xs), dtype=float) - np.asarray(p.v2_np(xs), dtype=float)
     gscale = float(np.max(np.abs(g))) or 1.0
 
@@ -360,7 +351,7 @@ def crossing_points(p: Problem) -> List[CrossingPoint]:
         if g[i] == 0.0:
             roots.append(xs[i])
         elif g[i] * g[i + 1] < 0.0:
-            roots.append(_refine_root(gfn, xs[i], xs[i + 1], tols.root_tol))
+            roots.append(_refine_root(gfn, xs[i], xs[i + 1], ROOT_TOL))
     if g[-1] == 0.0:
         roots.append(xs[-1])
     # interior minima of |g| dipping to zero (tangential crossings)
@@ -368,20 +359,20 @@ def crossing_points(p: Problem) -> List[CrossingPoint]:
     for i in range(1, len(xs) - 1):
         if absg[i] < absg[i - 1] and absg[i] <= absg[i + 1] and g[i - 1] * g[i] > 0 and g[i] * g[i + 1] > 0:
             if gpfn(xs[i - 1]) * gpfn(xs[i + 1]) < 0:
-                x_star = _refine_root(gpfn, xs[i - 1], xs[i + 1], tols.root_tol)
-                if abs(gfn(x_star)) <= tols.root_tol * max(1.0, gscale):
+                x_star = _refine_root(gpfn, xs[i - 1], xs[i + 1], ROOT_TOL)
+                if abs(gfn(x_star)) <= ROOT_TOL * max(1.0, gscale):
                     roots.append(x_star)
     roots.sort()
     merged: List[float] = []
     for r in roots:
-        if not merged or abs(r - merged[-1]) > 50 * tols.root_tol:
+        if not merged or abs(r - merged[-1]) > 50 * ROOT_TOL:
             merged.append(r)
 
     out: List[CrossingPoint] = []
     for x_c in merged:
-        x_c, m, d = _contact_order(p, x_c, tols)
+        x_c, m, d = _contact_order(p, x_c)
         level = float(p.v1_np(x_c))
-        if level >= p.e0 - tols.contact_tol:
+        if level >= p.e0 - CONTACT_TOL:
             raise CrossingAtTurningPoint(
                 f"crossing at x = {x_c:.12g} has V1 = {level:.12g} >= e0 - contact_tol"
             )
@@ -413,9 +404,8 @@ def validate_structure(p: Problem) -> StructureReport:
     boundary stands in for infinity; it is the caller's obligation to pick
     a window where the potentials have settled to their limits.
     """
-    tols = p.tolerances
     flags = {}
-    xs = _grid(p.window, tols.scan_points)
+    xs = _grid(p.window, SCAN_POINTS)
     v1g = np.asarray(p.v1_np(xs), dtype=float)
     v2g = np.asarray(p.v2_np(xs), dtype=float)
 

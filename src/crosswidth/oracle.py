@@ -112,29 +112,26 @@ class OracleResonance:
     residual: float
 
 
-def default_contour(p: Problem, report: StructureReport, h: float, theta: float = 0.3,
-                    R0: Optional[float] = None, X: Optional[float] = None) -> Contour:
+def default_contour(p: Problem, report: StructureReport, h: float, theta: float = 0.3) -> Contour:
     """Contour wide enough to contain the well and all crossings on the real
-    part, with rays long enough that every closed-channel solution decays by
-    e^-30 before truncation."""
+    part (R0 is 1.5 past the farthest of them), with rays long enough that
+    every closed-channel solution decays by e^-30 before truncation (X - R0
+    is that length, clamped to [3, 20])."""
     _check_theta(theta)
-    if R0 is None:
-        extent = max(abs(report.a0.x), abs(report.b0.x), max(abs(c.x) for c in report.crossings))
-        R0 = extent + 1.5
-    if X is None:
-        # closed channels must decay by e^-30 before truncation; open
-        # channels only need the outgoing/incoming split to separate on the
-        # ray, so they get a lighter e^-12 requirement
-        needs = [0.0]
-        for w in p.window:
-            for vfn in (p.v1_np, p.v2_np):
-                v = float(vfn(np.array([w]))[0])
-                if v > p.e0:
-                    needs.append(30.0 * h / (math.cos(theta) * math.sqrt(v - p.e0)))
-                else:
-                    needs.append(12.0 * h / (math.sin(theta) * math.sqrt(p.e0 - v)))
-        ray = min(max(max(needs), 3.0), 20.0)
-        X = R0 + ray
+    extent = max(abs(report.a0.x), abs(report.b0.x), max(abs(c.x) for c in report.crossings))
+    R0 = extent + 1.5
+    # closed channels must decay by e^-30 before truncation; open channels
+    # only need the outgoing/incoming split to separate on the ray, so they
+    # get a lighter e^-12 requirement
+    needs = [0.0]
+    for w in p.window:
+        for vfn in (p.v1_np, p.v2_np):
+            v = float(vfn(np.array([w]))[0])
+            if v > p.e0:
+                needs.append(30.0 * h / (math.cos(theta) * math.sqrt(v - p.e0)))
+            else:
+                needs.append(12.0 * h / (math.sin(theta) * math.sqrt(p.e0 - v)))
+    X = R0 + min(max(max(needs), 3.0), 20.0)
     c = Contour(R0=R0, theta=theta, X=X)
     _pole_check(p, c)
     return c
@@ -502,8 +499,7 @@ def simpson(y: np.ndarray, x: np.ndarray) -> np.float64:
     return result
 
 
-def width_from_state(p: Problem, E: complex, h: float, c: Contour, x1: float, x2: float,
-                     ode_tol: float = 1e-12) -> float:
+def width_from_state(p: Problem, E: complex, h: float, c: Contour, x1: float, x2: float) -> float:
     """Green-identity width estimate from the matched resonant state:
     Im z = h^2 Im[-v1' conj(v1) - v2' conj(v2) + r1 v2 conj(v1)]_{x1}^{x2}
     normalized by the L2 norm of the state on [x1, x2] (x1 < a0 < b0 < x2)."""
@@ -513,8 +509,8 @@ def width_from_state(p: Problem, E: complex, h: float, c: Contour, x1: float, x2
     step = h / 16.0
     ts_l = np.linspace(x1, 0.0, max(int(abs(x1) / step), 32) + 1)
     ts_r = np.linspace(0.0, x2, max(int(abs(x2) / step), 32) + 1)
-    L = propagate(p, E, h, c, "left", ode_tol, t_eval_core=ts_l)
-    R = propagate(p, E, h, c, "right", ode_tol, t_eval_core=ts_r)
+    L = propagate(p, E, h, c, "left", t_eval_core=ts_l)
+    R = propagate(p, E, h, c, "right", t_eval_core=ts_r)
     A = np.column_stack([L.final, R.final])
     scales = np.maximum(np.linalg.norm(A, axis=0), 1e-300)
     _, sing, vh = np.linalg.svd(A / scales[None, :])

@@ -25,6 +25,7 @@ __all__ = [
     "ValidationFailed",
     "build_engine",
     "width_dips",
+    "box_levels",
     "tracked_seed",
     "select_anchor",
     "oracle_row",
@@ -77,6 +78,16 @@ def width_dips(engine: SemiclassicsEngine, h: float) -> List[float]:
     return dips
 
 
+def box_levels(engine: SemiclassicsEngine, h: float) -> List[float]:
+    """The Bohr-Sommerfeld grid at h, for the commands that need a level:
+    a box e0 +/- L*h too small to hold one is bad input."""
+    levels = engine.bohr_sommerfeld(h)
+    if not levels:
+        raise ConfigError(f"no Bohr-Sommerfeld level in the box e0 +/- L*h at h = {h!r} with "
+                          f"L = {engine.p.L!r}; raise L")
+    return levels
+
+
 def tracked_seed(seeds: Sequence[float], anchor: float) -> Optional[float]:
     """The quantization-grid point nearest a fixed anchor energy (the
     'fixed index' followed across the h sweep)."""
@@ -98,7 +109,7 @@ def select_anchor(engine: SemiclassicsEngine, h_list: Sequence[float]) -> float:
     sp0 = engine.level_spacing(max(h_list))
     logh = np.log(np.asarray(h_list, dtype=float))
     logh = logh - logh.mean()
-    grids = {h: engine.bohr_sommerfeld(h) for h in h_list}
+    grids = {h: box_levels(engine, h) for h in h_list}
     dips_by_h = {h: width_dips(engine, h) for h in h_list}
     best_anchor, best_score = None, math.inf
     for anchor in np.linspace(e0 - sp0, e0 + sp0, _ANCHOR_GRID):
@@ -106,9 +117,6 @@ def select_anchor(engine: SemiclassicsEngine, h_list: Sequence[float]) -> float:
         ok = True
         for h in h_list:
             s = tracked_seed(grids[h], float(anchor))
-            if s is None:
-                ok = False
-                break
             quarter = 0.25 * engine.level_spacing(h)
             dips = dips_by_h[h]
             if dips and min(abs(s - d) for d in dips) < quarter:
@@ -135,15 +143,12 @@ def oracle_row(cfg: RunConfig, report: StructureReport, m0: int,
     Returns the refined resonance ``res`` and the Green-identity width
     ``im_green`` (None without include_green).
     """
-    contour = oracle_mod.default_contour(
-        cfg.problem, report, h, theta=cfg.theta, R0=cfg.contour_R0, X=cfg.contour_X
-    )
-    ode_tol = cfg.problem.tolerances.ode_tol
-    res = oracle_mod.refine_resonance(cfg.problem, start, h, contour, m0, ode_tol=ode_tol)
+    contour = oracle_mod.default_contour(cfg.problem, report, h, theta=cfg.theta)
+    res = oracle_mod.refine_resonance(cfg.problem, start, h, contour, m0)
     im_green = None
     if include_green:
         im_green = oracle_mod.width_from_state(
-            cfg.problem, res.E, h, contour, report.a0.x - 1.0, report.b0.x + 1.0, ode_tol=ode_tol
+            cfg.problem, res.E, h, contour, report.a0.x - 1.0, report.b0.x + 1.0
         )
     return {"res": res, "im_green": im_green}
 
@@ -164,8 +169,6 @@ def compare_sweep(
     for h in hs:
         table = {entry["seed"]: entry for entry in engine.resonance_table(h)}
         seed = tracked_seed(list(table), anchor)
-        if seed is None:
-            raise ValueError(f"no Bohr-Sommerfeld seed near {anchor} for h = {h}")
         entry = table[seed]
         im_pred = entry["im_pred"]
         row = oracle_row(cfg, report, engine.m0, complex(seed, im_pred), h, include_green)

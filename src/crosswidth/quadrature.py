@@ -17,9 +17,10 @@ import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
 
 from .geometry import Edge
-from .model import DegenerateTurningPoint, Problem, brentq, turning_points
+from .model import ROOT_TOL, SCAN_POINTS, DegenerateTurningPoint, Problem, brentq, turning_points
 
 __all__ = [
+    "QUAD_TOL",
     "NoTurningPoints",
     "QuadratureError",
     "BudgetExceeded",
@@ -50,6 +51,10 @@ class BudgetExceeded(QuadratureError):
 class PreconditionViolated(ValueError):
     pass
 
+
+# fixed accuracy target of the action quadratures and of the oscillatory
+# panel check
+QUAD_TOL = 1e-11
 
 _GL_CACHE = {}
 # panel rule and panel doublings of the adaptive action quadrature
@@ -149,7 +154,7 @@ def _well_at(p: Problem, E: float) -> Optional[Tuple[float, float]]:
     if len(tps) == 2:
         return tps[0].x, tps[1].x
     if len(tps) < 2:
-        xs = np.linspace(p.window[0], p.window[1], p.tolerances.scan_points + 1)
+        xs = np.linspace(p.window[0], p.window[1], SCAN_POINTS + 1)
         if abs(float(np.min(np.asarray(p.v1_np(xs), dtype=float))) - E) <= 1e-9:
             return None  # collapsed loop at the well bottom
     raise NoTurningPoints(f"V1 = {E} has {len(tps)} roots in the window, need 2")
@@ -162,7 +167,7 @@ def action_loop(p: Problem, E: float) -> float:
     if well is None:
         return 0.0
     a, b = well
-    return 2.0 * sqrt_piece_integral(p.v1_np, E, a, b, True, True, p.tolerances.quad_tol)
+    return 2.0 * sqrt_piece_integral(p.v1_np, E, a, b, True, True, QUAD_TOL)
 
 
 def action_derivative(p: Problem, E: float) -> float:
@@ -179,7 +184,7 @@ def action_derivative(p: Problem, E: float) -> float:
         under = np.maximum(E - np.asarray(vfn(mid + half * np.sin(t)), dtype=float), 1e-300)
         return half * np.cos(t) / np.sqrt(under)
 
-    val, _ = _adaptive_gl(f, -math.pi / 2, math.pi / 2, p.tolerances.quad_tol)
+    val, _ = _adaptive_gl(f, -math.pi / 2, math.pi / 2, QUAD_TOL)
     return val
 
 
@@ -196,7 +201,7 @@ def _resolve_turn(p: Problem, channel: int, E: float, x0: float, inward: float) 
     for _ in range(60):
         lo, hi = x0 - d, x0 + d
         if f(lo) * f(hi) < 0:
-            return brentq(f, lo, hi, p.tolerances.root_tol)
+            return brentq(f, lo, hi, ROOT_TOL)
         d *= 2.0
         if d > 10.0:
             break
@@ -204,14 +209,13 @@ def _resolve_turn(p: Problem, channel: int, E: float, x0: float, inward: float) 
 
 
 def action_edge(p: Problem, edge: Edge, E: float, flo: float = 0.0, fhi: float = 1.0,
-                quad_tol: Optional[float] = None) -> float:
+                quad_tol: float = QUAD_TOL) -> float:
     """integral of xi dx along (a fraction of) an oriented edge segment.
 
     Positive by flow orientation.  Turning-point endpoints are re-solved at
     the requested energy; vertex endpoints stay fixed.
     """
     pieces, _ = edge.sub_pieces(flo, fhi)
-    tol = quad_tol if quad_tol is not None else p.tolerances.quad_tol
     total = 0.0
     for pc in pieces:
         lo, hi = pc.x_lo, pc.x_hi
@@ -223,7 +227,7 @@ def action_edge(p: Problem, edge: Edge, E: float, flo: float = 0.0, fhi: float =
             if pc.lo_turn or pc.hi_turn:
                 raise NoTurningPoints("segment collapsed at this energy")
             continue
-        total += sqrt_piece_integral(p.v_np(edge.channel), E, lo, hi, pc.lo_turn, pc.hi_turn, tol)
+        total += sqrt_piece_integral(p.v_np(edge.channel), E, lo, hi, pc.lo_turn, pc.hi_turn, quad_tol)
     return total
 
 
@@ -258,7 +262,6 @@ def oscillatory_integral(
     phi: Callable,
     interval: Tuple[float, float],
     h: float,
-    quad_tol: float = 1e-11,
     node_budget: int = 2_000_000,
 ) -> complex:
     """integral of sigma(x) exp(i phi(x) / h) over the interval.
@@ -288,7 +291,7 @@ def oscillatory_integral(
 
     coarse = pass_with(20)
     fine = pass_with(28)
-    if abs(fine - coarse) > max(quad_tol, 1e-3 * h * h):
+    if abs(fine - coarse) > max(QUAD_TOL, 1e-3 * h * h):
         raise QuadratureError(
             f"oscillatory panels did not settle: |delta| = {abs(fine - coarse):.3e}"
         )

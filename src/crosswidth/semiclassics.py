@@ -27,6 +27,7 @@ from .quadrature import ActionFn, ActionTable, action_derivative, action_edge
 __all__ = [
     "BoxTooLarge",
     "HUnresolved",
+    "NEWTON_TOL",
     "PseudoResonance",
     "WidthBreakdown",
     "SingularSystem",
@@ -191,8 +192,12 @@ def _path_key(path: PathSeq) -> PhaseKey:
     )
 
 
-# residual bound of the Chebyshev edge-action caches
+# residual bound of the Chebyshev edge-action caches, and the quadrature
+# tolerance of the edge actions they are fitted to
 _CACHE_TOL = 3e-13
+_EDGE_QUAD_TOL = 1e-13
+# |det(I - M)| at which damped Newton accepts a pseudo-resonance
+NEWTON_TOL = 1e-12
 # energies on the argument-principle contour
 _COUNT_NODES = 4096
 # energies evaluated at a time by det_one_minus_m and the one-switch width:
@@ -229,7 +234,6 @@ class SemiclassicsEngine:
         # the paper's width law: Im E ~ -D(E) h^width_exponent
         self.width_exponent = (self.m0 + 3.0) / (self.m0 + 1.0)
         self.h_max = h_max
-        self._quad_tol = min(problem.tolerances.quad_tol, 1e-13)
         self.domain = energy_domain(problem, report, h_max)
         self._fits: Dict[Tuple[int, float, float], ActionFn] = {}
         self._transfer: Dict[Tuple[int, int, float], list] = {}
@@ -318,7 +322,7 @@ class SemiclassicsEngine:
             eid, flo, fhi = key
             edge = self._edges_sorted[self._index[eid]]
             self._fits[key] = ActionFn.build(
-                lambda E: action_edge(self.p, edge, E, flo, fhi, quad_tol=self._quad_tol),
+                lambda E: action_edge(self.p, edge, E, flo, fhi, quad_tol=_EDGE_QUAD_TOL),
                 self.domain, tol=_CACHE_TOL)
         return self._fits[key]
 
@@ -506,19 +510,24 @@ class SemiclassicsEngine:
 
     def bohr_sommerfeld(self, h: float) -> List[float]:
         """Energies in the box where the loop action hits an odd multiple of
-        pi*h (cos(A/2h) = 0).  May be empty for small L."""
-        return bohr_sommerfeld(self.gamma1_action, *self.box(h), h)
+        pi*h (cos(A/2h) = 0).  May be empty for small L; raises HUnresolved
+        when two levels come out equal."""
+        levels = bohr_sommerfeld(self.gamma1_action, *self.box(h), h)
+        for a, b in zip(levels, levels[1:]):
+            if not b > a:
+                raise HUnresolved(f"h = {h!r} is too small: two Bohr-Sommerfeld levels "
+                                  f"come out equal at E = {a!r}")
+        return levels
 
     # --- pseudo-resonances ------------------------------------------------------
 
     def _newton_root(self, seed: float, h: float) -> PseudoResonance:
-        tol = self.p.tolerances.newton_tol
         f = lambda E: self.det_one_minus_m(E, h)  # noqa: E731
         E = complex(seed)
         fE = f(E)
         delta = 1e-3 * h
         for it in range(1, 51):
-            if abs(fE) <= tol:
+            if abs(fE) <= NEWTON_TOL:
                 return PseudoResonance(E=E, seed=seed, residual=abs(fE), newton_iters=it - 1)
             f_plus, f_minus = f(np.array([E + delta, E - delta])).tolist()
             fp = (f_plus - f_minus) / (2.0 * delta)
@@ -538,7 +547,7 @@ class SemiclassicsEngine:
                     break
             if not accepted:
                 break
-        if abs(fE) <= tol:
+        if abs(fE) <= NEWTON_TOL:
             return PseudoResonance(E=E, seed=seed, residual=abs(fE), newton_iters=50)
         raise NewtonDiverged(f"seed {seed:.10g}: residual {abs(fE):.3e} after damped Newton")
 
@@ -717,25 +726,19 @@ class SemiclassicsEngine:
 
     def closed_form_width_example(self, E: float, h: float) -> float:
         """Width coefficient of the single-crossing-pair model in closed
-        form: (2 (e0 - V_c)^{-m0/(m0+1)} / A'(E)) *
-        Im(eta * conj(U(rho_other)) * e^{i S_gamma / 2h})^2, with eta built
-        from the contact order and the potential-difference derivative at
-        the crossing, and rho_other the vertex away from the outgoing tail.
+        form: 2 / |A'(E)| * Im(omega * e^{i S_gamma / 2h})^2, with omega the
+        transfer coefficient at rho_other, the vertex away from the outgoing
+        tail.
         """
-        c, tail, other, mixed = self._simple_topology()
-        m = c.m
-        v0 = abs(c.dv)
-        mu = quadrature.crossing_phase(m, other.sign * c.xi * c.dv)
-        eta = self.calib * mu * math.gamma((m + 2) / (m + 1)) * (2.0 * math.factorial(m + 1) / v0) ** (1.0 / (m + 1))
-        u_o = c.u(other.sign).conjugate()
-        s_gamma = self._action_sum(mixed, E)
-        F = (eta * u_o * cmath.exp(1j * s_gamma / (2.0 * h))).imag
-        ap = self._gamma1_action_derivative(E)
-        return 2.0 * (c.xi * c.xi) ** (-m / (m + 1.0)) / abs(ap) * F * F
+        c, _, other, mixed = self._simple_topology()
+        phase = cmath.exp(1j * self._action_sum(mixed, E) / (2.0 * h))
+        F = (omega(c, other.sign, self.calib) * phase).imag
+        return 2.0 / abs(self._gamma1_action_derivative(E)) * F * F
 
     def vanishing_energies(self, h: float) -> List[float]:
         """Energies where the closed-form width coefficient vanishes: the
-        half-cycle phase S_gamma/2h aligns eta * conj(U) with the real axis."""
+        half-cycle phase S_gamma/2h aligns omega, whose phase is that of
+        mu * conj(U), with the real axis."""
         c, tail, other, mixed = self._simple_topology()
         mu = quadrature.crossing_phase(c.m, other.sign * c.xi * c.dv)
         u_o = c.u(other.sign).conjugate()

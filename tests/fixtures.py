@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from crosswidth import exprs
-from crosswidth.model import Problem, ToleranceSet
+from crosswidth.model import Problem
 
 V1_WELL = "1 - 1/cosh(x)^2"
 
@@ -32,7 +32,6 @@ def _problem(v2_src: str, r0: str = "0.3", r1: str = "0.15", e0: float = 0.75,
         e0=e0,
         window=tuple(window),
         L=L,
-        tolerances=ToleranceSet(),
     )
 
 

@@ -46,6 +46,18 @@ def test_load_config_full():
     assert cfg.h_list == [0.08, 0.06, 0.05, 0.04, 0.03]
 
 
+def test_readme_config_block_loads(tmp_path):
+    # the documented format is the parser's: README's example config loads
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    section = readme.split("## Configuration format\n", 1)[1]
+    block = section.split("```\n", 2)[1]
+    cfg = load_config(_write(tmp_path, block))
+    assert cfg.problem.e0 == 0.75 and cfg.problem.L == 1.5
+    assert cfg.h_list == [0.08, 0.06, 0.05, 0.04, 0.03]
+    assert (cfg.calib, cfg.theta) == (1.0, 0.3)
+
+
 def test_missing_key_names_it(tmp_path):
     broken = MINIMAL.replace("e0 = 0.75\n", "")
     with pytest.raises(ConfigError) as err:
@@ -217,8 +229,10 @@ def test_exit_3_on_budget_blowup(tmp_path):
      "--h-list must be finite and positive"),
     (["oracle", "f0", "--h", "0.05", "--theta", "0"], "theta must lie in (0, pi/2)"),
     (["oracle", "f0", "--h", "0.05", "--theta", "2"], "theta must lie in (0, pi/2)"),
-    (["oracle", "f0", "--h", "0.05", "--X", "1"], "contour needs finite X > R0 > 0"),
-    (["oracle", "f0", "--h", "0.05", "--X", "inf"], "contour needs finite X > R0 > 0"),
+    # Bohr-Sommerfeld levels that come out merged (the level spacing alone
+    # passes at this h)
+    (["bs", "f0", "--h", "2e-15"], "h = 2e-15 is too small"),
+    (["oracle", "f0", "--h", "2e-15"], "h = 2e-15 is too small"),
     (["stphase", "f0", "--m", "0", "--h-list", "1e-2", "--phi", "x^2", "--sigma", "1"],
      "m must be >= 1"),
     (["stphase", "f0", "--m", "1", "--h-list", "1e-2", "--phi", "x^2", "--sigma", "1",
@@ -256,9 +270,7 @@ def _f0_with_oracle(tmp_path, section):
 @pytest.mark.parametrize("section, problem", [
     ("theta = 0", "theta must lie in (0, pi/2)"),
     ("theta = nan", "theta must lie in (0, pi/2)"),
-    ("X = 2", "contour needs finite X > R0 > 0"),
-    ("R0 = -1", "contour needs finite X > R0 > 0"),
-    # [numerics] ode_tol is the one oracle step tolerance
+    # the oracle's step tolerance is fixed, and no key in any section
     ("ode_tol = 1e-10", "unknown key 'ode_tol' in section [oracle]"),
 ])
 def test_bad_oracle_config_exits_2(tmp_path, section, problem):
@@ -269,16 +281,6 @@ def test_bad_oracle_config_exits_2(tmp_path, section, problem):
 
 
 @pytest.mark.parametrize("setting, problem", [
-    ("root_tol = nan", "root_tol must be finite and positive"),
-    ("quad_tol = nan", "quad_tol must be finite and positive"),
-    ("newton_tol = nan", "newton_tol must be finite and positive"),
-    ("contact_tol = nan", "contact_tol must be finite and positive"),
-    ("ode_tol = inf", "ode_tol must be finite and positive"),
-    ("root_tol = -1e-12", "root_tol must be finite and positive"),
-    ("k_max = -1", "key 'k_max' needs an integer >= 1"),
-    ("k_max = 2.7", "key 'k_max' needs an integer >= 1"),
-    ("scan_points = 0", "key 'scan_points' needs an integer >= 1"),
-    ("scan_points = 100.5", "key 'scan_points' needs an integer >= 1"),
     ("calib = nan", "calib must be finite and positive"),
     ("calib = 0", "calib must be finite and positive"),
 ])
@@ -290,6 +292,48 @@ def test_bad_numerics_config_exits_2(tmp_path, setting, problem):
     diagnostics = json.loads(out.read_text())["diagnostics"]
     assert code == 2
     assert problem in diagnostics and not diagnostics.startswith("unexpected")
+
+
+@pytest.mark.parametrize("section, setting", [
+    ("numerics", "root_tol = 1e-12"),
+    ("numerics", "contact_tol = 1e-9"),
+    ("numerics", "newton_tol = 1e-12"),
+    ("numerics", "quad_tol = 1e-11"),
+    ("numerics", "ode_tol = 1e-12"),
+    ("numerics", "scan_points = 4096"),
+    ("numerics", "k_max = 12"),
+    ("oracle", "R0 = 3.0"),
+    ("oracle", "X = 10.0"),
+])
+def test_fixed_tolerance_keys_are_unknown(tmp_path, section, setting):
+    # the tolerances are module constants and the contour extent comes from
+    # the problem; even the former default value is refused
+    text = open(_cfg_path("f0"), encoding="utf-8").read() + f"\n[{section}]\n{setting}\n"
+    out = tmp_path / "out.json"
+    code = cli.main(["oracle", _write(tmp_path, text), "--h", "0.05", "--out", str(out)])
+    assert code == 2
+    key = setting.partition(" =")[0]
+    assert f"unknown key '{key}' in section [{section}]" in json.loads(out.read_text())["diagnostics"]
+
+
+def test_oracle_has_no_X_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["oracle", _cfg_path("f0"), "--h", "0.05", "--X", "12"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --X 12" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, h", [(["compare"], "0.08"), (["oracle", "--h", "0.05"], "0.05")],
+                         ids=["compare", "oracle"])
+def test_box_without_a_level_exits_2(tmp_path, argv, h):
+    # at L = 0.1 the box e0 +/- L*h holds no Bohr-Sommerfeld level of f1;
+    # widths and pseudo print empty records there
+    text = open(_cfg_path("f1"), encoding="utf-8").read().replace("L = 1.5", "L = 0.1")
+    out = tmp_path / "out.json"
+    code = cli.main([argv[0], _write(tmp_path, text), *argv[1:], "--out", str(out)])
+    assert code == 2
+    assert json.loads(out.read_text())["diagnostics"] == (
+        f"no Bohr-Sommerfeld level in the box e0 +/- L*h at h = {h} with L = 0.1; raise L")
 
 
 @pytest.mark.parametrize("window", ["-inf, 8", "-8, nan"])

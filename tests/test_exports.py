@@ -18,7 +18,7 @@ def test_every_listed_name_exists():
 
 
 def test_removed_names_stay_gone():
-    from crosswidth import exprs, geometry, model, oracle, quadrature, semiclassics
+    from crosswidth import config, exprs, geometry, model, oracle, quadrature, semiclassics
 
     assert not hasattr(model, "TailInfo")
     assert not hasattr(oracle, "_Segment")
@@ -37,3 +37,9 @@ def test_removed_names_stay_gone():
     assert "out_edge" not in {f.name for f in dataclasses.fields(geometry.Graph)}
     # the named test problems live with the tests
     assert importlib.util.find_spec("crosswidth.fixtures") is None
+    # the numerical tolerances are module constants, the contour extent
+    # comes from the problem
+    assert not hasattr(model, "ToleranceSet")
+    assert not {"tolerances", "k_max"} & {f.name for f in dataclasses.fields(model.Problem)}
+    assert not {"contour_R0", "contour_X"} & {f.name for f in dataclasses.fields(config.RunConfig)}
+    assert not hasattr(config, "_parse_count")

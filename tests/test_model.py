@@ -5,11 +5,11 @@ import pytest
 import fixtures
 from crosswidth import exprs, model
 from crosswidth.model import (
+    ROOT_TOL,
     CrossingAtTurningPoint,
     DegenerateTurningPoint,
     NoCrossing,
     Problem,
-    ToleranceSet,
     crossing_points,
     turning_points,
     validate_structure,
@@ -153,18 +153,17 @@ def test_crossing_invariants():
               fixtures.single_transversal()):
         for c in crossing_points(p):
             gap = abs(float(p.v1_np(c.x)) - float(p.v2_np(c.x)))
-            assert gap <= 10.0 * p.tolerances.root_tol
+            assert gap <= 10.0 * ROOT_TOL
             assert abs(c.xi**2 + float(p.v1_np(c.x)) - p.e0) <= 1e-12
             assert c.dv != 0.0
             assert c.u_minus == c.u_plus.conjugate()
 
 
 def test_contact_order_stable_under_jitter():
-    tols = ToleranceSet()
     for p in (fixtures.f1(), fixtures.f1_arc(), fixtures.f2()):
         c = crossing_points(p)[0]
         for eps in (-1e-12, 1e-12):
-            _, m, _ = model._contact_order(p, c.x + eps, tols)
+            _, m, _ = model._contact_order(p, c.x + eps)
             assert m == c.m
 
 

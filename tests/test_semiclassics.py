@@ -10,6 +10,7 @@ from crosswidth import quadrature
 from crosswidth.geometry import PathSeq, paths_bounded, paths_one_switch, primitive_cycles
 from crosswidth.model import CrossingPoint
 from crosswidth.semiclassics import (
+    NEWTON_TOL,
     SemiclassicsEngine,
     TopologyMismatch,
     bohr_sommerfeld,
@@ -185,7 +186,7 @@ def test_decoupled_pseudo_resonances(f0_decoupled_engine):
         for pr, s in zip(sorted(prs, key=lambda q: q.E.real), seeds):
             assert abs(pr.E.imag) <= 1e-12
             assert abs(pr.E.real - s) <= 1e-12
-            assert pr.residual <= eng.p.tolerances.newton_tol
+            assert pr.residual <= NEWTON_TOL
 
 
 def test_pseudo_counts_and_scaling(f1_engine):
