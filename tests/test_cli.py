@@ -296,18 +296,25 @@ def test_bad_numerics_config_exits_2(tmp_path, setting, problem):
 
 @pytest.mark.parametrize("section, setting", [
     ("numerics", "root_tol = 1e-12"),
+    ("numerics", "root_tol = nan"),
+    ("numerics", "root_tol = -1e-12"),
     ("numerics", "contact_tol = 1e-9"),
     ("numerics", "newton_tol = 1e-12"),
     ("numerics", "quad_tol = 1e-11"),
     ("numerics", "ode_tol = 1e-12"),
     ("numerics", "scan_points = 4096"),
+    ("numerics", "scan_points = 0"),
+    ("numerics", "scan_points = 100.5"),
     ("numerics", "k_max = 12"),
+    ("numerics", "k_max = -1"),
+    ("numerics", "k_max = 2.7"),
     ("oracle", "R0 = 3.0"),
     ("oracle", "X = 10.0"),
 ])
 def test_fixed_tolerance_keys_are_unknown(tmp_path, section, setting):
     # the tolerances are module constants and the contour extent comes from
-    # the problem; even the former default value is refused
+    # the problem; the former default value and values the old validation
+    # refused are all refused as unknown keys, before any value check
     text = open(_cfg_path("f0"), encoding="utf-8").read() + f"\n[{section}]\n{setting}\n"
     out = tmp_path / "out.json"
     code = cli.main(["oracle", _write(tmp_path, text), "--h", "0.05", "--out", str(out)])
@@ -316,11 +323,12 @@ def test_fixed_tolerance_keys_are_unknown(tmp_path, section, setting):
     assert f"unknown key '{key}' in section [{section}]" in json.loads(out.read_text())["diagnostics"]
 
 
-def test_oracle_has_no_X_flag(capsys):
+@pytest.mark.parametrize("X", ["12", "1", "inf"])
+def test_oracle_has_no_X_flag(capsys, X):
     with pytest.raises(SystemExit) as exc:
-        cli.main(["oracle", _cfg_path("f0"), "--h", "0.05", "--X", "12"])
+        cli.main(["oracle", _cfg_path("f0"), "--h", "0.05", "--X", X])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --X 12" in capsys.readouterr().err
+    assert f"unrecognized arguments: --X {X}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, h", [(["compare"], "0.08"), (["oracle", "--h", "0.05"], "0.05")],
