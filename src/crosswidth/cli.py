@@ -181,6 +181,8 @@ def cmd_stphase(cfg: RunConfig, args) -> int:
     if len(args.interval) != 2:
         raise ConfigError(f"--interval needs two comma-separated numbers lo,hi, got {args.interval!r}")
     lo, hi = args.interval
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"--interval must have finite endpoints, got {args.interval!r}")
     x0 = args.x0
     if not math.isfinite(x0):
         raise ConfigError(f"--x0 must be finite, got {x0!r}")

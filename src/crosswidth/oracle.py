@@ -6,17 +6,18 @@ and along rays rotated by theta outside.  On the rotated rays the
 outgoing waves decay, so resonances become zeros of a 4x4 matching
 determinant between the admissible solution pairs shot inward from the
 two ends.  The shooting ODE is linear, y' = A(t; E) y, so it is stepped
-with the 4th-order Magnus integrator on fixed steps (Blanes, Casas, Oteo &
-Ros, Phys. Rep. 470 (2009)): every step propagator of a checkpoint chunk
-is built and exponentiated at once, then multiplied out by pairwise
-reduction.  The step stacks are held as (4, 4, N) arrays with the step
-index last and contiguous, and multiplied by broadcast products over that
-axis (_mm): numpy's ``@`` on an (N, 4, 4) stack spends most of its time in
-per-matrix overhead on blocks this small.  The admissible pair is
-re-orthonormalized at checkpoints (Godunov shooting) so the two columns
-never collapse onto the common growing direction in classically forbidden
-stretches; the triangular factors are kept so the resonant state can be
-reconstructed chunk by chunk for the Green-identity width.
+with the 6th-order Magnus integrator on three Gauss nodes and fixed steps
+(Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009), arXiv:0810.5488):
+every step propagator of a checkpoint chunk is built and exponentiated at
+once, then multiplied out by pairwise reduction.  The step stacks are held
+as (4, 4, N) arrays with the step index last and contiguous, and multiplied
+by broadcast products over that axis (_mm): numpy's ``@`` on an (N, 4, 4)
+stack spends most of its time in per-matrix overhead on blocks this small.
+The admissible pair is re-orthonormalized at checkpoints (Godunov shooting)
+so the two columns never collapse onto the common growing direction in
+classically forbidden stretches; the triangular factors are kept so the
+resonant state can be reconstructed chunk by chunk for the Green-identity
+width.
 """
 
 from __future__ import annotations
@@ -220,7 +221,7 @@ def _split(t0: float, t1: float, seg_len: float) -> List[Tuple[float, float]]:
 
 
 # Gauss-Legendre nodes of a Magnus step, as fractions of the step
-_GAUSS = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
+_GAUSS = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0])
 # largest 1-norm that _expm exponentiates without scaling and squaring
 _EXPM_THETA = 0.5
 
@@ -234,6 +235,13 @@ def _mm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     C = A[:, 0, None] * B[None, 0]
     for k in range(1, A.shape[1]):
         C += A[:, k, None] * B[None, k]
+    return C
+
+
+def _comm(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """[X, Y] = XY - YX for every step of two step-last stacks."""
+    C = _mm(X, Y)
+    C -= _mm(Y, X)
     return C
 
 
@@ -310,10 +318,13 @@ def _step_ends(t0: float, stops: np.ndarray, dt_max: float) -> Tuple[np.ndarray,
 
 def _step_propagators(p: Problem, E: complex, h: float, ts: np.ndarray,
                       z0: complex, phi: complex) -> np.ndarray:
-    """exp(Omega) of the 4th-order Magnus step between each pair of
+    """exp(Omega) of the 6th-order Magnus step between each pair of
     consecutive ``ts`` on the straight contour piece z = z0 + phi (t - ts[0]),
-    where the shooting ODE reads y' = phi A(z) y:
-    Omega = dt/2 (A1 + A2) + sqrt(3)/12 dt^2 [A2, A1] at the Gauss nodes.
+    where the shooting ODE reads y' = phi A(z) y.  With A1, A2, A3 at the
+    three Gauss nodes (Blanes et al., Phys. Rep. 470 (2009)):
+        a1 = dt A2,  a2 = sqrt(15)/3 dt (A3 - A1),  a3 = 10/3 dt (A3 - 2 A2 + A1),
+        C1 = [a1, a2],  C2 = -1/60 [a1, 2 a3 + C1],
+        Omega = a1 + a3/12 + 1/240 [-20 a1 - a3 + C1, a2 + C2].
     Returned as a (4, 4, N) stack, steps on the last axis."""
     dt = np.diff(ts)
     z = z0 + phi * (ts[:-1] + _GAUSS[:, None] * dt - ts[0])
@@ -326,12 +337,26 @@ def _step_propagators(p: Problem, E: complex, h: float, ts: np.ndarray,
     A[3, 0] = r0 - h * r1p
     A[3, 1] = -r1
     A[3, 2] = (v2 - E) / h
-    A *= phi  # in place, as omega below: fewer live temporaries
-    A1, A2 = A[:, :, 0], A[:, :, 1]
-    omega = _mm(A2, A1)
-    omega -= _mm(A1, A2)
-    omega *= (math.sqrt(3.0) / 12.0) * dt * dt
-    omega += 0.5 * dt * (A1 + A2)
+    A *= phi * dt  # in place, as below: fewer live temporaries
+    A1, A2, A3 = A[:, :, 0], A[:, :, 1], A[:, :, 2]
+    a1 = A2
+    a2 = A3 - A1
+    a3 = A3 + A1
+    a3 -= 2.0 * A2
+    a3 *= 10.0 / 3.0
+    a2 *= math.sqrt(15.0) / 3.0
+    c1 = _comm(a1, a2)
+    c2 = 2.0 * a3
+    c2 += c1
+    c2 = _comm(a1, c2)
+    c2 *= -1.0 / 60.0
+    c2 += a2
+    c1 -= 20.0 * a1
+    c1 -= a3
+    omega = _comm(c1, c2)
+    omega *= 1.0 / 240.0
+    omega += a1
+    omega += a3 / 12.0
     if not np.all(np.isfinite(omega.view(float))):
         raise StepUnderflow("shooting coefficients lost finiteness")
     return _expm(omega)
@@ -342,8 +367,8 @@ def propagate(p: Problem, E: complex, h: float, c: Contour, from_end: str,
     """Shoot the admissible pair from one contour end to t = 0 with
     re-orthonormalization checkpoints.
 
-    Fixed 4th-order Magnus steps of at most dt = (h/24) (ode_tol/1e-12)^(1/4):
-    the global error scales like (dt/h)^4, so it follows ode_tol.  With
+    Fixed 6th-order Magnus steps of at most dt = (h/6) (ode_tol/1e-12)^(1/6):
+    the global error scales like (dt/h)^6, so it follows ode_tol.  With
     ``t_eval_core``, steps on the undeformed core also end on those points
     and the pair is recorded there.  Checkpoint spacing keeps the growth
     between orthonormalizations small enough that both directions of the
@@ -351,7 +376,7 @@ def propagate(p: Problem, E: complex, h: float, c: Contour, from_end: str,
     """
     E = complex(E)
     seg_len = min(1.5, max(40.0 * h, 0.3))
-    dt_max = h / 24.0 * (ode_tol / 1e-12) ** 0.25
+    dt_max = h / 6.0 * (ode_tol / 1e-12) ** (1.0 / 6.0)
     pair = _initial_pair(p, E, c, from_end)
     track = PairTrack(final=pair)
     chunks: List[Tuple[float, float, bool]] = []

@@ -381,6 +381,16 @@ def test_stphase_non_finite_x0_exits_2(tmp_path, x0):
     assert json.loads(out.read_text())["diagnostics"] == f"--x0 must be finite, got {float(x0)!r}"
 
 
+@pytest.mark.parametrize("interval", ["-inf,1", "-1,inf", "-1,nan"])
+def test_stphase_non_finite_interval_exits_2(tmp_path, interval):
+    out = tmp_path / "out.json"
+    code = cli.main([_STPHASE[0], _cfg_path("f0"), *_STPHASE[1:], "--phi", "x^2", "--sigma", "1",
+                     f"--interval={interval}", "--out", str(out)])
+    assert code == 2
+    bounds = tuple(float(v) for v in interval.split(","))
+    assert json.loads(out.read_text())["diagnostics"] == f"--interval must have finite endpoints, got {bounds!r}"
+
+
 def test_stphase_has_no_calib_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main([_STPHASE[0], _cfg_path("f0"), *_STPHASE[1:], "--phi", "x^2", "--sigma", "1",

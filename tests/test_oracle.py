@@ -220,45 +220,92 @@ def test_stack_products_match_sequential_loop(n):
     assert np.linalg.norm(oracle._product(stack) - want[-1]) / scale[-1] < 1e-13
 
 
+def _a_matrix(p, E, h, z):
+    """The shooting matrix A(z) from the scalar coefficients."""
+    v1, v2, r0, r1, r1p = (complex(np.asarray(fn(np.array([z]))).reshape(-1)[0]) for fn in p.coeffs_np)
+    return np.array([
+        [0, 1 / h, 0, 0],
+        [(v1 - E) / h, 0, r0, r1],
+        [0, 0, 0, 1 / h],
+        [r0 - h * r1p, -r1, (v2 - E) / h, 0],
+    ])
+
+
+def _comm(x, y):
+    return x @ y - y @ x
+
+
 def test_step_propagators_match_scipy_per_step(f1_engine):
-    # one chunk on the rotated ray, Omega assembled step by step from the
-    # scalar coefficients and exponentiated by scipy
+    # at the production step h/6, one core chunk through the well and one
+    # ray chunk ending at R0, Omega assembled step by step from the scalar
+    # coefficients and exponentiated by scipy; there the 4th-order Omega
+    # differs by 8e-9 to 1.1e-8 (core) and 1.3e-10 to 2.3e-10 (ray), so the
+    # 1e-13 bound tells the two schemes apart
     rep, _, eng = f1_engine
     p = eng.p
     h = 0.05
     E = complex(0.76, -3e-4)
     c = default_contour(p, rep, h)
-    phi = cmath.exp(1j * c.theta)
-    ts, _ = oracle._step_ends(c.X, np.array([c.X - 0.3]), h / 24.0)
-    z0 = c.z(c.X)
-    got = oracle._step_propagators(p, E, h, ts, z0, phi)
-    assert got.shape == (4, 4, len(ts) - 1)
-
-    def a_matrix(z):
-        v1, v2, r0, r1, r1p = (complex(np.asarray(fn(np.array([z]))).reshape(-1)[0]) for fn in p.coeffs_np)
-        return phi * np.array([
-            [0, 1 / h, 0, 0],
-            [(v1 - E) / h, 0, r0, r1],
-            [0, 0, 0, 1 / h],
-            [r0 - h * r1p, -r1, (v2 - E) / h, 0],
-        ])
-
-    for k in range(len(ts) - 1):
-        dt = ts[k + 1] - ts[k]
-        a1, a2 = (a_matrix(z0 + phi * (ts[k] + g * dt - ts[0])) for g in oracle._GAUSS)
-        omega = 0.5 * dt * (a1 + a2) + math.sqrt(3.0) / 12.0 * dt * dt * (a2 @ a1 - a1 @ a2)
-        want = scipy.linalg.expm(omega)
-        assert np.linalg.norm(got[..., k] - want) / np.linalg.norm(want) < 1e-13
+    gauss4 = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+    for t0, t1, phi in ((-0.3, 0.0, 1.0 + 0j), (c.R0 + 0.3, c.R0, cmath.exp(1j * c.theta))):
+        ts, _ = oracle._step_ends(t0, np.array([t1]), h / 6.0)
+        z0 = c.z(t0)
+        got = oracle._step_propagators(p, E, h, ts, z0, phi)
+        assert got.shape == (4, 4, len(ts) - 1)
+        for k in range(len(ts) - 1):
+            dt = ts[k + 1] - ts[k]
+            A1, A2, A3 = (phi * _a_matrix(p, E, h, z0 + phi * (ts[k] + g * dt - t0)) for g in oracle._GAUSS)
+            a1 = dt * A2
+            a2 = math.sqrt(15.0) / 3.0 * dt * (A3 - A1)
+            a3 = 10.0 / 3.0 * dt * (A3 - 2.0 * A2 + A1)
+            c1 = _comm(a1, a2)
+            c2 = -_comm(a1, 2.0 * a3 + c1) / 60.0
+            want = scipy.linalg.expm(a1 + a3 / 12.0 + _comm(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0)
+            assert np.linalg.norm(got[..., k] - want) / np.linalg.norm(want) < 1e-13
+            B1, B2 = (phi * _a_matrix(p, E, h, z0 + phi * (ts[k] + g * dt - t0)) for g in gauss4)
+            fourth = scipy.linalg.expm(0.5 * dt * (B1 + B2) + math.sqrt(3.0) / 12.0 * dt * dt * _comm(B2, B1))
+            assert np.linalg.norm(fourth - want) / np.linalg.norm(want) > 1e-11
 
 
-def test_magnus_fourth_order(f0_engine):
-    # ode_tol / 16 halves the Magnus step; a 4th-order scheme then shrinks
-    # the change in W by about 16x
+def test_magnus_sixth_order(f0_engine, monkeypatch):
+    # ode_tol / 64 halves the Magnus step; a 6th-order scheme then shrinks
+    # the change in W by about 64x (60 to 69 measured)
     rep, _, eng = f0_engine
     p = eng.p
     h = 0.05
     seeds = eng.bohr_sommerfeld(h)
     E = complex(0.5 * (seeds[0] + seeds[1]), -0.001)
     c = default_contour(p, rep, h)
-    w = [MatchingProblem(p, h, c, ode_tol=1e-8 / 16**k).W(E) for k in range(3)]
-    assert abs(w[2] - w[1]) * 10 <= abs(w[1] - w[0])
+    steps = []
+    kernel = oracle._step_propagators
+
+    def counted(p, E, h, ts, z0, phi):
+        steps[-1] += len(ts) - 1
+        return kernel(p, E, h, ts, z0, phi)
+
+    monkeypatch.setattr(oracle, "_step_propagators", counted)
+    w = []
+    for k in range(3):
+        steps.append(0)
+        w.append(MatchingProblem(p, h, c, ode_tol=1e-8 / 64**k).W(E))
+    assert all(1.9 < b / a < 2.1 for a, b in zip(steps, steps[1:]))
+    assert abs(w[2] - w[1]) * 40 <= abs(w[1] - w[0])
+
+
+@pytest.mark.parametrize("h", [0.08, 0.03])
+@pytest.mark.parametrize("engine", ["f0_engine", "f1_engine"])
+def test_richardson_error_of_refined_resonance(engine, h, request):
+    # the resonance at the default step against the one at half the step
+    # (ode_tol / 64): measured, the width moves by at most 3.5e-11 relative
+    # and the real part by at most 3.5e-12 relative; the former 4th-order
+    # scheme at h/24 moved them by up to 3e-10 and 4.2e-11
+    rep, _, eng = request.getfixturevalue(engine)
+    p = eng.p
+    table = {entry["seed"]: entry for entry in eng.resonance_table(h)}
+    seed = pipeline.tracked_seed(list(table), p.e0)
+    start = complex(seed, table[seed]["im_pred"])
+    c = default_contour(p, rep, h)
+    coarse = refine_resonance(p, start, h, c, eng.m0).E
+    fine = refine_resonance(p, start, h, c, eng.m0, ode_tol=1e-12 / 64).E
+    assert abs(fine.imag - coarse.imag) <= 1e-9 * abs(fine.imag)
+    assert abs(fine.real - coarse.real) <= 1e-11 * abs(fine)
