@@ -278,7 +278,7 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](cfg, args)
     except (ValidationFailed, StructureError, ConfigError, BoxTooLarge, HUnresolved, oracle_mod.BadContour,
-            quadrature.PreconditionViolated, exprs.DomainError) as exc:
+            oracle_mod.TooManySteps, quadrature.PreconditionViolated, exprs.DomainError) as exc:
         _emit(_to_json({"diagnostics": str(exc)}), args.out)
         return 2
     except _CONVERGENCE_ERRORS as exc:

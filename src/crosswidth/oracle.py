@@ -9,7 +9,11 @@ two ends.  The shooting ODE is linear, y' = A(t; E) y, so it is stepped
 with the 6th-order Magnus integrator on three Gauss nodes and fixed steps
 (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009), arXiv:0810.5488):
 every step propagator of a checkpoint chunk is built and exponentiated at
-once, then multiplied out by pairwise reduction.  The step stacks are held
+once, then multiplied out by pairwise reduction.  E enters A only through
+its two potential entries, alike at every node, so each step's Magnus
+Omega is an exact cubic in E: a MatchingProblem builds the four cubic
+coefficients of every step once, and each W(E) sums the cubic by Horner's
+rule before exponentiating.  The step stacks are held
 as (4, 4, N) arrays with the step index last and contiguous, and multiplied
 by broadcast products over that axis (_mm): numpy's ``@`` on an (N, 4, 4)
 stack spends most of its time in per-matrix overhead on blocks this small.
@@ -40,6 +44,7 @@ __all__ = [
     "Contour",
     "OracleResonance",
     "StepUnderflow",
+    "TooManySteps",
     "PolesOnContour",
     "NotConverged",
     "InsufficientData",
@@ -303,12 +308,19 @@ def _prefix_products(M: np.ndarray) -> np.ndarray:
     return C
 
 
+def _step_counts(t0: float, stops: np.ndarray, dt_max: float) -> np.ndarray:
+    """Numbers of equal steps of at most dt_max from t0 to the first of
+    ``stops`` and between consecutive stops, as floats, so that a count too
+    large for an integer array can still be compared with a budget."""
+    return np.ceil(np.abs(np.diff(np.concatenate([[t0], stops]))) / dt_max)
+
+
 def _step_ends(t0: float, stops: np.ndarray, dt_max: float) -> Tuple[np.ndarray, np.ndarray]:
     """Step ends from t0 through each of ``stops`` in turn, with equal steps
     of at most dt_max between consecutive stops, and the number of steps
     taken up to each stop."""
     bounds = np.concatenate([[t0], stops])
-    counts = np.ceil(np.abs(np.diff(bounds)) / dt_max).astype(int)
+    counts = _step_counts(t0, stops, dt_max).astype(int)
     upto = np.cumsum(counts)
     j = np.arange(1, upto[-1] + 1)
     k = np.searchsorted(upto, j)
@@ -316,16 +328,82 @@ def _step_ends(t0: float, stops: np.ndarray, dt_max: float) -> Tuple[np.ndarray,
     return np.concatenate([[t0], bounds[k] + frac * (bounds[k + 1] - bounds[k])]), upto
 
 
-def _step_propagators(p: Problem, E: complex, h: float, ts: np.ndarray,
-                      z0: complex, phi: complex) -> np.ndarray:
-    """exp(Omega) of the 6th-order Magnus step between each pair of
+# most Magnus steps one shooting plan may hold: MatchingProblem caches four
+# (4, 4) complex Omega coefficients per step, 1 KiB, so 2^18 steps hold 256 MiB
+_MAX_STEPS = 2**18
+
+
+class TooManySteps(ValueError):
+    """h is so small that the shooting plan exceeds _MAX_STEPS Magnus steps."""
+
+
+@dataclass(frozen=True)
+class _Chunk:
+    """One checkpoint chunk of a shooting plan: the straight contour piece
+    z = z0 + phi (t - t0), stepped from t0 through each of ``stops`` in
+    steps of at most dt_max (n_steps in all); the pair is recorded at the
+    stops of a ``dense`` chunk."""
+
+    t0: float
+    stops: np.ndarray
+    dt_max: float
+    z0: complex
+    phi: complex
+    dense: bool
+    n_steps: int
+
+    def steps(self) -> Tuple[np.ndarray, np.ndarray]:
+        return _step_ends(self.t0, self.stops, self.dt_max)
+
+
+def _plan(c: Contour, h: float, ode_tol: float, ends: Sequence[str],
+          t_eval_core: Optional[np.ndarray]) -> List[List[_Chunk]]:
+    """The checkpoint chunks of the shooting from each of ``ends`` to t = 0.
+
+    Fixed 6th-order Magnus steps of at most dt = (h/6) (ode_tol/1e-12)^(1/6):
+    the global error scales like (dt/h)^6, so it follows ode_tol.  With
+    ``t_eval_core``, the core chunks are dense: their steps also end on
+    those points.  Checkpoint spacing keeps the growth between
+    orthonormalizations small enough that both directions of the
+    admissible span survive roundoff.  The steps are counted before any
+    step array exists, and more than _MAX_STEPS of them over all ``ends``
+    raise TooManySteps.
+    """
+    seg_len = min(1.5, max(40.0 * h, 0.3))
+    dt_max = h / 6.0 * (ode_tol / 1e-12) ** (1.0 / 6.0)
+    plans = []
+    for end in ends:
+        chunks = []
+        for (t0, t1) in c.pieces_from(end):
+            on_ray = abs(t0) > c.R0
+            phi = cmath.exp(1j * c.theta) if on_ray else 1.0 + 0j
+            dense = t_eval_core is not None and not on_ray
+            for a, b in _split(t0, t1, seg_len):
+                stops = np.array([b])
+                if dense:
+                    lo, hi = min(a, b), max(a, b)
+                    sel = t_eval_core[(t_eval_core >= lo) & (t_eval_core <= hi)]
+                    stops = sel if b > a else sel[::-1]
+                    if stops.size == 0 or stops[-1] != b:
+                        stops = np.append(stops, b)
+                n_steps = int(_step_counts(a, stops, dt_max).sum())
+                chunks.append(_Chunk(a, stops, dt_max, c.z(a), phi, dense, n_steps))
+        plans.append(chunks)
+    total = sum(chunk.n_steps for chunks in plans for chunk in chunks)
+    if total > _MAX_STEPS:
+        raise TooManySteps(f"h = {h!r} needs {total} Magnus steps on the oracle contour, "
+                           f"more than the {_MAX_STEPS} (2^18) the oracle takes")
+    return plans
+
+
+def _alphas(p: Problem, E: complex, h: float, ts: np.ndarray,
+            z0: complex, phi: complex) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """a1, a2, a3 of the 6th-order Magnus step between each pair of
     consecutive ``ts`` on the straight contour piece z = z0 + phi (t - ts[0]),
     where the shooting ODE reads y' = phi A(z) y.  With A1, A2, A3 at the
     three Gauss nodes (Blanes et al., Phys. Rep. 470 (2009)):
         a1 = dt A2,  a2 = sqrt(15)/3 dt (A3 - A1),  a3 = 10/3 dt (A3 - 2 A2 + A1),
-        C1 = [a1, a2],  C2 = -1/60 [a1, 2 a3 + C1],
-        Omega = a1 + a3/12 + 1/240 [-20 a1 - a3 + C1, a2 + C2].
-    Returned as a (4, 4, N) stack, steps on the last axis."""
+    each a (4, 4, N) stack, steps on the last axis."""
     dt = np.diff(ts)
     z = z0 + phi * (ts[:-1] + _GAUSS[:, None] * dt - ts[0])
     v1, v2, r0, r1, r1p = (np.broadcast_to(fn(z), z.shape) for fn in p.coeffs_np)
@@ -339,68 +417,99 @@ def _step_propagators(p: Problem, E: complex, h: float, ts: np.ndarray,
     A[3, 2] = (v2 - E) / h
     A *= phi * dt  # in place, as below: fewer live temporaries
     A1, A2, A3 = A[:, :, 0], A[:, :, 1], A[:, :, 2]
-    a1 = A2
     a2 = A3 - A1
+    a2 *= math.sqrt(15.0) / 3.0
     a3 = A3 + A1
     a3 -= 2.0 * A2
     a3 *= 10.0 / 3.0
-    a2 *= math.sqrt(15.0) / 3.0
-    c1 = _comm(a1, a2)
-    c2 = 2.0 * a3
-    c2 += c1
-    c2 = _comm(a1, c2)
-    c2 *= -1.0 / 60.0
-    c2 += a2
-    c1 -= 20.0 * a1
-    c1 -= a3
-    omega = _comm(c1, c2)
-    omega *= 1.0 / 240.0
-    omega += a1
-    omega += a3 / 12.0
+    return A2, a2, a3
+
+
+# Polynomials in E are lists of step-last stacks, the coefficient of E^k at k.
+
+def _padd(P: List[np.ndarray], Q: List[np.ndarray]) -> List[np.ndarray]:
+    if len(P) < len(Q):
+        P, Q = Q, P
+    return [a + b for a, b in zip(P, Q)] + P[len(Q):]
+
+
+def _pscale(P: List[np.ndarray], s: float) -> List[np.ndarray]:
+    return [s * a for a in P]
+
+
+def _pcomm(P: List[np.ndarray], Q: List[np.ndarray]) -> List[np.ndarray]:
+    """[P, Q]: the coefficient of E^k sums [P_i, Q_j] over i + j = k."""
+    R: List[Optional[np.ndarray]] = [None] * (len(P) + len(Q) - 1)
+    for i, a in enumerate(P):
+        for j, b in enumerate(Q):
+            C = _comm(a, b)
+            if R[i + j] is None:
+                R[i + j] = C
+            else:
+                R[i + j] += C
+    return R
+
+
+def _omega(a1: List[np.ndarray], a2: List[np.ndarray], a3: List[np.ndarray]) -> List[np.ndarray]:
+    """The 6th-order Magnus Omega of each step (Blanes et al.),
+        C1 = [a1, a2],  C2 = -1/60 [a1, 2 a3 + C1],
+        Omega = a1 + a3/12 + 1/240 [-20 a1 - a3 + C1, a2 + C2],
+    over polynomials in E.  With E folded into constant a1, a2, a3 this
+    takes three commutators; with a1 linear in E it is the exact cubic."""
+    c1 = _pcomm(a1, a2)
+    c2 = _pscale(_pcomm(a1, _padd(_pscale(a3, 2.0), c1)), -1.0 / 60.0)
+    left = _padd(_padd(_pscale(a1, -20.0), _pscale(a3, -1.0)), c1)
+    return _padd(_padd(a1, _pscale(a3, 1.0 / 12.0)), _pscale(_pcomm(left, _padd(a2, c2)), 1.0 / 240.0))
+
+
+def _exp_omega(omega: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(omega.view(float))):
         raise StepUnderflow("shooting coefficients lost finiteness")
     return _expm(omega)
 
 
-def propagate(p: Problem, E: complex, h: float, c: Contour, from_end: str,
-              ode_tol: float = 1e-12, t_eval_core: Optional[np.ndarray] = None) -> PairTrack:
-    """Shoot the admissible pair from one contour end to t = 0 with
-    re-orthonormalization checkpoints.
+def _step_propagators(p: Problem, E: complex, h: float, ts: np.ndarray,
+                      z0: complex, phi: complex) -> np.ndarray:
+    """exp(Omega) of the 6th-order Magnus step between each pair of
+    consecutive ``ts`` at energy E (_alphas, _omega), as a (4, 4, N) stack."""
+    a1, a2, a3 = _alphas(p, E, h, ts, z0, phi)
+    return _exp_omega(_omega([a1], [a2], [a3])[0])
 
-    Fixed 6th-order Magnus steps of at most dt = (h/6) (ode_tol/1e-12)^(1/6):
-    the global error scales like (dt/h)^6, so it follows ode_tol.  With
-    ``t_eval_core``, steps on the undeformed core also end on those points
-    and the pair is recorded there.  Checkpoint spacing keeps the growth
-    between orthonormalizations small enough that both directions of the
-    admissible span survive roundoff.
-    """
-    E = complex(E)
-    seg_len = min(1.5, max(40.0 * h, 0.3))
-    dt_max = h / 6.0 * (ode_tol / 1e-12) ** (1.0 / 6.0)
-    pair = _initial_pair(p, E, c, from_end)
+
+def _omega_cubic(p: Problem, h: float, ts: np.ndarray, z0: complex, phi: complex) -> List[np.ndarray]:
+    """Omega0..Omega3 with Omega(E) = Omega0 + E Omega1 + E^2 Omega2 + E^3 Omega3
+    for every step of _step_propagators.  E enters A only through
+    A[1, 0] = (v1 - E)/h and A[3, 2] = (v2 - E)/h, alike at the three nodes,
+    so a2 and a3 do not depend on E and a1 = a1(0) + E P with
+    P = -(phi dt/h) (e10 + e32)."""
+    a1, a2, a3 = _alphas(p, 0j, h, ts, z0, phi)
+    P = np.zeros_like(a1)
+    P[1, 0] = P[3, 2] = -phi * np.diff(ts) / h
+    return _omega([a1, P], [a2], [a3])
+
+
+def _horner(poly: List[np.ndarray], E: complex) -> np.ndarray:
+    """The value at E of a polynomial of degree at least 1."""
+    val = poly[-1] * E
+    for coef in poly[-2:0:-1]:
+        val += coef
+        val *= E
+    val += poly[0]
+    return val
+
+
+def _walk(pair: np.ndarray, chunks: List[_Chunk], stacks) -> PairTrack:
+    """Carry the pair through one end's chunks.  ``stacks`` yields, per
+    chunk in turn, its step propagators and, for a dense chunk, the number
+    of steps up to each stop.  The pair is orthonormalized between chunks
+    (Godunov shooting)."""
     track = PairTrack(final=pair)
-    chunks: List[Tuple[float, float, bool]] = []
-    for (t0, t1) in c.pieces_from(from_end):
-        on_ray = abs(t0) > c.R0
-        for a, b in _split(t0, t1, seg_len):
-            chunks.append((a, b, on_ray))
-    for idx, (t0, t1, on_ray) in enumerate(chunks):
-        phi = cmath.exp(1j * c.theta) if on_ray else 1.0 + 0j
-        want_dense = t_eval_core is not None and not on_ray
-        stops = np.array([t1])
-        if want_dense:
-            lo, hi = min(t0, t1), max(t0, t1)
-            sel = t_eval_core[(t_eval_core >= lo) & (t_eval_core <= hi)]
-            stops = sel if t1 > t0 else sel[::-1]
-            if stops.size == 0 or stops[-1] != t1:
-                stops = np.append(stops, t1)
-        ts, upto = _step_ends(t0, stops, dt_max)
-        M = _step_propagators(p, E, h, ts, c.z(t0), phi)
+    for idx, (chunk, (M, upto)) in enumerate(zip(chunks, stacks)):
         dense = None
-        if want_dense:
+        if chunk.dense:
             prefix = np.concatenate([np.eye(4)[:, :, None], _prefix_products(M)], axis=-1)
             states = np.moveaxis(prefix[..., upto], -1, 0) @ pair
-            dense = (stops, states.transpose(2, 1, 0).reshape(8, -1))
+            dense = (chunk.stops, states.transpose(2, 1, 0).reshape(8, -1))
             pair = states[-1]
         else:
             pair = _product(M) @ pair
@@ -414,10 +523,32 @@ def propagate(p: Problem, E: complex, h: float, c: Contour, from_end: str,
     return track
 
 
+def propagate(p: Problem, E: complex, h: float, c: Contour, from_end: str,
+              ode_tol: float = 1e-12, t_eval_core: Optional[np.ndarray] = None) -> PairTrack:
+    """Shoot the admissible pair from one contour end to t = 0 on the
+    chunks and Magnus steps of _plan; with ``t_eval_core`` the pair is also
+    recorded at those points of the core."""
+    E = complex(E)
+    (chunks,) = _plan(c, h, ode_tol, (from_end,), t_eval_core)
+
+    def stacks():
+        for chunk in chunks:
+            ts, upto = chunk.steps()
+            yield _step_propagators(p, E, h, ts, chunk.z0, chunk.phi), upto
+
+    return _walk(_initial_pair(p, E, c, from_end), chunks, stacks())
+
+
 class MatchingProblem:
     """Matching determinant W(E) between the two admissible pairs at t = 0,
     with column scales frozen at the first evaluation so root iterations
-    see a smooth function whose zeros are the resonances."""
+    see a smooth function whose zeros are the resonances.
+
+    The first evaluation also plans both ends (_plan) and builds, for every
+    checkpoint chunk, the cubic Omega(E) of its Magnus steps (_omega_cubic):
+    four (4, 4, N) stacks, which hold everything that does not depend on E.
+    Each W(E) evaluates the cubics by Horner's rule, exponentiates them and
+    walks the pairs through the chunks as propagate does."""
 
     def __init__(self, p: Problem, h: float, contour: Contour, ode_tol: float = 1e-12):
         self.p = p
@@ -425,10 +556,20 @@ class MatchingProblem:
         self.contour = contour
         self.ode_tol = ode_tol
         self._scales: Optional[np.ndarray] = None
+        self._plans: List[List[_Chunk]] = []
+        self._cubics: List[List[List[np.ndarray]]] = []
 
     def W(self, E: complex) -> complex:
-        A = np.column_stack([propagate(self.p, E, self.h, self.contour, end, self.ode_tol).final
-                             for end in ("left", "right")])
+        E = complex(E)
+        if not self._cubics:
+            plans = _plan(self.contour, self.h, self.ode_tol, ("left", "right"), None)
+            self._cubics = [[_omega_cubic(self.p, self.h, chunk.steps()[0], chunk.z0, chunk.phi)
+                             for chunk in chunks] for chunks in plans]
+            self._plans = plans
+        A = np.column_stack([
+            _walk(_initial_pair(self.p, E, self.contour, end), chunks,
+                  ((_exp_omega(_horner(cubic, E)), None) for cubic in cubics)).final
+            for end, chunks, cubics in zip(("left", "right"), self._plans, self._cubics)])
         if self._scales is None:
             self._scales = np.maximum(np.linalg.norm(A, axis=0), 1e-300)
         return complex(np.linalg.det(A / self._scales[None, :]))

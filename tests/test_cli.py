@@ -1,6 +1,7 @@
 import json
 import os
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -253,6 +254,19 @@ def test_bad_h_exits_2_naming_the_problem(tmp_path, argv, problem):
     code = cli.main([argv[0], _cfg_path(argv[1]), *argv[2:], "--out", str(out)])
     assert code == 2
     assert problem in json.loads(out.read_text())["diagnostics"]
+
+
+def test_oracle_step_budget_exits_2(tmp_path):
+    # f1 at h = 1e-9 would need 7e10 Magnus steps (13 GiB of step ends
+    # alone); the plan is counted, and refused, before any array exists
+    out = tmp_path / "out.json"
+    start = time.perf_counter()
+    code = cli.main(["oracle", _cfg_path("f1"), "--h", "1e-9", "--out", str(out)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    diagnostics = json.loads(out.read_text())["diagnostics"]
+    assert diagnostics.startswith("h = 1e-09 needs ")
+    assert "Magnus steps on the oracle contour, more than the 262144" in diagnostics
 
 
 def test_h_list_must_be_finite(tmp_path):

@@ -235,36 +235,92 @@ def _comm(x, y):
     return x @ y - y @ x
 
 
+def _sixth_order_reference(p, E, h, ts, k, z0, phi):
+    """exp(Omega) of step k, Omega assembled from the scalar coefficients
+    and exponentiated by scipy, and the 4th-order two-node propagator."""
+    dt = ts[k + 1] - ts[k]
+    A1, A2, A3 = (phi * _a_matrix(p, E, h, z0 + phi * (ts[k] + g * dt - ts[0])) for g in oracle._GAUSS)
+    a1 = dt * A2
+    a2 = math.sqrt(15.0) / 3.0 * dt * (A3 - A1)
+    a3 = 10.0 / 3.0 * dt * (A3 - 2.0 * A2 + A1)
+    c1 = _comm(a1, a2)
+    c2 = -_comm(a1, 2.0 * a3 + c1) / 60.0
+    sixth = scipy.linalg.expm(a1 + a3 / 12.0 + _comm(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0)
+    gauss4 = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+    B1, B2 = (phi * _a_matrix(p, E, h, z0 + phi * (ts[k] + g * dt - ts[0])) for g in gauss4)
+    fourth = scipy.linalg.expm(0.5 * dt * (B1 + B2) + math.sqrt(3.0) / 12.0 * dt * dt * _comm(B2, B1))
+    return sixth, fourth
+
+
+def _test_chunks(c, h):
+    """At the production step h/6, one core chunk through the well and one
+    ray chunk ending at R0: (step ends, z0, phi) of each."""
+    for t0, t1, phi in ((-0.3, 0.0, 1.0 + 0j), (c.R0 + 0.3, c.R0, cmath.exp(1j * c.theta))):
+        ts, _ = oracle._step_ends(t0, np.array([t1]), h / 6.0)
+        yield ts, c.z(t0), phi
+
+
 def test_step_propagators_match_scipy_per_step(f1_engine):
-    # at the production step h/6, one core chunk through the well and one
-    # ray chunk ending at R0, Omega assembled step by step from the scalar
-    # coefficients and exponentiated by scipy; there the 4th-order Omega
-    # differs by 8e-9 to 1.1e-8 (core) and 1.3e-10 to 2.3e-10 (ray), so the
-    # 1e-13 bound tells the two schemes apart
+    # there the 4th-order Omega differs by 8e-9 to 1.1e-8 (core) and 1.3e-10
+    # to 2.3e-10 (ray), so the 1e-13 bound tells the two schemes apart
     rep, _, eng = f1_engine
     p = eng.p
     h = 0.05
     E = complex(0.76, -3e-4)
     c = default_contour(p, rep, h)
-    gauss4 = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
-    for t0, t1, phi in ((-0.3, 0.0, 1.0 + 0j), (c.R0 + 0.3, c.R0, cmath.exp(1j * c.theta))):
-        ts, _ = oracle._step_ends(t0, np.array([t1]), h / 6.0)
-        z0 = c.z(t0)
+    for ts, z0, phi in _test_chunks(c, h):
         got = oracle._step_propagators(p, E, h, ts, z0, phi)
         assert got.shape == (4, 4, len(ts) - 1)
         for k in range(len(ts) - 1):
-            dt = ts[k + 1] - ts[k]
-            A1, A2, A3 = (phi * _a_matrix(p, E, h, z0 + phi * (ts[k] + g * dt - t0)) for g in oracle._GAUSS)
-            a1 = dt * A2
-            a2 = math.sqrt(15.0) / 3.0 * dt * (A3 - A1)
-            a3 = 10.0 / 3.0 * dt * (A3 - 2.0 * A2 + A1)
-            c1 = _comm(a1, a2)
-            c2 = -_comm(a1, 2.0 * a3 + c1) / 60.0
-            want = scipy.linalg.expm(a1 + a3 / 12.0 + _comm(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0)
+            want, fourth = _sixth_order_reference(p, E, h, ts, k, z0, phi)
             assert np.linalg.norm(got[..., k] - want) / np.linalg.norm(want) < 1e-13
-            B1, B2 = (phi * _a_matrix(p, E, h, z0 + phi * (ts[k] + g * dt - t0)) for g in gauss4)
-            fourth = scipy.linalg.expm(0.5 * dt * (B1 + B2) + math.sqrt(3.0) / 12.0 * dt * dt * _comm(B2, B1))
             assert np.linalg.norm(fourth - want) / np.linalg.norm(want) > 1e-11
+
+
+def test_omega_cubic_matches_scipy_per_step(f1_engine):
+    # the cubic in E that MatchingProblem caches, evaluated at a complex E
+    # near a resonance, one further off and a real one, then exponentiated
+    rep, _, eng = f1_engine
+    p = eng.p
+    h = 0.05
+    c = default_contour(p, rep, h)
+    base = complex(0.76, -3e-4)
+    for ts, z0, phi in _test_chunks(c, h):
+        cubic = oracle._omega_cubic(p, h, ts, z0, phi)
+        assert len(cubic) == 4
+        for E in (base, base - 0.06 - 0.02j, complex(0.71)):
+            got = oracle._expm(oracle._horner(cubic, E))
+            for k in range(len(ts) - 1):
+                want, _ = _sixth_order_reference(p, E, h, ts, k, z0, phi)
+                assert np.linalg.norm(got[..., k] - want) / np.linalg.norm(want) < 1e-13
+
+
+def test_matching_builds_each_cubic_once(f1_engine, monkeypatch):
+    # one refine_resonance evaluates W nine times; every chunk of both ends
+    # has its cubic built once, on the first
+    rep, _, eng = f1_engine
+    p = eng.p
+    h = 0.08
+    table = {entry["seed"]: entry for entry in eng.resonance_table(h)}
+    seed = pipeline.tracked_seed(list(table), p.e0)
+    c = default_contour(p, rep, h)
+    builds, calls = [], []
+    build, evaluate = oracle._omega_cubic, MatchingProblem.W
+
+    def counted_build(p, h, ts, z0, phi):
+        builds.append((ts[0], len(ts) - 1))
+        return build(p, h, ts, z0, phi)
+
+    def counted_W(self, E):
+        calls.append(E)
+        return evaluate(self, E)
+
+    monkeypatch.setattr(oracle, "_omega_cubic", counted_build)
+    monkeypatch.setattr(MatchingProblem, "W", counted_W)
+    refine_resonance(p, complex(seed, table[seed]["im_pred"]), h, c, eng.m0)
+    chunks = [chunk for end in oracle._plan(c, h, 1e-12, ("left", "right"), None) for chunk in end]
+    assert len(calls) == 9
+    assert builds == [(chunk.t0, chunk.n_steps) for chunk in chunks]
 
 
 def test_magnus_sixth_order(f0_engine, monkeypatch):
@@ -277,13 +333,14 @@ def test_magnus_sixth_order(f0_engine, monkeypatch):
     E = complex(0.5 * (seeds[0] + seeds[1]), -0.001)
     c = default_contour(p, rep, h)
     steps = []
-    kernel = oracle._step_propagators
+    planner = oracle._plan
 
-    def counted(p, E, h, ts, z0, phi):
-        steps[-1] += len(ts) - 1
-        return kernel(p, E, h, ts, z0, phi)
+    def counted(c, h, ode_tol, ends, t_eval_core):
+        plans = planner(c, h, ode_tol, ends, t_eval_core)
+        steps[-1] += sum(chunk.n_steps for chunks in plans for chunk in chunks)
+        return plans
 
-    monkeypatch.setattr(oracle, "_step_propagators", counted)
+    monkeypatch.setattr(oracle, "_plan", counted)
     w = []
     for k in range(3):
         steps.append(0)
