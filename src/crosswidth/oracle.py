@@ -7,21 +7,24 @@ outgoing waves decay, so resonances become zeros of a 4x4 matching
 determinant between the admissible solution pairs shot inward from the
 two ends.  The shooting ODE is linear, y' = A(t; E) y, so it is stepped
 with the 6th-order Magnus integrator on three Gauss nodes and fixed steps
-(Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009), arXiv:0810.5488):
-every step propagator of a checkpoint chunk is built and exponentiated at
-once, then multiplied out by pairwise reduction.  E enters A only through
-its two potential entries, alike at every node, so each step's Magnus
-Omega is an exact cubic in E: a MatchingProblem builds the four cubic
-coefficients of every step once, and each W(E) sums the cubic by Horner's
-rule before exponentiating.  The step stacks are held
-as (4, 4, N) arrays with the step index last and contiguous, and multiplied
-by broadcast products over that axis (_mm): numpy's ``@`` on an (N, 4, 4)
-stack spends most of its time in per-matrix overhead on blocks this small.
-The admissible pair is re-orthonormalized at checkpoints (Godunov shooting)
-so the two columns never collapse onto the common growing direction in
-classically forbidden stretches; the triangular factors are kept so the
-resonant state can be reconstructed chunk by chunk for the Green-identity
-width.
+(Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009), arXiv:0810.5488).  The
+checkpoint chunks of a shooting plan are laid out as one padded grid of
+steps (_Stack: a row per chunk, Omega = 0 on the padding), and the step
+propagators of a slice of rows are exponentiated and multiplied out
+together, by pairwise reduction, in workspaces that every slice reuses.
+E enters A only through its two potential entries, alike at every node,
+so each step's Magnus Omega is an exact cubic in E: a MatchingProblem
+builds the cubic's coefficients for every step once, and each W(E) sums
+them by Horner's rule before exponentiating.  The step stacks are held as
+(4, 4, rows, steps) arrays with the step index last and contiguous, and
+multiplied by broadcast products over that axis (_mm): numpy's ``@`` on
+an (N, 4, 4) stack spends most of its time in per-matrix overhead on
+blocks this small, and each numpy call has a fixed overhead, which a
+slice of several chunks pays once.  The admissible pair is
+re-orthonormalized at checkpoints (Godunov shooting) so the two columns
+never collapse onto the common growing direction in classically
+forbidden stretches; the triangular factors are kept so the resonant
+state can be reconstructed chunk by chunk for the Green-identity width.
 """
 
 from __future__ import annotations
@@ -231,15 +234,18 @@ _GAUSS = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10
 _EXPM_THETA = 0.5
 
 
-def _mm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A @ B for every step of two (n, n, N) stacks, steps on the last axis.
+def _mm(A: np.ndarray, B: np.ndarray, out: Optional[np.ndarray] = None,
+        tmp: Optional[np.ndarray] = None) -> np.ndarray:
+    """A @ B for every step of two (n, n, ...) stacks, steps on the
+    trailing axes.
 
     Accumulated over the inner index, C = sum_k A[:, k] B[k, :], so each
     numpy call is a broadcast product over the contiguous step axis and
-    every temporary stays (n, n, N)."""
-    C = A[:, 0, None] * B[None, 0]
+    every temporary is the size of C.  C goes into ``out`` and each term
+    into ``tmp``; either is allocated when not given."""
+    C = np.multiply(A[:, 0, None], B[None, 0], out=out)
     for k in range(1, A.shape[1]):
-        C += A[:, k, None] * B[None, k]
+        C += np.multiply(A[:, k, None], B[None, k], out=tmp)
     return C
 
 
@@ -250,62 +256,111 @@ def _comm(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return C
 
 
-def _expm(X: np.ndarray) -> np.ndarray:
-    """exp of every matrix of an (n, n, N) stack of finite matrices, with
-    the N matrices on the last axis.
+def _expm(X: np.ndarray, work: Optional[Sequence[np.ndarray]] = None) -> np.ndarray:
+    """exp of every matrix of an (n, n, ...) stack of finite matrices, with
+    the matrices on the trailing axes.
 
     One scaling by 2^-s brings the largest 1-norm theta of the stack to at
     most _EXPM_THETA; the Taylor series is cut where the bound
     theta^(m+1)/(m+1)! on its remainder falls below the unit roundoff,
     summed by Horner's rule in X^2 (about m/2 products instead of m), and
     squared s times.  Every stage is a few numpy calls over the whole stack
-    (scipy.linalg.expm loops over the matrices in Python).  The stack is
-    step-last because numpy's ``@`` on an (N, 4, 4) stack pays a per-matrix
-    overhead that dominates a 4x4 product; _mm instead multiplies whole
-    (4, 4, N) arrays elementwise, two to three times faster per product.
+    (scipy.linalg.expm loops over the matrices in Python), and a stack of
+    zeros gives exactly I.  The stack is step-last because numpy's ``@`` on
+    an (N, 4, 4) stack pays a per-matrix overhead that dominates a 4x4
+    product; _mm instead multiplies whole stacks elementwise.  Every stage
+    writes into ``work``, four arrays shaped like X, and X is scaled in
+    place; without it X is copied and the four are allocated.  The result
+    is one of the four.
     """
-    eye = np.eye(X.shape[0])[:, :, None]
-    theta = float(np.abs(X).sum(axis=0).max(initial=0.0))
+    if work is None:
+        X = X.copy()
+        work = [np.empty_like(X) for _ in range(4)]
+    X2, E, T, tmp = work
+    theta = float(np.abs(X, out=tmp.real).sum(axis=0).max(initial=0.0))
     s = math.ceil(math.log2(theta / _EXPM_THETA)) if theta > _EXPM_THETA else 0
-    X = X * 2.0**-s
-    theta *= 2.0**-s
+    if s:
+        X *= 2.0**-s
+        theta *= 2.0**-s
     m, bound = 1, theta * theta / 2.0
     while bound > 2.0**-53:
         m += 1
         bound *= theta / (m + 1)
     coef = [1.0 / math.factorial(k) for k in range(m + 1)] + [0.0]
     top = m - m % 2
-    X2 = _mm(X, X)
-    E = coef[top] * eye + coef[top + 1] * X
-    # accumulated in place: fewer live (n, n, N) temporaries, fewer page faults
+    eye = np.eye(X.shape[0]).reshape(X.shape[:2] + (1,) * (X.ndim - 2))
+    _mm(X, X, X2, tmp)
+    np.multiply(X, coef[top + 1], out=E)
+    E += coef[top] * eye
     for j in range(top // 2 - 1, -1, -1):
-        T = coef[2 * j + 1] * X
+        _mm(X2, E, T, tmp)
+        T += np.multiply(X, coef[2 * j + 1], out=tmp)
         T += coef[2 * j] * eye
-        T += _mm(X2, E)
-        E = T
+        E, T = T, E
     for _ in range(s):
-        E = _mm(E, E)
+        _mm(E, E, T, tmp)
+        E, T = T, E
     return E
 
 
-def _product(M: np.ndarray) -> np.ndarray:
-    """M[..., -1] @ ... @ M[..., 0] of a step-last stack, multiplied out
-    pairwise."""
+def _take(buf: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
+    """The front of the flat buffer ``buf`` as a C-contiguous array of
+    ``shape``: numpy's broadcast products run about twice as fast into
+    contiguous arrays as into strided views of a larger one."""
+    return buf[:math.prod(shape)].reshape(shape)
+
+
+def _product(M: np.ndarray, work: Optional[Sequence[np.ndarray]] = None) -> np.ndarray:
+    """M[..., -1] @ ... @ M[..., 0] over the last axis of a step-last
+    stack, multiplied out pairwise.
+
+    Each level is written into ``work``, three flat buffers of at least
+    M.size entries (allocated when not given); M is left as it is.
+    Identities appended to the last axis leave the product bit for bit
+    unchanged: each level then holds the unpadded level's matrices first
+    and identities after them."""
+    if work is None:
+        work = [np.empty(M.size, dtype=M.dtype) for _ in range(3)]
+    a, b, tmp = work
     while M.shape[-1] > 1:
-        head = _mm(M[..., 1::2], M[..., :-1:2])
-        M = np.concatenate([head, M[..., -1:]], axis=-1) if M.shape[-1] % 2 else head
+        n = M.shape[-1]
+        half = n // 2
+        head = _take(a, M.shape[:-1] + (n - half,))
+        _mm(M[..., 1::2], M[..., :-1:2], head[..., :half], _take(tmp, M.shape[:-1] + (half,)))
+        if n % 2:
+            head[..., half] = M[..., -1]
+        M, a, b = head, b, a
     return M[..., 0]
 
 
-def _prefix_products(M: np.ndarray) -> np.ndarray:
+def _prefix_products(M: np.ndarray, work: Optional[Sequence[np.ndarray]] = None) -> np.ndarray:
     """C[..., k] = M[..., k] @ ... @ M[..., 0] for every k of a step-last
-    stack (Hillis-Steele scan)."""
-    C = M.copy()
-    k = 1
-    while k < C.shape[-1]:
-        C[..., k:] = _mm(C[..., k:], C[..., :-k])
-        k *= 2
-    return C
+    stack, by a Brent-Kung scan: an up-sweep leaves the product of each
+    aligned block of 2s steps at its last step, and a down-sweep completes
+    the others, about 2 products per step in all (a Hillis-Steele scan
+    takes log2 N).  With ``work``, two flat buffers of at least M.size
+    entries, each round's products go through them and M is overwritten
+    with C; without it, M is copied and they are allocated."""
+    if work is None:
+        M = M.copy()
+        work = [np.empty(M.size, dtype=M.dtype) for _ in range(2)]
+    out, tmp = work
+
+    def combine(first: int, s: int) -> None:
+        # M[j] = M[j] @ M[j - s] for j = first, first + 2s, ...
+        hi = M[..., first::2 * s]
+        if hi.shape[-1]:
+            hi[...] = _mm(hi, M[..., first - s::2 * s][..., :hi.shape[-1]],
+                          _take(out, hi.shape), _take(tmp, hi.shape))
+
+    s = 1
+    while 2 * s <= M.shape[-1]:
+        combine(2 * s - 1, s)
+        s *= 2
+    while s > 1:
+        s //= 2
+        combine(3 * s - 1, s)
+    return M
 
 
 def _step_counts(t0: float, stops: np.ndarray, dt_max: float) -> np.ndarray:
@@ -328,13 +383,26 @@ def _step_ends(t0: float, stops: np.ndarray, dt_max: float) -> Tuple[np.ndarray,
     return np.concatenate([[t0], bounds[k] + frac * (bounds[k + 1] - bounds[k])]), upto
 
 
-# most Magnus steps one shooting plan may hold: MatchingProblem caches four
-# (4, 4) complex Omega coefficients per step, 1 KiB, so 2^18 steps hold 256 MiB
+# most padded Magnus steps (_Stack) one shooting plan may hold.
+# MatchingProblem caches at most three (4, 4) complex Omega coefficients per
+# padded step (_Stack.cubic), 768 B, so 2^18 steps hold at most 192 MiB.
+# Its five (4, 4) complex workspaces, 256 B per step each, span one slice
+# of max(_SLICE_STEPS, L) steps, where L, the longest chunk, is at most a
+# quarter of the padded steps (each end has at least two chunks); they add
+# at most 80 MiB, about 272 MiB in all
 _MAX_STEPS = 2**18
+# padded Magnus steps in one slice of a _Stack, exponentiated and multiplied
+# out together in five (4, 4, rows, L) workspaces of 256 B per step
+_SLICE_STEPS = 1024
+# padded Magnus steps of one Omega build, whose temporaries are allocated
+# afresh: this keeps each within glibc's 128 KiB mmap threshold, above which
+# it would be page-faulted anew on every build
+_BUILD_STEPS = 512
 
 
 class TooManySteps(ValueError):
-    """h is so small that the shooting plan exceeds _MAX_STEPS Magnus steps."""
+    """h is so small that the shooting plan exceeds _MAX_STEPS padded
+    Magnus steps."""
 
 
 @dataclass(frozen=True)
@@ -366,8 +434,8 @@ def _plan(c: Contour, h: float, ode_tol: float, ends: Sequence[str],
     those points.  Checkpoint spacing keeps the growth between
     orthonormalizations small enough that both directions of the
     admissible span survive roundoff.  The steps are counted before any
-    step array exists, and more than _MAX_STEPS of them over all ``ends``
-    raise TooManySteps.
+    step array exists, padded as the stacks of _groups hold them, and more
+    than _MAX_STEPS of them over all ``ends`` raise TooManySteps.
     """
     seg_len = min(1.5, max(40.0 * h, 0.3))
     dt_max = h / 6.0 * (ode_tol / 1e-12) ** (1.0 / 6.0)
@@ -389,11 +457,20 @@ def _plan(c: Contour, h: float, ode_tol: float, ends: Sequence[str],
                 n_steps = int(_step_counts(a, stops, dt_max).sum())
                 chunks.append(_Chunk(a, stops, dt_max, c.z(a), phi, dense, n_steps))
         plans.append(chunks)
-    total = sum(chunk.n_steps for chunks in plans for chunk in chunks)
+    chunks = [chunk for end_chunks in plans for chunk in end_chunks]
+    total = sum(len(group) * max(chunks[i].n_steps for i in group) for group in _groups(chunks))
     if total > _MAX_STEPS:
-        raise TooManySteps(f"h = {h!r} needs {total} Magnus steps on the oracle contour, "
+        raise TooManySteps(f"h = {h!r} needs {total} padded Magnus steps on the oracle contour, "
                            f"more than the {_MAX_STEPS} (2^18) the oracle takes")
     return plans
+
+
+def _groups(chunks: Sequence[_Chunk]) -> List[List[int]]:
+    """Indices of the chunks that share one _Stack: the chunks that are not
+    dense, then the dense ones (whose prefix products are kept)."""
+    groups = ([i for i, chunk in enumerate(chunks) if not chunk.dense],
+              [i for i, chunk in enumerate(chunks) if chunk.dense])
+    return [group for group in groups if group]
 
 
 def _alphas(p: Problem, E: complex, h: float, ts: np.ndarray,
@@ -403,26 +480,26 @@ def _alphas(p: Problem, E: complex, h: float, ts: np.ndarray,
     where the shooting ODE reads y' = phi A(z) y.  With A1, A2, A3 at the
     three Gauss nodes (Blanes et al., Phys. Rep. 470 (2009)):
         a1 = dt A2,  a2 = sqrt(15)/3 dt (A3 - A1),  a3 = 10/3 dt (A3 - 2 A2 + A1),
-    each a (4, 4, N) stack, steps on the last axis."""
+    each a (4, 4, N) stack, steps on the last axis.  For the padded rows of
+    a _Stack, ``ts`` is (C, L + 1) and z0, phi are (C, 1); the stacks are
+    then (4, 4, C, L)."""
     dt = np.diff(ts)
-    z = z0 + phi * (ts[:-1] + _GAUSS[:, None] * dt - ts[0])
+    z = z0 + phi * (ts[..., :-1] + _GAUSS.reshape((3,) + (1,) * dt.ndim) * dt - ts[..., :1])
     v1, v2, r0, r1, r1p = (np.broadcast_to(fn(z), z.shape) for fn in p.coeffs_np)
-    A = np.zeros((4, 4) + z.shape, dtype=complex)
-    A[0, 1] = A[2, 3] = 1.0 / h
-    A[1, 0] = (v1 - E) / h
-    A[1, 2] = r0
-    A[1, 3] = r1
-    A[3, 0] = r0 - h * r1p
-    A[3, 1] = -r1
-    A[3, 2] = (v2 - E) / h
-    A *= phi * dt  # in place, as below: fewer live temporaries
-    A1, A2, A3 = A[:, :, 0], A[:, :, 1], A[:, :, 2]
-    a2 = A3 - A1
-    a2 *= math.sqrt(15.0) / 3.0
-    a3 = A3 + A1
-    a3 -= 2.0 * A2
-    a3 *= 10.0 / 3.0
-    return A2, a2, a3
+    pdt = phi * dt
+    a1, a2, a3 = (np.zeros((4, 4) + dt.shape, dtype=complex) for _ in range(3))
+    # the eight nonzero entries of A; rows 0 and 2 are alike at every node
+    a1[0, 1] = a1[2, 3] = (1.0 / h + 0j) * pdt
+    for (i, j), entry in (((1, 0), (v1 - E) / h), ((1, 2), r0), ((1, 3), r1), ((3, 0), r0 - h * r1p),
+                          ((3, 1), -r1), ((3, 2), (v2 - E) / h)):
+        A1, A2, A3 = entry * pdt
+        a1[i, j] = A2
+        a2[i, j] = A3 - A1
+        a2[i, j] *= math.sqrt(15.0) / 3.0
+        a3[i, j] = A3 + A1
+        a3[i, j] -= 2.0 * A2
+        a3[i, j] *= 10.0 / 3.0
+    return a1, a2, a3
 
 
 # Polynomials in E are lists of step-last stacks, the coefficient of E^k at k.
@@ -438,7 +515,9 @@ def _pscale(P: List[np.ndarray], s: float) -> List[np.ndarray]:
 
 
 def _pcomm(P: List[np.ndarray], Q: List[np.ndarray]) -> List[np.ndarray]:
-    """[P, Q]: the coefficient of E^k sums [P_i, Q_j] over i + j = k."""
+    """[P, Q]: the coefficient of E^k sums [P_i, Q_j] over i + j = k.
+    Top coefficients that vanish on every step are dropped, so that later
+    commutators skip them."""
     R: List[Optional[np.ndarray]] = [None] * (len(P) + len(Q) - 1)
     for i, a in enumerate(P):
         for j, b in enumerate(Q):
@@ -447,6 +526,8 @@ def _pcomm(P: List[np.ndarray], Q: List[np.ndarray]) -> List[np.ndarray]:
                 R[i + j] = C
             else:
                 R[i + j] += C
+    while len(R) > 1 and not R[-1].any():
+        R.pop()
     return R
 
 
@@ -462,35 +543,45 @@ def _omega(a1: List[np.ndarray], a2: List[np.ndarray], a3: List[np.ndarray]) -> 
     return _padd(_padd(a1, _pscale(a3, 1.0 / 12.0)), _pscale(_pcomm(left, _padd(a2, c2)), 1.0 / 240.0))
 
 
-def _exp_omega(omega: np.ndarray) -> np.ndarray:
+def _exp_omega(omega: np.ndarray, work: Optional[Sequence[np.ndarray]] = None) -> np.ndarray:
     if not np.all(np.isfinite(omega.view(float))):
         raise StepUnderflow("shooting coefficients lost finiteness")
-    return _expm(omega)
+    return _expm(omega, work)
+
+
+def _step_omega(p: Problem, E: complex, h: float, ts: np.ndarray,
+                z0: complex, phi: complex) -> np.ndarray:
+    """Omega of the 6th-order Magnus step between each pair of consecutive
+    ``ts`` at energy E (_alphas, _omega)."""
+    a1, a2, a3 = _alphas(p, E, h, ts, z0, phi)
+    return _omega([a1], [a2], [a3])[0]
 
 
 def _step_propagators(p: Problem, E: complex, h: float, ts: np.ndarray,
                       z0: complex, phi: complex) -> np.ndarray:
-    """exp(Omega) of the 6th-order Magnus step between each pair of
-    consecutive ``ts`` at energy E (_alphas, _omega), as a (4, 4, N) stack."""
-    a1, a2, a3 = _alphas(p, E, h, ts, z0, phi)
-    return _exp_omega(_omega([a1], [a2], [a3])[0])
+    """exp(Omega) of every step of one chunk's ``ts`` at energy E, as a
+    (4, 4, N) stack: the unstacked form of what _Stack.products multiplies
+    out."""
+    return _exp_omega(_step_omega(p, E, h, ts, z0, phi))
 
 
 def _omega_cubic(p: Problem, h: float, ts: np.ndarray, z0: complex, phi: complex) -> List[np.ndarray]:
     """Omega0..Omega3 with Omega(E) = Omega0 + E Omega1 + E^2 Omega2 + E^3 Omega3
-    for every step of _step_propagators.  E enters A only through
+    for every step of _step_omega.  E enters A only through
     A[1, 0] = (v1 - E)/h and A[3, 2] = (v2 - E)/h, alike at the three nodes,
     so a2 and a3 do not depend on E and a1 = a1(0) + E P with
     P = -(phi dt/h) (e10 + e32)."""
     a1, a2, a3 = _alphas(p, 0j, h, ts, z0, phi)
     P = np.zeros_like(a1)
     P[1, 0] = P[3, 2] = -phi * np.diff(ts) / h
-    return _omega([a1, P], [a2], [a3])
+    omega = _omega([a1, P], [a2], [a3])
+    return omega + [np.zeros_like(a1) for _ in range(4 - len(omega))]
 
 
-def _horner(poly: List[np.ndarray], E: complex) -> np.ndarray:
-    """The value at E of a polynomial of degree at least 1."""
-    val = poly[-1] * E
+def _horner(poly: List[np.ndarray], E: complex, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The value at E of a polynomial of degree at least 1, written into
+    ``out`` when given."""
+    val = np.multiply(poly[-1], E, out=out)
     for coef in poly[-2:0:-1]:
         val += coef
         val *= E
@@ -498,21 +589,126 @@ def _horner(poly: List[np.ndarray], E: complex) -> np.ndarray:
     return val
 
 
-def _walk(pair: np.ndarray, chunks: List[_Chunk], stacks) -> PairTrack:
-    """Carry the pair through one end's chunks.  ``stacks`` yields, per
-    chunk in turn, its step propagators and, for a dense chunk, the number
-    of steps up to each stop.  The pair is orthonormalized between chunks
+def _row_slices(n_rows: int, L: int, max_steps: int) -> List[slice]:
+    """Rows 0 .. n_rows - 1 of L padded steps each, in slices of equal
+    size (but the last) of at most max_steps steps, or of one row."""
+    n_slices = -(-n_rows // max(1, max_steps // L))
+    rows = -(-n_rows // n_slices)
+    return [slice(r, min(r + rows, n_rows)) for r in range(0, n_rows, rows)]
+
+
+class _Stack:
+    """Checkpoint chunks laid out as one padded grid of Magnus steps.
+
+    Row c of ``ts`` holds chunk c's step ends, the last one repeated up to
+    the longest chunk's L steps.  There dt = 0, so Omega = 0 and
+    exp(Omega) = I exactly, and the padded steps leave every product and
+    prefix product bit for bit unchanged.  Step stacks are
+    (4, 4, rows, L).  The rows are taken in ``slices`` of at most
+    _SLICE_STEPS padded steps (or one row), and every slice is
+    exponentiated and multiplied out in the same five workspaces of
+    ``work_size`` entries, which the caller keeps.  Chunks of one stack
+    are either all dense or none (_groups)."""
+
+    def __init__(self, chunks: Sequence[_Chunk]):
+        steps = [chunk.steps() for chunk in chunks]
+        L = max(chunk.n_steps for chunk in chunks)
+        self.ts = np.empty((len(chunks), L + 1))
+        for row, (ts, _) in zip(self.ts, steps):
+            row[:ts.size] = ts
+            row[ts.size:] = ts[-1]
+        self.upto = [upto for _, upto in steps]
+        self.n_steps = [chunk.n_steps for chunk in chunks]
+        self.z0 = np.array([[chunk.z0] for chunk in chunks])
+        self.phi = np.array([[chunk.phi] for chunk in chunks])
+        self.dense = chunks[0].dense
+        self.slices = _row_slices(len(chunks), L, _SLICE_STEPS)
+        self.work_size = 16 * self.slices[0].stop * L  # entries of a (4, 4, rows, L) slice
+
+    def builds(self, sl: slice) -> List[Tuple[slice, int]]:
+        """The rows of ``sl`` in slices of at most _BUILD_STEPS padded steps
+        (or one row), each with the step count n of its longest chunk:
+        the steps past n are padding on every row of the slice."""
+        subs = _row_slices(sl.stop - sl.start, self.ts.shape[1] - 1, _BUILD_STEPS)
+        rows = [slice(sl.start + sub.start, sl.start + sub.stop) for sub in subs]
+        return [(r, max(self.n_steps[r])) for r in rows]
+
+    def at(self, rows: slice, n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The first n step ends, z0 and phi of ``rows``, for _alphas."""
+        return self.ts[rows, :n + 1], self.z0[rows], self.phi[rows]
+
+    def omega(self, out: np.ndarray, sl: slice, p: Problem, E: complex, h: float) -> None:
+        """Write Omega at E on the rows of ``sl`` (_step_omega) into
+        ``out``, one of ``builds`` at a time, with 0 on the padding past
+        its longest chunk."""
+        for rows, n in self.builds(sl):
+            sub = slice(rows.start - sl.start, rows.stop - sl.start)
+            out[:, :, sub, :n] = _step_omega(p, E, h, *self.at(rows, n))
+            out[:, :, sub, n:] = 0
+
+    def cubic(self, p: Problem, h: float) -> List[np.ndarray]:
+        """_omega_cubic of every row, built slice by slice, as (4, 4, C, L)
+        arrays up to the highest coefficient that is nonzero on some step.
+        Omega3 vanishes on every step (P commutes with [P, a2], the E^1 part
+        of C1), and Omega2 wherever r1 is constant, so a cubic holds two or
+        three arrays; a coefficient is allocated at its first nonzero slice."""
+        coefs: List[Optional[np.ndarray]] = [None] * 4
+        for rows, n in self.builds(slice(0, len(self.ts))):
+            for k, src in enumerate(_omega_cubic(p, h, *self.at(rows, n))):
+                if coefs[k] is None and src.any():
+                    coefs[k] = np.zeros((4, 4) + self.ts[:, 1:].shape, dtype=complex)
+                if coefs[k] is not None:
+                    coefs[k][:, :, rows, :n] = src
+        degree = max(k for k, coef in enumerate(coefs) if coef is not None)
+        return [coef if coef is not None else np.zeros_like(coefs[degree]) for coef in coefs[:degree + 1]]
+
+    def products(self, omega, work: Sequence[np.ndarray]) -> Tuple[np.ndarray, List[np.ndarray]]:
+        """Every row's product of step propagators exp(Omega), as a
+        (4, 4, C) array, and for a dense stack, per row, the (4, 4, n_stops)
+        products up to each of its stops.  ``omega(sl, out)`` writes Omega
+        on the rows of ``sl`` into ``out``.  ``work`` is five flat complex
+        buffers of at least ``work_size`` entries (_workspaces)."""
+        L = self.ts.shape[1] - 1
+        # _expm leaves its result in work[2] or work[3]; the buffers of X,
+        # of X^2 and of its terms are free again for the products
+        free = (work[0], work[1], work[4])
+        products = np.empty((4, 4, len(self.ts)), dtype=complex)
+        prefixes = []
+        for sl in self.slices:
+            X, *expm_work = (_take(buf, (4, 4, sl.stop - sl.start, L)) for buf in work)
+            omega(sl, X)
+            M = _exp_omega(X, expm_work)
+            if self.dense:
+                P = _prefix_products(M, free[:2])
+                prefixes += [P[:, :, r, upto - 1] for r, upto in enumerate(self.upto[sl])]
+                products[:, :, sl] = P[..., -1]
+            else:
+                products[:, :, sl] = _product(M, free)
+        return products, prefixes
+
+
+def _workspaces(size: int) -> List[np.ndarray]:
+    """The five flat buffers of _Stack.products."""
+    return [np.empty(size, dtype=complex) for _ in range(5)]
+
+
+def _walk(pair: np.ndarray, chunks: List[_Chunk], products: np.ndarray,
+          prefixes: Sequence[np.ndarray] = ()) -> PairTrack:
+    """Carry the pair through one end's chunks.  ``products`` holds each
+    chunk's product of step propagators, (4, 4, n_chunks); ``prefixes``
+    holds, per dense chunk in turn, its products up to each of its stops,
+    where the pair is recorded.  The pair is orthonormalized between chunks
     (Godunov shooting)."""
     track = PairTrack(final=pair)
-    for idx, (chunk, (M, upto)) in enumerate(zip(chunks, stacks)):
+    prefixes = iter(prefixes)
+    for idx, chunk in enumerate(chunks):
         dense = None
         if chunk.dense:
-            prefix = np.concatenate([np.eye(4)[:, :, None], _prefix_products(M)], axis=-1)
-            states = np.moveaxis(prefix[..., upto], -1, 0) @ pair
+            states = np.moveaxis(next(prefixes), -1, 0) @ pair
             dense = (chunk.stops, states.transpose(2, 1, 0).reshape(8, -1))
             pair = states[-1]
         else:
-            pair = _product(M) @ pair
+            pair = products[..., idx] @ pair
         if not np.all(np.isfinite(pair.view(float))):
             raise StepUnderflow("propagated state lost finiteness")
         R = None
@@ -526,17 +722,20 @@ def _walk(pair: np.ndarray, chunks: List[_Chunk], stacks) -> PairTrack:
 def propagate(p: Problem, E: complex, h: float, c: Contour, from_end: str,
               ode_tol: float = 1e-12, t_eval_core: Optional[np.ndarray] = None) -> PairTrack:
     """Shoot the admissible pair from one contour end to t = 0 on the
-    chunks and Magnus steps of _plan; with ``t_eval_core`` the pair is also
-    recorded at those points of the core."""
+    chunks and Magnus steps of _plan, each group of _groups as one _Stack;
+    with ``t_eval_core`` the pair is also recorded at those points of the
+    core."""
     E = complex(E)
     (chunks,) = _plan(c, h, ode_tol, (from_end,), t_eval_core)
-
-    def stacks():
-        for chunk in chunks:
-            ts, upto = chunk.steps()
-            yield _step_propagators(p, E, h, ts, chunk.z0, chunk.phi), upto
-
-    return _walk(_initial_pair(p, E, c, from_end), chunks, stacks())
+    products = np.empty((4, 4, len(chunks)), dtype=complex)
+    prefixes: List[np.ndarray] = []
+    stacks = [(group, _Stack([chunks[i] for i in group])) for group in _groups(chunks)]
+    work = _workspaces(max(stack.work_size for _, stack in stacks))
+    for group, stack in stacks:
+        products[..., group], dense = stack.products(
+            lambda sl, out, stack=stack: stack.omega(out, sl, p, E, h), work)
+        prefixes += dense
+    return _walk(_initial_pair(p, E, c, from_end), chunks, products, prefixes)
 
 
 class MatchingProblem:
@@ -544,11 +743,14 @@ class MatchingProblem:
     with column scales frozen at the first evaluation so root iterations
     see a smooth function whose zeros are the resonances.
 
-    The first evaluation also plans both ends (_plan) and builds, for every
-    checkpoint chunk, the cubic Omega(E) of its Magnus steps (_omega_cubic):
-    four (4, 4, N) stacks, which hold everything that does not depend on E.
-    Each W(E) evaluates the cubics by Horner's rule, exponentiates them and
-    walks the pairs through the chunks as propagate does."""
+    The first evaluation also plans both ends (_plan), lays all their
+    checkpoint chunks out as one padded _Stack and builds the cubic
+    Omega(E) of every step (_Stack.cubic): two or three (4, 4, n_chunks, L)
+    coefficient arrays, which hold everything that does not depend on E.
+    Each W(E) sums them by Horner's rule, then exponentiates and multiplies
+    them out slice by slice in five workspaces kept from the first
+    evaluation, and walks each pair through its end's chunk products as
+    propagate does."""
 
     def __init__(self, p: Problem, h: float, contour: Contour, ode_tol: float = 1e-12):
         self.p = p
@@ -557,19 +759,24 @@ class MatchingProblem:
         self.ode_tol = ode_tol
         self._scales: Optional[np.ndarray] = None
         self._plans: List[List[_Chunk]] = []
-        self._cubics: List[List[List[np.ndarray]]] = []
+        self._stack: Optional[_Stack] = None
+        self._cubic: List[np.ndarray] = []
+        self._work: List[np.ndarray] = []
 
     def W(self, E: complex) -> complex:
         E = complex(E)
-        if not self._cubics:
-            plans = _plan(self.contour, self.h, self.ode_tol, ("left", "right"), None)
-            self._cubics = [[_omega_cubic(self.p, self.h, chunk.steps()[0], chunk.z0, chunk.phi)
-                             for chunk in chunks] for chunks in plans]
-            self._plans = plans
+        if self._stack is None:
+            self._plans = _plan(self.contour, self.h, self.ode_tol, ("left", "right"), None)
+            self._stack = _Stack([chunk for chunks in self._plans for chunk in chunks])
+            self._cubic = self._stack.cubic(self.p, self.h)
+            self._work = _workspaces(self._stack.work_size)
+        products, _ = self._stack.products(
+            lambda sl, out: _horner([coef[:, :, sl] for coef in self._cubic], E, out), self._work)
+        n_left = len(self._plans[0])
         A = np.column_stack([
-            _walk(_initial_pair(self.p, E, self.contour, end), chunks,
-                  ((_exp_omega(_horner(cubic, E)), None) for cubic in cubics)).final
-            for end, chunks, cubics in zip(("left", "right"), self._plans, self._cubics)])
+            _walk(_initial_pair(self.p, E, self.contour, end), chunks, prods).final
+            for end, chunks, prods in zip(("left", "right"), self._plans,
+                                          (products[..., :n_left], products[..., n_left:]))])
         if self._scales is None:
             self._scales = np.maximum(np.linalg.norm(A, axis=0), 1e-300)
         return complex(np.linalg.det(A / self._scales[None, :]))

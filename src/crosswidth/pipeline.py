@@ -104,6 +104,9 @@ def select_anchor(engine: SemiclassicsEngine, h_list: Sequence[float]) -> float:
     varies with energy, a wander that trends with h biases the fitted
     exponent.  The anchor is chosen so the tracked energies decorrelate
     from log h (and keep a quarter spacing away from the width dips).
+    When no candidate keeps clear of the dips, it warns and returns e0,
+    which is never a candidate (the grid has an even number of points,
+    symmetric about e0).
     """
     e0 = engine.p.e0
     sp0 = engine.level_spacing(max(h_list))
@@ -188,8 +191,6 @@ def compare_sweep(
                 "ratio": res.E.imag / im_pred if im_pred != 0 else math.nan,
             }
         )
-    fit_oracle = oracle_mod.exponent_fit(hs, [r["im_oracle"] for r in rows]) if len(hs) >= 4 else None
-    fit_pred = oracle_mod.exponent_fit(hs, [r["im_pred"] for r in rows]) if len(hs) >= 4 else None
     out = {
         "m0": engine.m0,
         "anchor": anchor,
@@ -197,8 +198,13 @@ def compare_sweep(
         "rows": rows,
         "ratio_drift": [abs(r["ratio"] - 1.0) for r in rows],
     }
-    if fit_oracle:
-        out["fit_oracle"] = dict(zip(("slope", "intercept", "r2"), fit_oracle))
-        out["fit_pred"] = dict(zip(("slope", "intercept", "r2"), fit_pred))
+    if anchor == engine.p.e0:
+        out["anchor_fallback"] = "no anchor clears the width dips; tracking from e0"
+    # no exponent to fit without four h, nor where a predicted width is 0
+    # (an uncoupled problem, whose oracle widths are roundoff)
+    if len(hs) >= 4 and all(r["im_pred"] != 0 for r in rows):
+        for name, key in (("fit_oracle", "im_oracle"), ("fit_pred", "im_pred")):
+            fit = oracle_mod.exponent_fit(hs, [r[key] for r in rows])
+            out[name] = dict(zip(("slope", "intercept", "r2"), fit))
     out["calib_ratio"] = rows[-1]["ratio"]
     return out

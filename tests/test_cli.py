@@ -204,8 +204,46 @@ def test_compare_csv(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("h,seed,pseudo_re")
     assert len([ln for ln in lines if not ln.startswith("#")]) == 5
-    summary = next(ln for ln in lines if ln.startswith("# summary:"))
+    summary = _compare_summary(out)
     assert "fit_oracle" in summary
+    assert "anchor_fallback" not in summary
+
+
+def _compare_summary(path):
+    line = next(ln for ln in path.read_text().splitlines() if ln.startswith("# summary:"))
+    return json.loads(line[len("# summary:"):])
+
+
+def test_compare_uncoupled_exits_0_without_fits(tmp_path):
+    # every predicted width is 0 and the oracle widths are roundoff: there
+    # is no exponent to fit, but nothing failed either
+    out = tmp_path / "compare.csv"
+    code = cli.main([
+        "compare", _cfg_path("f0_decoupled"), "--h-list", "0.08,0.06,0.05,0.04",
+        "--no-green", "--out", str(out),
+    ])
+    assert code == 0
+    header, *rows = [ln.split(",") for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    assert len(rows) == 4
+    assert all(float(row[header.index("im_pred")]) == 0 for row in rows)
+    assert all(abs(float(row[header.index("im_oracle")])) < 1e-12 for row in rows)
+    summary = _compare_summary(out)
+    assert "fit_oracle" not in summary and "fit_pred" not in summary
+
+
+def test_compare_records_anchor_fallback(tmp_path):
+    # no anchor keeps single_transversal's tracked seeds clear of the width
+    # dips over this sweep: the summary says so, beside the warning
+    out = tmp_path / "compare.csv"
+    with pytest.warns(UserWarning, match="no anchor clears the width dips"):
+        code = cli.main([
+            "compare", _cfg_path("single_transversal"), "--h-list", "0.06,0.05,0.04,0.03",
+            "--no-green", "--out", str(out),
+        ])
+    assert code == 0
+    summary = _compare_summary(out)
+    assert summary["anchor_fallback"] == "no anchor clears the width dips; tracking from e0"
+    assert summary["anchor"] == load_config(_cfg_path("single_transversal")).problem.e0
 
 
 def test_exit_3_on_budget_blowup(tmp_path):

@@ -296,19 +296,22 @@ def test_omega_cubic_matches_scipy_per_step(f1_engine):
 
 
 def test_matching_builds_each_cubic_once(f1_engine, monkeypatch):
-    # one refine_resonance evaluates W nine times; every chunk of both ends
-    # has its cubic built once, on the first
+    # one refine_resonance evaluates W nine times; the cubics are built on
+    # the first only, in stacked slices of several chunks, and they cover
+    # every chunk's steps exactly once (the padding past a chunk's last step
+    # has dt = 0)
     rep, _, eng = f1_engine
     p = eng.p
     h = 0.08
     table = {entry["seed"]: entry for entry in eng.resonance_table(h)}
     seed = pipeline.tracked_seed(list(table), p.e0)
     c = default_contour(p, rep, h)
-    builds, calls = [], []
+    builds, rows, calls = [], [], []
     build, evaluate = oracle._omega_cubic, MatchingProblem.W
 
     def counted_build(p, h, ts, z0, phi):
-        builds.append((ts[0], len(ts) - 1))
+        builds.append(len(calls))
+        rows.extend((row[0], int(np.count_nonzero(np.diff(row)))) for row in ts)
         return build(p, h, ts, z0, phi)
 
     def counted_W(self, E):
@@ -320,7 +323,95 @@ def test_matching_builds_each_cubic_once(f1_engine, monkeypatch):
     refine_resonance(p, complex(seed, table[seed]["im_pred"]), h, c, eng.m0)
     chunks = [chunk for end in oracle._plan(c, h, 1e-12, ("left", "right"), None) for chunk in end]
     assert len(calls) == 9
-    assert builds == [(chunk.t0, chunk.n_steps) for chunk in chunks]
+    assert set(builds) == {1} and len(builds) < len(chunks)
+    assert sorted(rows) == sorted((chunk.t0, chunk.n_steps) for chunk in chunks)
+
+
+def _per_chunk_track(p, E, h, c, end, t_eval_core=None):
+    """The pair shot from ``end`` one chunk at a time, each chunk's
+    unpadded step propagators (_step_propagators) multiplied out alone, and
+    walked as propagate walks the stacked products."""
+    (chunks,) = oracle._plan(c, h, 1e-12, (end,), t_eval_core)
+    products, prefixes = [], []
+    for chunk in chunks:
+        ts, upto = chunk.steps()
+        M = oracle._step_propagators(p, E, h, ts, chunk.z0, chunk.phi)
+        products.append(oracle._product(M))
+        if chunk.dense:
+            prefixes.append(oracle._prefix_products(M)[..., upto - 1])
+    return oracle._walk(oracle._initial_pair(p, E, c, end), chunks, np.stack(products, axis=-1), prefixes)
+
+
+@pytest.mark.parametrize("h", [0.08, 0.03])
+@pytest.mark.parametrize("engine", ["f0_engine", "f1_engine"])
+def test_stacked_matching_matches_per_chunk_reference(engine, h, request):
+    # f1's chunks (98 and 106 steps at h = 0.08, 188 and 200 at 0.03) are
+    # padded in the stack.  The columns are scaled to unit norm at the
+    # first point, so |W| is of order 1 at most, and W agrees with the
+    # per-chunk walk to 1e-12 on that scale (measured: at most 7.8e-13).
+    # Relative to |W| the bound would fail on f0 at h = 0.03 for the
+    # unstacked cubic W too: there its cubic Omega and the per-chunk Omega
+    # at E put W 1.3e-11 apart relative to |W| = 0.029
+    rep, _, eng = request.getfixturevalue(engine)
+    p = eng.p
+    c = default_contour(p, rep, h)
+    seeds = eng.bohr_sommerfeld(h)
+    points = [complex(s, -0.3 * h * h) for s in seeds[:3]] + [complex(0.5 * (seeds[0] + seeds[1]), -0.001)]
+    mp = MatchingProblem(p, h, c)
+    scales = None
+    for E in points:
+        A = np.column_stack([_per_chunk_track(p, E, h, c, end).final for end in ("left", "right")])
+        if scales is None:
+            scales = np.maximum(np.linalg.norm(A, axis=0), 1e-300)
+        want = complex(np.linalg.det(A / scales[None, :]))
+        assert abs(mp.W(E) - want) <= 1e-12
+
+
+def test_stacked_propagate_matches_per_chunk_reference(f1_engine):
+    # the dense core chunks of the Green-identity shooting (prefix products
+    # at every stop) and the plain ray chunks form one stack each
+    rep, _, eng = f1_engine
+    p = eng.p
+    h = 0.03
+    c = default_contour(p, rep, h)
+    E = complex(0.7746, -1.1e-4)
+    t_eval = np.linspace(rep.a0.x - 1.0, 0.0, 400)
+    got = propagate(p, E, h, c, "left", t_eval_core=t_eval)
+    want = _per_chunk_track(p, E, h, c, "left", t_eval)
+    assert np.linalg.norm(got.final - want.final) <= 1e-12 * np.linalg.norm(want.final)
+    for (R, dense), (R_want, dense_want) in zip(got.chunks, want.chunks):
+        assert (R is None) == (R_want is None) and (dense is None) == (dense_want is None)
+        if R is not None:
+            assert np.linalg.norm(R - R_want) <= 1e-12 * np.linalg.norm(R_want)
+        if dense is not None:
+            assert np.array_equal(dense[0], dense_want[0])
+            assert np.linalg.norm(dense[1] - dense_want[1]) <= 1e-12 * np.linalg.norm(dense_want[1])
+
+
+def test_expm_of_zero_stack_is_exactly_identity():
+    zero = np.zeros((4, 4, 3, 5), dtype=complex)
+    eye = np.broadcast_to(np.eye(4)[:, :, None, None], zero.shape)
+    assert np.array_equal(oracle._expm(zero), eye)
+    work = [np.full(zero.shape, np.nan, dtype=complex) for _ in range(4)]
+    assert np.array_equal(oracle._expm(zero.copy(), work), eye)
+
+
+def test_padded_products_are_bit_equal_to_unpadded():
+    # rows of one stack padded with identities up to the longest: the
+    # full-length rows, and the padded ones too, give the unpadded
+    # product and prefix products bit for bit
+    rng = np.random.default_rng(3)
+    lengths = (13, 8, 13, 1)
+    chunks = [np.eye(4)[:, :, None] + 0.3 * (rng.standard_normal((4, 4, n)) + 1j * rng.standard_normal((4, 4, n)))
+              for n in lengths]
+    stack = np.broadcast_to(np.eye(4, dtype=complex)[:, :, None, None], (4, 4, len(lengths), max(lengths))).copy()
+    for row, M in enumerate(chunks):
+        stack[:, :, row, :M.shape[-1]] = M
+    product = oracle._product(stack)
+    prefix = oracle._prefix_products(stack)
+    for row, M in enumerate(chunks):
+        assert np.array_equal(product[:, :, row], oracle._product(M))
+        assert np.array_equal(prefix[:, :, row, :M.shape[-1]], oracle._prefix_products(M))
 
 
 def test_magnus_sixth_order(f0_engine, monkeypatch):
