@@ -7,16 +7,18 @@ outgoing waves decay, so resonances become zeros of a 4x4 matching
 determinant between the admissible solution pairs shot inward from the
 two ends.  The shooting ODE is linear, y' = A(t; E) y, so it is stepped
 with the 6th-order Magnus integrator on three Gauss nodes and fixed steps
-(Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009), arXiv:0810.5488).  The
-checkpoint chunks of a shooting plan are laid out as one padded grid of
-steps (_Stack: a row per chunk, Omega = 0 on the padding), and the step
+(Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009), arXiv:0810.5488).
+propagate shoots one checkpoint chunk at a time.  The matching
+determinant W, which a root search evaluates about nine times, lays the
+checkpoint chunks of its shooting plan out as one padded grid of steps
+(_Stack: a row per chunk, Omega = 0 on the padding), and the step
 propagators of a slice of rows are exponentiated and multiplied out
 together, by pairwise reduction, in workspaces that every slice reuses.
 E enters A only through its two potential entries, alike at every node,
 so each step's Magnus Omega is an exact cubic in E: a MatchingProblem
 builds the cubic's coefficients for every step once, and each W(E) sums
 them by Horner's rule before exponentiating.  The step stacks are held as
-(4, 4, rows, steps) arrays with the step index last and contiguous, and
+(4, 4, ..., steps) arrays with the step index last and contiguous, and
 multiplied by broadcast products over that axis (_mm): numpy's ``@`` on
 an (N, 4, 4) stack spends most of its time in per-matrix overhead on
 blocks this small, and each numpy call has a fixed overhead, which a
@@ -222,9 +224,12 @@ class PairTrack:
         return ts, ws
 
 
+def _n_chunks(t0: float, t1: float, seg_len: float) -> int:
+    return max(1, math.ceil(abs(t1 - t0) / seg_len))
+
+
 def _split(t0: float, t1: float, seg_len: float) -> List[Tuple[float, float]]:
-    n = max(1, int(math.ceil(abs(t1 - t0) / seg_len)))
-    ts = np.linspace(t0, t1, n + 1)
+    ts = np.linspace(t0, t1, _n_chunks(t0, t1, seg_len) + 1)
     return list(zip(ts[:-1], ts[1:]))
 
 
@@ -333,18 +338,15 @@ def _product(M: np.ndarray, work: Optional[Sequence[np.ndarray]] = None) -> np.n
     return M[..., 0]
 
 
-def _prefix_products(M: np.ndarray, work: Optional[Sequence[np.ndarray]] = None) -> np.ndarray:
+def _prefix_products(M: np.ndarray) -> np.ndarray:
     """C[..., k] = M[..., k] @ ... @ M[..., 0] for every k of a step-last
     stack, by a Brent-Kung scan: an up-sweep leaves the product of each
     aligned block of 2s steps at its last step, and a down-sweep completes
     the others, about 2 products per step in all (a Hillis-Steele scan
-    takes log2 N).  With ``work``, two flat buffers of at least M.size
-    entries, each round's products go through them and M is overwritten
-    with C; without it, M is copied and they are allocated."""
-    if work is None:
-        M = M.copy()
-        work = [np.empty(M.size, dtype=M.dtype) for _ in range(2)]
-    out, tmp = work
+    takes log2 N).  Each round's products go through two flat buffers of
+    M.size entries, and C is written over a copy of M."""
+    M = M.copy()
+    out, tmp = (np.empty(M.size, dtype=M.dtype) for _ in range(2))
 
     def combine(first: int, s: int) -> None:
         # M[j] = M[j] @ M[j - s] for j = first, first + 2s, ...
@@ -365,9 +367,8 @@ def _prefix_products(M: np.ndarray, work: Optional[Sequence[np.ndarray]] = None)
 
 def _step_counts(t0: float, stops: np.ndarray, dt_max: float) -> np.ndarray:
     """Numbers of equal steps of at most dt_max from t0 to the first of
-    ``stops`` and between consecutive stops, as floats, so that a count too
-    large for an integer array can still be compared with a budget."""
-    return np.ceil(np.abs(np.diff(np.concatenate([[t0], stops]))) / dt_max)
+    ``stops`` and between consecutive stops."""
+    return np.ceil(np.abs(np.diff(np.concatenate([[t0], stops]))) / dt_max).astype(int)
 
 
 def _step_ends(t0: float, stops: np.ndarray, dt_max: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -375,7 +376,7 @@ def _step_ends(t0: float, stops: np.ndarray, dt_max: float) -> Tuple[np.ndarray,
     of at most dt_max between consecutive stops, and the number of steps
     taken up to each stop."""
     bounds = np.concatenate([[t0], stops])
-    counts = _step_counts(t0, stops, dt_max).astype(int)
+    counts = _step_counts(t0, stops, dt_max)
     upto = np.cumsum(counts)
     j = np.arange(1, upto[-1] + 1)
     k = np.searchsorted(upto, j)
@@ -383,19 +384,24 @@ def _step_ends(t0: float, stops: np.ndarray, dt_max: float) -> Tuple[np.ndarray,
     return np.concatenate([[t0], bounds[k] + frac * (bounds[k + 1] - bounds[k])]), upto
 
 
-# most padded Magnus steps (_Stack) one shooting plan may hold.
-# MatchingProblem caches at most three (4, 4) complex Omega coefficients per
-# padded step (_Stack.cubic), 768 B, so 2^18 steps hold at most 192 MiB.
-# Its five (4, 4) complex workspaces, 256 B per step each, span one slice
-# of max(_SLICE_STEPS, L) steps, where L, the longest chunk, is at most a
+# Magnus steps per unit of h: the steps of a shooting plan are at most
+# h / _STEPS_PER_H long, and the global error scales like (dt/h)^6
+_STEPS_PER_H = 6.0
+# most padded Magnus steps one shooting plan may hold in W's _Stack, as
+# _padded_steps bounds them before any chunk exists.  MatchingProblem
+# caches at most three (4, 4) complex Omega coefficients per padded step
+# (_Stack.cubic), 768 B, so 2^18 steps hold at most 192 MiB.  Its five
+# (4, 4) complex workspaces, 256 B per step each, span one slice of
+# max(_SLICE_STEPS, L) steps, where L, the longest chunk, is at most a
 # quarter of the padded steps (each end has at least two chunks); they add
-# at most 80 MiB, about 272 MiB in all
+# at most 80 MiB, about 272 MiB in all.  propagate holds one chunk's steps
+# at a time
 _MAX_STEPS = 2**18
 # padded Magnus steps in one slice of a _Stack, exponentiated and multiplied
 # out together in five (4, 4, rows, L) workspaces of 256 B per step
 _SLICE_STEPS = 1024
-# padded Magnus steps of one Omega build, whose temporaries are allocated
-# afresh: this keeps each within glibc's 128 KiB mmap threshold, above which
+# padded Magnus steps of one slice of the Omega cubic's build
+# (_Stack.cubic), whose temporaries are allocated afresh: this keeps each within glibc's 128 KiB mmap threshold, above which
 # it would be page-faulted anew on every build
 _BUILD_STEPS = 512
 
@@ -424,21 +430,39 @@ class _Chunk:
         return _step_ends(self.t0, self.stops, self.dt_max)
 
 
-def _plan(c: Contour, h: float, ode_tol: float, ends: Sequence[str],
+def _padded_steps(c: Contour, seg_len: float, dt_max: float, ends: Sequence[str]) -> int:
+    """An upper bound on the padded Magnus steps of the chunks of ``ends``
+    laid out as one _Stack, as W lays them out: the number of chunks times
+    the steps of the longest, counted from the piece lengths alone.  The
+    chunks that _split cuts from one piece are equally long up to
+    linspace's rounding, which can take a chunk one step past its length
+    over dt_max, so each is counted one step longer."""
+    pieces = [piece for end in ends for piece in c.pieces_from(end)]
+    counts = [_n_chunks(t0, t1, seg_len) for t0, t1 in pieces]
+    longest = max(math.ceil(abs(t1 - t0) / n / dt_max) + 1 for (t0, t1), n in zip(pieces, counts))
+    return sum(counts) * longest
+
+
+def _plan(c: Contour, h: float, ends: Sequence[str],
           t_eval_core: Optional[np.ndarray]) -> List[List[_Chunk]]:
     """The checkpoint chunks of the shooting from each of ``ends`` to t = 0.
 
-    Fixed 6th-order Magnus steps of at most dt = (h/6) (ode_tol/1e-12)^(1/6):
-    the global error scales like (dt/h)^6, so it follows ode_tol.  With
+    Fixed 6th-order Magnus steps of at most dt = h / _STEPS_PER_H.  With
     ``t_eval_core``, the core chunks are dense: their steps also end on
-    those points.  Checkpoint spacing keeps the growth between
-    orthonormalizations small enough that both directions of the
-    admissible span survive roundoff.  The steps are counted before any
-    step array exists, padded as the stacks of _groups hold them, and more
-    than _MAX_STEPS of them over all ``ends`` raise TooManySteps.
+    those points.  Checkpoints seg_len = min(1.5, 40 h) apart keep the
+    growth between orthonormalizations small enough that both directions
+    of the admissible span survive roundoff.  Before any chunk exists, the
+    padded steps of W's _Stack over all ``ends`` are bounded
+    (_padded_steps), and more than _MAX_STEPS of them raise TooManySteps;
+    the extra steps of dense chunks are not counted, as propagate holds
+    one chunk at a time.
     """
-    seg_len = min(1.5, max(40.0 * h, 0.3))
-    dt_max = h / 6.0 * (ode_tol / 1e-12) ** (1.0 / 6.0)
+    seg_len = min(1.5, 40.0 * h)
+    dt_max = h / _STEPS_PER_H
+    total = _padded_steps(c, seg_len, dt_max, ends)
+    if total > _MAX_STEPS:
+        raise TooManySteps(f"h = {h!r} needs {total} padded Magnus steps on the oracle contour, "
+                           f"more than the {_MAX_STEPS} (2^18) the oracle takes")
     plans = []
     for end in ends:
         chunks = []
@@ -457,20 +481,7 @@ def _plan(c: Contour, h: float, ode_tol: float, ends: Sequence[str],
                 n_steps = int(_step_counts(a, stops, dt_max).sum())
                 chunks.append(_Chunk(a, stops, dt_max, c.z(a), phi, dense, n_steps))
         plans.append(chunks)
-    chunks = [chunk for end_chunks in plans for chunk in end_chunks]
-    total = sum(len(group) * max(chunks[i].n_steps for i in group) for group in _groups(chunks))
-    if total > _MAX_STEPS:
-        raise TooManySteps(f"h = {h!r} needs {total} padded Magnus steps on the oracle contour, "
-                           f"more than the {_MAX_STEPS} (2^18) the oracle takes")
     return plans
-
-
-def _groups(chunks: Sequence[_Chunk]) -> List[List[int]]:
-    """Indices of the chunks that share one _Stack: the chunks that are not
-    dense, then the dense ones (whose prefix products are kept)."""
-    groups = ([i for i, chunk in enumerate(chunks) if not chunk.dense],
-              [i for i, chunk in enumerate(chunks) if chunk.dense])
-    return [group for group in groups if group]
 
 
 def _alphas(p: Problem, E: complex, h: float, ts: np.ndarray,
@@ -549,25 +560,18 @@ def _exp_omega(omega: np.ndarray, work: Optional[Sequence[np.ndarray]] = None) -
     return _expm(omega, work)
 
 
-def _step_omega(p: Problem, E: complex, h: float, ts: np.ndarray,
-                z0: complex, phi: complex) -> np.ndarray:
-    """Omega of the 6th-order Magnus step between each pair of consecutive
-    ``ts`` at energy E (_alphas, _omega)."""
-    a1, a2, a3 = _alphas(p, E, h, ts, z0, phi)
-    return _omega([a1], [a2], [a3])[0]
-
-
 def _step_propagators(p: Problem, E: complex, h: float, ts: np.ndarray,
                       z0: complex, phi: complex) -> np.ndarray:
-    """exp(Omega) of every step of one chunk's ``ts`` at energy E, as a
-    (4, 4, N) stack: the unstacked form of what _Stack.products multiplies
-    out."""
-    return _exp_omega(_step_omega(p, E, h, ts, z0, phi))
+    """exp(Omega) of the 6th-order Magnus step between each pair of
+    consecutive ``ts`` at energy E (_alphas, _omega), as a (4, 4, N)
+    stack."""
+    a1, a2, a3 = _alphas(p, E, h, ts, z0, phi)
+    return _exp_omega(_omega([a1], [a2], [a3])[0])
 
 
 def _omega_cubic(p: Problem, h: float, ts: np.ndarray, z0: complex, phi: complex) -> List[np.ndarray]:
     """Omega0..Omega3 with Omega(E) = Omega0 + E Omega1 + E^2 Omega2 + E^3 Omega3
-    for every step of _step_omega.  E enters A only through
+    for every step of _step_propagators.  E enters A only through
     A[1, 0] = (v1 - E)/h and A[3, 2] = (v2 - E)/h, alike at the three nodes,
     so a2 and a3 do not depend on E and a1 = a1(0) + E P with
     P = -(phi dt/h) (e10 + e32)."""
@@ -602,59 +606,37 @@ class _Stack:
 
     Row c of ``ts`` holds chunk c's step ends, the last one repeated up to
     the longest chunk's L steps.  There dt = 0, so Omega = 0 and
-    exp(Omega) = I exactly, and the padded steps leave every product and
-    prefix product bit for bit unchanged.  Step stacks are
-    (4, 4, rows, L).  The rows are taken in ``slices`` of at most
-    _SLICE_STEPS padded steps (or one row), and every slice is
-    exponentiated and multiplied out in the same five workspaces of
-    ``work_size`` entries, which the caller keeps.  Chunks of one stack
-    are either all dense or none (_groups)."""
+    exp(Omega) = I exactly, and the padded steps leave every product bit
+    for bit unchanged.  Step stacks are (4, 4, rows, L).  The rows are
+    taken in ``slices`` of at most _SLICE_STEPS padded steps (or one row),
+    and every slice is exponentiated and multiplied out in the same five
+    workspaces of ``work_size`` entries, which the caller keeps."""
 
     def __init__(self, chunks: Sequence[_Chunk]):
-        steps = [chunk.steps() for chunk in chunks]
         L = max(chunk.n_steps for chunk in chunks)
         self.ts = np.empty((len(chunks), L + 1))
-        for row, (ts, _) in zip(self.ts, steps):
+        for row, chunk in zip(self.ts, chunks):
+            ts, _ = chunk.steps()
             row[:ts.size] = ts
             row[ts.size:] = ts[-1]
-        self.upto = [upto for _, upto in steps]
         self.n_steps = [chunk.n_steps for chunk in chunks]
         self.z0 = np.array([[chunk.z0] for chunk in chunks])
         self.phi = np.array([[chunk.phi] for chunk in chunks])
-        self.dense = chunks[0].dense
         self.slices = _row_slices(len(chunks), L, _SLICE_STEPS)
         self.work_size = 16 * self.slices[0].stop * L  # entries of a (4, 4, rows, L) slice
 
-    def builds(self, sl: slice) -> List[Tuple[slice, int]]:
-        """The rows of ``sl`` in slices of at most _BUILD_STEPS padded steps
-        (or one row), each with the step count n of its longest chunk:
-        the steps past n are padding on every row of the slice."""
-        subs = _row_slices(sl.stop - sl.start, self.ts.shape[1] - 1, _BUILD_STEPS)
-        rows = [slice(sl.start + sub.start, sl.start + sub.stop) for sub in subs]
-        return [(r, max(self.n_steps[r])) for r in rows]
-
-    def at(self, rows: slice, n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The first n step ends, z0 and phi of ``rows``, for _alphas."""
-        return self.ts[rows, :n + 1], self.z0[rows], self.phi[rows]
-
-    def omega(self, out: np.ndarray, sl: slice, p: Problem, E: complex, h: float) -> None:
-        """Write Omega at E on the rows of ``sl`` (_step_omega) into
-        ``out``, one of ``builds`` at a time, with 0 on the padding past
-        its longest chunk."""
-        for rows, n in self.builds(sl):
-            sub = slice(rows.start - sl.start, rows.stop - sl.start)
-            out[:, :, sub, :n] = _step_omega(p, E, h, *self.at(rows, n))
-            out[:, :, sub, n:] = 0
-
     def cubic(self, p: Problem, h: float) -> List[np.ndarray]:
-        """_omega_cubic of every row, built slice by slice, as (4, 4, C, L)
-        arrays up to the highest coefficient that is nonzero on some step.
-        Omega3 vanishes on every step (P commutes with [P, a2], the E^1 part
-        of C1), and Omega2 wherever r1 is constant, so a cubic holds two or
-        three arrays; a coefficient is allocated at its first nonzero slice."""
+        """_omega_cubic of every row, built in slices of at most
+        _BUILD_STEPS padded steps (or one row), each up to its longest
+        chunk, as (4, 4, C, L) arrays up to the highest coefficient that is
+        nonzero on some step.  Omega3 vanishes on every step (P commutes
+        with [P, a2], the E^1 part of C1), and Omega2 wherever r1 is
+        constant, so a cubic holds two or three arrays; a coefficient is
+        allocated at its first nonzero slice."""
         coefs: List[Optional[np.ndarray]] = [None] * 4
-        for rows, n in self.builds(slice(0, len(self.ts))):
-            for k, src in enumerate(_omega_cubic(p, h, *self.at(rows, n))):
+        for rows in _row_slices(len(self.ts), self.ts.shape[1] - 1, _BUILD_STEPS):
+            n = max(self.n_steps[rows])
+            for k, src in enumerate(_omega_cubic(p, h, self.ts[rows, :n + 1], self.z0[rows], self.phi[rows])):
                 if coefs[k] is None and src.any():
                     coefs[k] = np.zeros((4, 4) + self.ts[:, 1:].shape, dtype=complex)
                 if coefs[k] is not None:
@@ -662,34 +644,21 @@ class _Stack:
         degree = max(k for k, coef in enumerate(coefs) if coef is not None)
         return [coef if coef is not None else np.zeros_like(coefs[degree]) for coef in coefs[:degree + 1]]
 
-    def products(self, omega, work: Sequence[np.ndarray]) -> Tuple[np.ndarray, List[np.ndarray]]:
-        """Every row's product of step propagators exp(Omega), as a
-        (4, 4, C) array, and for a dense stack, per row, the (4, 4, n_stops)
-        products up to each of its stops.  ``omega(sl, out)`` writes Omega
-        on the rows of ``sl`` into ``out``.  ``work`` is five flat complex
-        buffers of at least ``work_size`` entries (_workspaces)."""
+    def products(self, cubic: Sequence[np.ndarray], E: complex, work: Sequence[np.ndarray]) -> np.ndarray:
+        """Every row's product of step propagators exp(Omega(E)), as a
+        (4, 4, C) array, with Omega summed from ``cubic`` (the cubic's
+        coefficients) by Horner's rule slice by slice.  ``work`` is five
+        flat complex buffers of at least ``work_size`` entries."""
         L = self.ts.shape[1] - 1
         # _expm leaves its result in work[2] or work[3]; the buffers of X,
         # of X^2 and of its terms are free again for the products
         free = (work[0], work[1], work[4])
         products = np.empty((4, 4, len(self.ts)), dtype=complex)
-        prefixes = []
         for sl in self.slices:
             X, *expm_work = (_take(buf, (4, 4, sl.stop - sl.start, L)) for buf in work)
-            omega(sl, X)
-            M = _exp_omega(X, expm_work)
-            if self.dense:
-                P = _prefix_products(M, free[:2])
-                prefixes += [P[:, :, r, upto - 1] for r, upto in enumerate(self.upto[sl])]
-                products[:, :, sl] = P[..., -1]
-            else:
-                products[:, :, sl] = _product(M, free)
-        return products, prefixes
-
-
-def _workspaces(size: int) -> List[np.ndarray]:
-    """The five flat buffers of _Stack.products."""
-    return [np.empty(size, dtype=complex) for _ in range(5)]
+            _horner([coef[:, :, sl] for coef in cubic], E, X)
+            products[:, :, sl] = _product(_exp_omega(X, expm_work), free)
+        return products
 
 
 def _walk(pair: np.ndarray, chunks: List[_Chunk], products: np.ndarray,
@@ -720,22 +689,24 @@ def _walk(pair: np.ndarray, chunks: List[_Chunk], products: np.ndarray,
 
 
 def propagate(p: Problem, E: complex, h: float, c: Contour, from_end: str,
-              ode_tol: float = 1e-12, t_eval_core: Optional[np.ndarray] = None) -> PairTrack:
+              t_eval_core: Optional[np.ndarray] = None) -> PairTrack:
     """Shoot the admissible pair from one contour end to t = 0 on the
-    chunks and Magnus steps of _plan, each group of _groups as one _Stack;
-    with ``t_eval_core`` the pair is also recorded at those points of the
-    core."""
+    chunks and Magnus steps of _plan, one chunk at a time (each chunk's
+    _step_propagators multiplied out alone); with ``t_eval_core`` the pair
+    is also recorded at those points of the core."""
     E = complex(E)
-    (chunks,) = _plan(c, h, ode_tol, (from_end,), t_eval_core)
-    products = np.empty((4, 4, len(chunks)), dtype=complex)
-    prefixes: List[np.ndarray] = []
-    stacks = [(group, _Stack([chunks[i] for i in group])) for group in _groups(chunks)]
-    work = _workspaces(max(stack.work_size for _, stack in stacks))
-    for group, stack in stacks:
-        products[..., group], dense = stack.products(
-            lambda sl, out, stack=stack: stack.omega(out, sl, p, E, h), work)
-        prefixes += dense
-    return _walk(_initial_pair(p, E, c, from_end), chunks, products, prefixes)
+    (chunks,) = _plan(c, h, (from_end,), t_eval_core)
+    products, prefixes = [], []
+    for chunk in chunks:
+        ts, upto = chunk.steps()
+        M = _step_propagators(p, E, h, ts, chunk.z0, chunk.phi)
+        if chunk.dense:
+            P = _prefix_products(M)
+            prefixes.append(P[..., upto - 1])
+            products.append(P[..., -1])
+        else:
+            products.append(_product(M))
+    return _walk(_initial_pair(p, E, c, from_end), chunks, np.stack(products, axis=-1), prefixes)
 
 
 class MatchingProblem:
@@ -752,11 +723,10 @@ class MatchingProblem:
     evaluation, and walks each pair through its end's chunk products as
     propagate does."""
 
-    def __init__(self, p: Problem, h: float, contour: Contour, ode_tol: float = 1e-12):
+    def __init__(self, p: Problem, h: float, contour: Contour):
         self.p = p
         self.h = h
         self.contour = contour
-        self.ode_tol = ode_tol
         self._scales: Optional[np.ndarray] = None
         self._plans: List[List[_Chunk]] = []
         self._stack: Optional[_Stack] = None
@@ -766,12 +736,11 @@ class MatchingProblem:
     def W(self, E: complex) -> complex:
         E = complex(E)
         if self._stack is None:
-            self._plans = _plan(self.contour, self.h, self.ode_tol, ("left", "right"), None)
+            self._plans = _plan(self.contour, self.h, ("left", "right"), None)
             self._stack = _Stack([chunk for chunks in self._plans for chunk in chunks])
             self._cubic = self._stack.cubic(self.p, self.h)
-            self._work = _workspaces(self._stack.work_size)
-        products, _ = self._stack.products(
-            lambda sl, out: _horner([coef[:, :, sl] for coef in self._cubic], E, out), self._work)
+            self._work = [np.empty(self._stack.work_size, dtype=complex) for _ in range(5)]
+        products = self._stack.products(self._cubic, E, self._work)
         n_left = len(self._plans[0])
         A = np.column_stack([
             _walk(_initial_pair(self.p, E, self.contour, end), chunks, prods).final
@@ -810,8 +779,7 @@ def _muller(f, x0: complex, x1: complex, x2: complex, tol: float):
     raise NotConverged(f"Muller did not reach |dE| <= {tol:g} in {_MULLER_MAXIT} steps")
 
 
-def refine_resonance(p: Problem, seed: complex, h: float, c: Contour, m0: int,
-                     ode_tol: float = 1e-12) -> OracleResonance:
+def refine_resonance(p: Problem, seed: complex, h: float, c: Contour, m0: int) -> OracleResonance:
     """Polish a resonance from a semiclassical seed by Muller iteration on
     the matching determinant.  A root is accepted only where |W| is at most
     _RESIDUAL_MAX; otherwise a scan of |W| picks a new start, and a root
@@ -821,7 +789,7 @@ def refine_resonance(p: Problem, seed: complex, h: float, c: Contour, m0: int,
     # start spread well below the oscillation scale of W in E (set by the
     # contour length over h) so Muller's quadratic model is trustworthy
     spread = max(1e-10, min(0.05 * scale, 0.02 * h * h / (c.X / 10.0)))
-    mp = MatchingProblem(p, h, c, ode_tol)
+    mp = MatchingProblem(p, h, c)
     seed = complex(seed)
 
     def polish(start: complex):

@@ -185,6 +185,17 @@ def test_oracle_moves_off_a_stalled_muller_point(tmp_path):
     assert payload["residual"] < 1e-10
 
 
+def test_oracle_reaches_small_h(tmp_path):
+    # checkpoints 40 h apart keep W clear of roundoff below h = 0.0075,
+    # where a fixed 0.3 spacing left |W| noise of order 1e-2 at h = 0.003
+    out = tmp_path / "oracle.json"
+    code = cli.main(["oracle", _cfg_path("f1"), "--h", "0.003", "--out", str(out)])
+    assert code == 0
+    payload = json.loads(out.read_text())
+    assert payload["residual"] <= 1e-10
+    assert abs(payload["im_green"] / payload["E_im"] - 1.0) <= 1e-7
+
+
 def test_oracle_exit_3_when_no_start_reaches_a_root(tmp_path):
     # on f2 at h = 0.05 both the predicted start and the scan's best point
     # stall at |W| = 0.109, so the oracle reports non-convergence

@@ -53,7 +53,7 @@ def test_free_wave_phase_accumulation():
     p = _flat_problem()
     h = 0.05
     c = Contour(R0=5.0, theta=0.3, X=5.5)
-    track = propagate(p, complex(1.0), h, c, "right", ode_tol=1e-12)
+    track = propagate(p, complex(1.0), h, c, "right")
     z_end = c.z(5.5)
     want = cmath.exp(1j * math.sqrt(1.0) * (0.0 - z_end) / h)
     got = _raw_final(track)[2, 1]  # channel-2 value of the channel-2 column at t = 0
@@ -66,7 +66,7 @@ def test_closed_channel_growth_rate():
     p = _flat_problem()
     h = 0.1
     c = Contour(R0=2.0, theta=0.3, X=2.5)
-    track = propagate(p, complex(1.0), h, c, "left", ode_tol=1e-12)
+    track = propagate(p, complex(1.0), h, c, "left")
     got = _raw_final(track)[0, 0]
     want_log = math.sqrt(3.0) * abs(c.z(-2.5).real) / h
     assert abs(math.log(abs(got)) - want_log) / want_log < 1e-2
@@ -174,17 +174,20 @@ def test_matching_problem_scale_freeze(f0_engine):
     assert w1 == w2
 
 
-def test_ode_accuracy_stability(f0_engine):
-    # a tenfold tighter integrator tolerance moves the width by well under 1%
+def test_ode_accuracy_stability(f0_engine, monkeypatch):
+    # Magnus steps of h/1.897 and h/2.785, ten times apart in the (dt/h)^6
+    # error bound, move the width by well under 1%
     rep, _, eng = f0_engine
     p = eng.p
     h = 0.05
     seed = eng.bohr_sommerfeld(h)[1]
     D = eng.width_coefficient(seed, h).D
     c = default_contour(p, rep, h)
-    r1 = refine_resonance(p, complex(seed, -D * h * h), h, c, eng.m0, ode_tol=1e-9)
-    r2 = refine_resonance(p, complex(seed, -D * h * h), h, c, eng.m0, ode_tol=1e-10)
-    assert abs(r2.E.imag - r1.E.imag) / abs(r2.E.imag) < 0.01
+    widths = []
+    for steps_per_h in (6.0 / 1e3 ** (1.0 / 6.0), 6.0 / 1e2 ** (1.0 / 6.0)):
+        monkeypatch.setattr(oracle, "_STEPS_PER_H", steps_per_h)
+        widths.append(refine_resonance(p, complex(seed, -D * h * h), h, c, eng.m0).E.imag)
+    assert abs(widths[1] - widths[0]) / abs(widths[1]) < 0.01
 
 
 @pytest.mark.parametrize("norm", [0.05, 0.4, 3.0, 40.0])
@@ -321,25 +324,10 @@ def test_matching_builds_each_cubic_once(f1_engine, monkeypatch):
     monkeypatch.setattr(oracle, "_omega_cubic", counted_build)
     monkeypatch.setattr(MatchingProblem, "W", counted_W)
     refine_resonance(p, complex(seed, table[seed]["im_pred"]), h, c, eng.m0)
-    chunks = [chunk for end in oracle._plan(c, h, 1e-12, ("left", "right"), None) for chunk in end]
+    chunks = [chunk for end in oracle._plan(c, h, ("left", "right"), None) for chunk in end]
     assert len(calls) == 9
     assert set(builds) == {1} and len(builds) < len(chunks)
     assert sorted(rows) == sorted((chunk.t0, chunk.n_steps) for chunk in chunks)
-
-
-def _per_chunk_track(p, E, h, c, end, t_eval_core=None):
-    """The pair shot from ``end`` one chunk at a time, each chunk's
-    unpadded step propagators (_step_propagators) multiplied out alone, and
-    walked as propagate walks the stacked products."""
-    (chunks,) = oracle._plan(c, h, 1e-12, (end,), t_eval_core)
-    products, prefixes = [], []
-    for chunk in chunks:
-        ts, upto = chunk.steps()
-        M = oracle._step_propagators(p, E, h, ts, chunk.z0, chunk.phi)
-        products.append(oracle._product(M))
-        if chunk.dense:
-            prefixes.append(oracle._prefix_products(M)[..., upto - 1])
-    return oracle._walk(oracle._initial_pair(p, E, c, end), chunks, np.stack(products, axis=-1), prefixes)
 
 
 @pytest.mark.parametrize("h", [0.08, 0.03])
@@ -348,7 +336,8 @@ def test_stacked_matching_matches_per_chunk_reference(engine, h, request):
     # f1's chunks (98 and 106 steps at h = 0.08, 188 and 200 at 0.03) are
     # padded in the stack.  The columns are scaled to unit norm at the
     # first point, so |W| is of order 1 at most, and W agrees with the
-    # per-chunk walk to 1e-12 on that scale (measured: at most 7.8e-13).
+    # per-chunk walk of propagate to 1e-12 on that scale (measured: at
+    # most 7.8e-13).
     # Relative to |W| the bound would fail on f0 at h = 0.03 for the
     # unstacked cubic W too: there its cubic Omega and the per-chunk Omega
     # at E put W 1.3e-11 apart relative to |W| = 0.029
@@ -360,32 +349,32 @@ def test_stacked_matching_matches_per_chunk_reference(engine, h, request):
     mp = MatchingProblem(p, h, c)
     scales = None
     for E in points:
-        A = np.column_stack([_per_chunk_track(p, E, h, c, end).final for end in ("left", "right")])
+        A = np.column_stack([propagate(p, E, h, c, end).final for end in ("left", "right")])
         if scales is None:
             scales = np.maximum(np.linalg.norm(A, axis=0), 1e-300)
         want = complex(np.linalg.det(A / scales[None, :]))
         assert abs(mp.W(E) - want) <= 1e-12
 
 
-def test_stacked_propagate_matches_per_chunk_reference(f1_engine):
-    # the dense core chunks of the Green-identity shooting (prefix products
-    # at every stop) and the plain ray chunks form one stack each
-    rep, _, eng = f1_engine
-    p = eng.p
-    h = 0.03
-    c = default_contour(p, rep, h)
-    E = complex(0.7746, -1.1e-4)
-    t_eval = np.linspace(rep.a0.x - 1.0, 0.0, 400)
-    got = propagate(p, E, h, c, "left", t_eval_core=t_eval)
-    want = _per_chunk_track(p, E, h, c, "left", t_eval)
-    assert np.linalg.norm(got.final - want.final) <= 1e-12 * np.linalg.norm(want.final)
-    for (R, dense), (R_want, dense_want) in zip(got.chunks, want.chunks):
-        assert (R is None) == (R_want is None) and (dense is None) == (dense_want is None)
-        if R is not None:
-            assert np.linalg.norm(R - R_want) <= 1e-12 * np.linalg.norm(R_want)
-        if dense is not None:
-            assert np.array_equal(dense[0], dense_want[0])
-            assert np.linalg.norm(dense[1] - dense_want[1]) <= 1e-12 * np.linalg.norm(dense_want[1])
+@pytest.mark.parametrize("h", [0.08, 0.03, 0.005, 0.001])
+@pytest.mark.parametrize("engine", ["f0_engine", "f1_engine"])
+def test_step_budget_bounds_the_padded_stack(engine, h, request, monkeypatch):
+    # the step budget is counted from the piece lengths before any chunk
+    # exists; it must not undercount what W's stack then holds, and it
+    # counts each chunk at most one step longer (measured: exact at
+    # h <= 0.005, where seg_len / dt_max is 240 and linspace's rounding
+    # takes the longest chunk to 241 steps, and one step over per chunk
+    # above)
+    rep, _, eng = request.getfixturevalue(engine)
+    c = default_contour(eng.p, rep, h)
+    chunks = [chunk for end in oracle._plan(c, h, ("left", "right"), None) for chunk in end]
+    stack = oracle._Stack(chunks)
+    padded = stack.ts.shape[0] * (stack.ts.shape[1] - 1)
+    monkeypatch.setattr(oracle, "_MAX_STEPS", padded + len(chunks))
+    oracle._plan(c, h, ("left", "right"), None)
+    monkeypatch.setattr(oracle, "_MAX_STEPS", padded - 1)
+    with pytest.raises(oracle.TooManySteps):
+        oracle._plan(c, h, ("left", "right"), None)
 
 
 def test_expm_of_zero_stack_is_exactly_identity():
@@ -415,8 +404,8 @@ def test_padded_products_are_bit_equal_to_unpadded():
 
 
 def test_magnus_sixth_order(f0_engine, monkeypatch):
-    # ode_tol / 64 halves the Magnus step; a 6th-order scheme then shrinks
-    # the change in W by about 64x (60 to 69 measured)
+    # each row halves the Magnus step; a 6th-order scheme then shrinks the
+    # change in W by about 64x (60 to 69 measured)
     rep, _, eng = f0_engine
     p = eng.p
     h = 0.05
@@ -426,8 +415,8 @@ def test_magnus_sixth_order(f0_engine, monkeypatch):
     steps = []
     planner = oracle._plan
 
-    def counted(c, h, ode_tol, ends, t_eval_core):
-        plans = planner(c, h, ode_tol, ends, t_eval_core)
+    def counted(c, h, ends, t_eval_core):
+        plans = planner(c, h, ends, t_eval_core)
         steps[-1] += sum(chunk.n_steps for chunks in plans for chunk in chunks)
         return plans
 
@@ -435,16 +424,18 @@ def test_magnus_sixth_order(f0_engine, monkeypatch):
     w = []
     for k in range(3):
         steps.append(0)
-        w.append(MatchingProblem(p, h, c, ode_tol=1e-8 / 64**k).W(E))
+        # steps of h/1.29, h/2.59 and h/5.17
+        monkeypatch.setattr(oracle, "_STEPS_PER_H", 6.0 / 10 ** (2.0 / 3.0) * 2**k)
+        w.append(MatchingProblem(p, h, c).W(E))
     assert all(1.9 < b / a < 2.1 for a, b in zip(steps, steps[1:]))
     assert abs(w[2] - w[1]) * 40 <= abs(w[1] - w[0])
 
 
 @pytest.mark.parametrize("h", [0.08, 0.03])
 @pytest.mark.parametrize("engine", ["f0_engine", "f1_engine"])
-def test_richardson_error_of_refined_resonance(engine, h, request):
-    # the resonance at the default step against the one at half the step
-    # (ode_tol / 64): measured, the width moves by at most 3.5e-11 relative
+def test_richardson_error_of_refined_resonance(engine, h, request, monkeypatch):
+    # the resonance at the default step against the one at half the step:
+    # measured, the width moves by at most 3.5e-11 relative
     # and the real part by at most 3.5e-12 relative; the former 4th-order
     # scheme at h/24 moved them by up to 3e-10 and 4.2e-11
     rep, _, eng = request.getfixturevalue(engine)
@@ -454,6 +445,7 @@ def test_richardson_error_of_refined_resonance(engine, h, request):
     start = complex(seed, table[seed]["im_pred"])
     c = default_contour(p, rep, h)
     coarse = refine_resonance(p, start, h, c, eng.m0).E
-    fine = refine_resonance(p, start, h, c, eng.m0, ode_tol=1e-12 / 64).E
+    monkeypatch.setattr(oracle, "_STEPS_PER_H", 2.0 * oracle._STEPS_PER_H)
+    fine = refine_resonance(p, start, h, c, eng.m0).E
     assert abs(fine.imag - coarse.imag) <= 1e-9 * abs(fine.imag)
     assert abs(fine.real - coarse.real) <= 1e-11 * abs(fine)
