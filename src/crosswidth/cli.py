@@ -5,14 +5,13 @@ crosswidth <analyze|bs|pseudo|widths|oracle|compare|stphase> <config> [flags]
 Outputs are deterministic for a fixed config: JSON for structured results,
 CSV for sweep tables, all floats printed with 17 significant digits.
 Exit codes: 0 success, 2 invalid input (structure validation, config,
-h or contour parameters, an expression undefined where it is evaluated),
-3 numerical non-convergence.
+h, an expression undefined where it is evaluated, an --out path that
+cannot be opened), 3 numerical non-convergence.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 from typing import Optional
@@ -103,7 +102,7 @@ def _report_dict(report) -> dict:
 
 
 def cmd_analyze(cfg: RunConfig, args) -> int:
-    h_max = args.h or (max(cfg.h_list) if cfg.h_list else 0.08)
+    h_max = max(cfg.h_list) if cfg.h_list else 0.08
     try:
         report, graph, _ = build_engine(cfg.problem, calib=cfg.calib, h_max=h_max)
     except ValidationFailed as exc:
@@ -147,8 +146,6 @@ def cmd_oracle(cfg: RunConfig, args) -> int:
     idx = args.seed_index if args.seed_index is not None else len(seeds) // 2
     if not 0 <= idx < len(seeds):
         raise ConfigError(f"seed index {idx} out of range 0..{len(seeds) - 1}")
-    if args.theta is not None:
-        cfg = dataclasses.replace(cfg, theta=args.theta)
     im_pred = engine.predicted_widths([seeds[idx]], args.h)[1][0]
     row = oracle_row(cfg, report, engine.m0, complex(seeds[idx], im_pred), args.h)
     res = row["res"]
@@ -158,14 +155,11 @@ def cmd_oracle(cfg: RunConfig, args) -> int:
 
 
 def cmd_compare(cfg: RunConfig, args) -> int:
-    result = compare_sweep(cfg, args.h_list, include_green=not args.no_green)
+    result = compare_sweep(cfg, args.h_list)
     cols = [
         "h", "seed", "pseudo_re", "pseudo_im", "D", "im_pred",
         "re_oracle", "im_oracle", "im_green", "ratio", "residual",
     ]
-    for row in result["rows"]:
-        if row["im_green"] is None:
-            row["im_green"] = math.nan
     text = _csv(result["rows"], cols)
     summary = {k: v for k, v in result.items() if k != "rows"}
     text += "\n# summary: " + _to_json(summary).replace("\n", " ")
@@ -187,6 +181,8 @@ def cmd_stphase(cfg: RunConfig, args) -> int:
     if not math.isfinite(x0):
         raise ConfigError(f"--x0 must be finite, got {x0!r}")
     m = args.m
+    if m < 1:
+        raise ConfigError("m must be >= 1")
     jet = exprs.taylor_jet(phi_ast, x0, m + 1)
     sigma0 = exprs.evaluate(sigma_ast, x0)
     rows = []
@@ -214,36 +210,30 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def command(name, helptext):
+        # no abbreviations: "analyze --h" must not pass for "--help"
+        sp = sub.add_parser(name, help=helptext, allow_abbrev=False)
         sp.add_argument("config", help="path to the run configuration")
         sp.add_argument("--out", help="write output to this file instead of stdout")
+        return sp
 
-    sp = sub.add_parser("analyze", help="structure report and phase-space graph as JSON")
-    common(sp)
-    sp.add_argument("--h", type=float, default=None)
+    command("analyze", "structure report and phase-space graph as JSON")
 
     for name, helptext in (
         ("bs", "Bohr-Sommerfeld grid as CSV"),
         ("pseudo", "pseudo-resonances as JSON"),
         ("widths", "width table as JSON"),
     ):
-        sp = sub.add_parser(name, help=helptext)
-        common(sp)
-        sp.add_argument("--h", type=float, required=True)
+        command(name, helptext).add_argument("--h", type=float, required=True)
 
-    sp = sub.add_parser("oracle", help="direct resonance by complex-scaled shooting")
-    common(sp)
+    sp = command("oracle", "direct resonance by complex-scaled shooting")
     sp.add_argument("--h", type=float, required=True)
     sp.add_argument("--seed-index", type=int, default=None)
-    sp.add_argument("--theta", type=float, default=None)
 
-    sp = sub.add_parser("compare", help="joined semiclassics/oracle sweep with exponent fits")
-    common(sp)
+    sp = command("compare", "joined semiclassics/oracle sweep with exponent fits")
     sp.add_argument("--h-list", type=lambda s: [float(v) for v in s.split(",")], default=None)
-    sp.add_argument("--no-green", action="store_true", help="skip the Green-identity cross-check")
 
-    sp = sub.add_parser("stphase", help="oscillatory integral vs stationary phase")
-    common(sp)
+    sp = command("stphase", "oscillatory integral vs stationary phase")
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--h-list", type=lambda s: [float(v) for v in s.split(",")], required=True)
     sp.add_argument("--phi", required=True)
@@ -266,6 +256,14 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.out:
+        # every outcome is written there, so the path is checked before
+        # anything runs; appending leaves a file that is also read intact
+        try:
+            open(args.out, "a", encoding="utf-8").close()
+        except OSError as exc:
+            _emit(_to_json({"diagnostics": f"cannot open --out {args.out}: {exc.strerror}"}), None)
+            return 2
     try:
         cfg = load_config(args.config)
         if getattr(args, "h", None) is not None:
@@ -273,7 +271,7 @@ def main(argv=None) -> int:
         if getattr(args, "h_list", None) is not None:
             check_h_list(args.h_list, "--h-list")
     except (ConfigError, OSError, exprs.ExprSyntaxError) as exc:
-        _emit(_to_json({"diagnostics": str(exc)}), getattr(args, "out", None))
+        _emit(_to_json({"diagnostics": str(exc)}), args.out)
         return 2
     try:
         return _COMMANDS[args.command](cfg, args)

@@ -1,7 +1,7 @@
 """Run configuration: a sectioned key = value text format.
 
-Sections [problem], [numerics], [sweep] and [oracle]; the expression
-values use the grammar of :mod:`crosswidth.exprs`.  Unknown sections or
+Sections [problem], [numerics] and [sweep]; the expression values use
+the grammar of :mod:`crosswidth.exprs`.  Unknown sections or
 keys are errors, as are missing required problem keys.
 """
 
@@ -27,12 +27,10 @@ class ConfigError(ValueError):
 _PROBLEM_KEYS = {"v1", "v2", "r0", "r1", "e0", "window", "L"}
 _NUMERICS_KEYS = {"calib"}
 _SWEEP_KEYS = {"h_list"}
-_ORACLE_KEYS = {"theta"}
 _SECTIONS = {
     "problem": _PROBLEM_KEYS,
     "numerics": _NUMERICS_KEYS,
     "sweep": _SWEEP_KEYS,
-    "oracle": _ORACLE_KEYS,
 }
 
 
@@ -41,7 +39,6 @@ class RunConfig:
     problem: Problem
     h_list: Optional[List[float]] = None
     calib: float = 1.0
-    theta: float = 0.3
 
 
 def _parse_float(raw: str, line: int, key: str) -> float:
@@ -134,6 +131,4 @@ def load_config(path: str) -> RunConfig:
     calib = _parse_float(values["numerics"].get("calib", "1.0"), calib_line, "calib")
     if not (math.isfinite(calib) and calib > 0):
         raise ConfigError(f"calib must be finite and positive, got {calib!r}", calib_line)
-
-    theta = _parse_float(values["oracle"].get("theta", "0.3"), lineno_of.get(("oracle", "theta")), "theta")
-    return RunConfig(problem=problem, h_list=h_list, calib=calib, theta=theta)
+    return RunConfig(problem=problem, h_list=h_list, calib=calib)

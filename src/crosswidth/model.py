@@ -242,6 +242,24 @@ def _refine_root(fn, lo: float, hi: float, tol: float) -> float:
         raise
 
 
+def _scan(fn: Callable, xs: np.ndarray, what: str) -> Tuple[np.ndarray, List[float]]:
+    """fn sampled on the grid xs, and its roots there: the grid points where
+    it is 0 and, refined, one in each interval where it changes sign.
+    Raises StructureError, naming ``what`` and x, where a sample is not
+    finite (a pole on the grid), before any root is refined."""
+    with np.errstate(all="ignore"):
+        vals = np.broadcast_to(np.asarray(fn(xs), dtype=float), xs.shape)
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        raise StructureError(f"{what} is not finite at x = {xs[np.argmax(bad)]:.12g}")
+    hits = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0))
+    roots = [xs[i] if vals[i] == 0.0 else _refine_root(lambda x: float(fn(x)), xs[i], xs[i + 1], ROOT_TOL)
+             for i in hits]
+    if vals[-1] == 0.0:
+        roots.append(xs[-1])
+    return vals, roots
+
+
 def turning_points(p: Problem, channel: int, E: float) -> List[TurningPoint]:
     """All simple roots of V(x) = E in the window, for the potential of
     channel 1 or 2, sorted and refined.
@@ -250,18 +268,7 @@ def turning_points(p: Problem, channel: int, E: float) -> List[TurningPoint]:
     contact tolerance (the root is not simple).
     """
     vfn, vpfn = p.v_np(channel), p.vp_np(channel)
-    xs = _grid(p.window, SCAN_POINTS)
-    vals = np.asarray(vfn(xs), dtype=float) - E
-    roots: List[float] = []
-    for i in range(len(xs) - 1):
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0:
-            roots.append(xs[i])
-            continue
-        if a * b < 0.0:
-            roots.append(_refine_root(lambda x: float(vfn(x)) - E, xs[i], xs[i + 1], ROOT_TOL))
-    if vals[-1] == 0.0:
-        roots.append(xs[-1])
+    _, roots = _scan(lambda x: vfn(x) - E, _grid(p.window, SCAN_POINTS), f"V{channel}")
     out = []
     for r in roots:
         slope = float(vpfn(r))
@@ -336,24 +343,16 @@ def crossing_points(p: Problem) -> List[CrossingPoint]:
     # the level check below)
     pad = 10.0 * ROOT_TOL
     xs = _grid((a0.x + pad, b0.x - pad), SCAN_POINTS)
-    g = np.asarray(p.v1_np(xs), dtype=float) - np.asarray(p.v2_np(xs), dtype=float)
-    gscale = float(np.max(np.abs(g))) or 1.0
 
     def gfn(x):
-        return float(p.v1_np(x)) - float(p.v2_np(x))
+        return p.v1_np(x) - p.v2_np(x)
 
     def gpfn(x):
         return float(p.v1p_np(x)) - float(p.v2p_np(x))
 
-    roots: List[float] = []
     # sign changes
-    for i in range(len(xs) - 1):
-        if g[i] == 0.0:
-            roots.append(xs[i])
-        elif g[i] * g[i + 1] < 0.0:
-            roots.append(_refine_root(gfn, xs[i], xs[i + 1], ROOT_TOL))
-    if g[-1] == 0.0:
-        roots.append(xs[-1])
+    g, roots = _scan(gfn, xs, "V1 - V2")
+    gscale = float(np.max(np.abs(g))) or 1.0
     # interior minima of |g| dipping to zero (tangential crossings)
     absg = np.abs(g)
     for i in range(1, len(xs) - 1):
@@ -395,6 +394,9 @@ def crossing_points(p: Problem) -> List[CrossingPoint]:
     return out
 
 
+# a pole on the scan grid or at the window edge fails a flag, without a
+# numpy warning
+@np.errstate(all="ignore")
 def validate_structure(p: Problem) -> StructureReport:
     """Run all geometric hypothesis checks, including that every allowed
     component of channel 2 reaches the window edge (the graph builds the

@@ -45,6 +45,7 @@ from .model import Problem, StructureReport
 solve_ivp = None
 
 __all__ = [
+    "THETA",
     "BadContour",
     "Contour",
     "OracleResonance",
@@ -95,7 +96,8 @@ class Contour:
     def __post_init__(self):
         if not (math.isfinite(self.X) and self.X > self.R0 > 0):
             raise BadContour(f"contour needs finite X > R0 > 0, got R0 = {self.R0!r}, X = {self.X!r}")
-        _check_theta(self.theta)
+        if not (0 < abs(self.theta) < math.pi / 2):
+            raise BadContour(f"theta must lie in (0, pi/2) up to sign, got {self.theta!r}")
 
     def z(self, t: float) -> complex:
         if t > self.R0:
@@ -112,23 +114,22 @@ class Contour:
         raise ValueError("end must be 'left' or 'right'")
 
 
-def _check_theta(theta: float) -> None:
-    if not (0 < abs(theta) < math.pi / 2):
-        raise BadContour(f"theta must lie in (0, pi/2) up to sign, got {theta!r}")
-
-
 @dataclass(frozen=True)
 class OracleResonance:
     E: complex
     residual: float
 
 
-def default_contour(p: Problem, report: StructureReport, h: float, theta: float = 0.3) -> Contour:
+# the exterior-scaling angle of default_contour; the resonances do not
+# depend on it
+THETA = 0.3
+
+
+def default_contour(p: Problem, report: StructureReport, h: float) -> Contour:
     """Contour wide enough to contain the well and all crossings on the real
-    part (R0 is 1.5 past the farthest of them), with rays long enough that
-    every closed-channel solution decays by e^-30 before truncation (X - R0
-    is that length, clamped to [3, 20])."""
-    _check_theta(theta)
+    part (R0 is 1.5 past the farthest of them), with rays at angle THETA
+    long enough that every closed-channel solution decays by e^-30 before
+    truncation (X - R0 is that length, clamped to [3, 20])."""
     extent = max(abs(report.a0.x), abs(report.b0.x), max(abs(c.x) for c in report.crossings))
     R0 = extent + 1.5
     # closed channels must decay by e^-30 before truncation; open channels
@@ -139,11 +140,11 @@ def default_contour(p: Problem, report: StructureReport, h: float, theta: float 
         for vfn in (p.v1_np, p.v2_np):
             v = float(vfn(np.array([w]))[0])
             if v > p.e0:
-                needs.append(30.0 * h / (math.cos(theta) * math.sqrt(v - p.e0)))
+                needs.append(30.0 * h / (math.cos(THETA) * math.sqrt(v - p.e0)))
             else:
-                needs.append(12.0 * h / (math.sin(theta) * math.sqrt(p.e0 - v)))
+                needs.append(12.0 * h / (math.sin(THETA) * math.sqrt(p.e0 - v)))
     X = R0 + min(max(max(needs), 3.0), 20.0)
-    c = Contour(R0=R0, theta=theta, X=X)
+    c = Contour(R0=R0, theta=THETA, X=X)
     _pole_check(p, c)
     return c
 
@@ -570,16 +571,16 @@ def _step_propagators(p: Problem, E: complex, h: float, ts: np.ndarray,
 
 
 def _omega_cubic(p: Problem, h: float, ts: np.ndarray, z0: complex, phi: complex) -> List[np.ndarray]:
-    """Omega0..Omega3 with Omega(E) = Omega0 + E Omega1 + E^2 Omega2 + E^3 Omega3
-    for every step of _step_propagators.  E enters A only through
+    """The coefficients of Omega(E) = Omega0 + E Omega1 + E^2 Omega2 + E^3 Omega3
+    for every step of _step_propagators, up to the highest that is nonzero
+    on some step (_pcomm drops the others).  E enters A only through
     A[1, 0] = (v1 - E)/h and A[3, 2] = (v2 - E)/h, alike at the three nodes,
     so a2 and a3 do not depend on E and a1 = a1(0) + E P with
     P = -(phi dt/h) (e10 + e32)."""
     a1, a2, a3 = _alphas(p, 0j, h, ts, z0, phi)
     P = np.zeros_like(a1)
     P[1, 0] = P[3, 2] = -phi * np.diff(ts) / h
-    omega = _omega([a1, P], [a2], [a3])
-    return omega + [np.zeros_like(a1) for _ in range(4 - len(omega))]
+    return _omega([a1, P], [a2], [a3])
 
 
 def _horner(poly: List[np.ndarray], E: complex, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -632,17 +633,15 @@ class _Stack:
         nonzero on some step.  Omega3 vanishes on every step (P commutes
         with [P, a2], the E^1 part of C1), and Omega2 wherever r1 is
         constant, so a cubic holds two or three arrays; a coefficient is
-        allocated at its first nonzero slice."""
-        coefs: List[Optional[np.ndarray]] = [None] * 4
+        allocated at the first slice that has it."""
+        coefs: List[np.ndarray] = []
         for rows in _row_slices(len(self.ts), self.ts.shape[1] - 1, _BUILD_STEPS):
             n = max(self.n_steps[rows])
             for k, src in enumerate(_omega_cubic(p, h, self.ts[rows, :n + 1], self.z0[rows], self.phi[rows])):
-                if coefs[k] is None and src.any():
-                    coefs[k] = np.zeros((4, 4) + self.ts[:, 1:].shape, dtype=complex)
-                if coefs[k] is not None:
-                    coefs[k][:, :, rows, :n] = src
-        degree = max(k for k, coef in enumerate(coefs) if coef is not None)
-        return [coef if coef is not None else np.zeros_like(coefs[degree]) for coef in coefs[:degree + 1]]
+                if k == len(coefs):
+                    coefs.append(np.zeros((4, 4) + self.ts[:, 1:].shape, dtype=complex))
+                coefs[k][:, :, rows, :n] = src
+        return coefs
 
     def products(self, cubic: Sequence[np.ndarray], E: complex, work: Sequence[np.ndarray]) -> np.ndarray:
         """Every row's product of step propagators exp(Omega(E)), as a

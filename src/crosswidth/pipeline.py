@@ -138,29 +138,20 @@ def select_anchor(engine: SemiclassicsEngine, h_list: Sequence[float]) -> float:
     return best_anchor
 
 
-def oracle_row(cfg: RunConfig, report: StructureReport, m0: int,
-               start: complex, h: float, include_green: bool = True) -> dict:
+def oracle_row(cfg: RunConfig, report: StructureReport, m0: int, start: complex, h: float) -> dict:
     """The oracle resonance refined from ``start``, the seed and its
     predicted imaginary part.
 
-    Returns the refined resonance ``res`` and the Green-identity width
-    ``im_green`` (None without include_green).
+    Returns the refined resonance ``res`` and, as its cross-check, the
+    Green-identity width ``im_green``.
     """
-    contour = oracle_mod.default_contour(cfg.problem, report, h, theta=cfg.theta)
+    contour = oracle_mod.default_contour(cfg.problem, report, h)
     res = oracle_mod.refine_resonance(cfg.problem, start, h, contour, m0)
-    im_green = None
-    if include_green:
-        im_green = oracle_mod.width_from_state(
-            cfg.problem, res.E, h, contour, report.a0.x - 1.0, report.b0.x + 1.0
-        )
+    im_green = oracle_mod.width_from_state(cfg.problem, res.E, h, contour, report.a0.x - 1.0, report.b0.x + 1.0)
     return {"res": res, "im_green": im_green}
 
 
-def compare_sweep(
-    cfg: RunConfig,
-    h_list: Optional[Sequence[float]] = None,
-    include_green: bool = True,
-) -> dict:
+def compare_sweep(cfg: RunConfig, h_list: Optional[Sequence[float]] = None) -> dict:
     """Joined semiclassical/oracle table over the h sweep plus exponent fits."""
     hs = list(h_list if h_list is not None else (cfg.h_list or []))
     if len(hs) < 2:
@@ -174,7 +165,7 @@ def compare_sweep(
         seed = tracked_seed(list(table), anchor)
         entry = table[seed]
         im_pred = entry["im_pred"]
-        row = oracle_row(cfg, report, engine.m0, complex(seed, im_pred), h, include_green)
+        row = oracle_row(cfg, report, engine.m0, complex(seed, im_pred), h)
         res = row["res"]
         rows.append(
             {

@@ -21,6 +21,7 @@ from .model import ROOT_TOL, SCAN_POINTS, DegenerateTurningPoint, Problem, brent
 
 __all__ = [
     "QUAD_TOL",
+    "EDGE_QUAD_TOL",
     "NoTurningPoints",
     "QuadratureError",
     "BudgetExceeded",
@@ -53,15 +54,19 @@ class PreconditionViolated(ValueError):
 
 
 # fixed accuracy target of the action quadratures and of the oscillatory
-# panel check
+# panel check, and the tighter one of the edge actions that the engine's
+# Chebyshev caches are fitted to
 QUAD_TOL = 1e-11
+EDGE_QUAD_TOL = 1e-13
 
 _GL_CACHE = {}
 # panel rule and panel doublings of the adaptive action quadrature
 _GL_POINTS = 32
 _MAX_DOUBLINGS = 13
-# phase change per oscillatory panel, in units of h
+# phase change per oscillatory panel, in units of h, and the most Gauss
+# nodes an oscillatory integral may take
 _PHASE_PER_PANEL = 6.0
+_NODE_BUDGET = 2_000_000
 # Chebyshev degrees tried in turn by the action cache
 _CHEB_DEGREES = (16, 32, 64, 128, 192)
 
@@ -208,8 +213,7 @@ def _resolve_turn(p: Problem, channel: int, E: float, x0: float, inward: float) 
     raise NoTurningPoints(f"turning point near x = {x0:.6g} lost at E = {E:.6g}")
 
 
-def action_edge(p: Problem, edge: Edge, E: float, flo: float = 0.0, fhi: float = 1.0,
-                quad_tol: float = QUAD_TOL) -> float:
+def action_edge(p: Problem, edge: Edge, E: float, flo: float = 0.0, fhi: float = 1.0) -> float:
     """integral of xi dx along (a fraction of) an oriented edge segment.
 
     Positive by flow orientation.  Turning-point endpoints are re-solved at
@@ -227,17 +231,16 @@ def action_edge(p: Problem, edge: Edge, E: float, flo: float = 0.0, fhi: float =
             if pc.lo_turn or pc.hi_turn:
                 raise NoTurningPoints("segment collapsed at this energy")
             continue
-        total += sqrt_piece_integral(p.v_np(edge.channel), E, lo, hi, pc.lo_turn, pc.hi_turn, quad_tol)
+        total += sqrt_piece_integral(p.v_np(edge.channel), E, lo, hi, pc.lo_turn, pc.hi_turn, EDGE_QUAD_TOL)
     return total
 
 
 # --- oscillatory integrals ---------------------------------------------------
 
 
-def _panel_edges(phi: Callable, lo: float, hi: float, h: float, max_panels: int) -> np.ndarray:
+def _panel_edges(phi: Callable, lo: float, hi: float, h: float) -> np.ndarray:
     """Split [lo, hi] until the sampled phase change per panel is below
     _PHASE_PER_PANEL * h, with a hard floor of h/4 on the panel size."""
-    edges = [lo]
     stack = [(lo, hi, float(phi(lo)), float(phi(hi)), 0)]
     accepted = []
     while stack:
@@ -248,7 +251,7 @@ def _panel_edges(phi: Callable, lo: float, hi: float, h: float, max_panels: int)
         small_enough = (b - a) <= max(0.25 * h, (hi - lo) * 2.0 ** -40)
         if (resolved and (b - a) <= (hi - lo) / 16) or small_enough or depth >= 48:
             accepted.append((a, b))
-            if len(accepted) > max_panels:
+            if len(accepted) > _NODE_BUDGET // 28:
                 raise BudgetExceeded("oscillatory quadrature node budget hit")
             continue
         stack.append((mdpt, b, fm, fb, depth + 1))
@@ -262,7 +265,6 @@ def oscillatory_integral(
     phi: Callable,
     interval: Tuple[float, float],
     h: float,
-    node_budget: int = 2_000_000,
 ) -> complex:
     """integral of sigma(x) exp(i phi(x) / h) over the interval.
 
@@ -274,7 +276,7 @@ def oscillatory_integral(
     lo, hi = float(interval[0]), float(interval[1])
     if hi <= lo or h <= 0:
         raise PreconditionViolated("need a non-empty interval and h > 0")
-    edges = _panel_edges(phi, lo, hi, h, max_panels=node_budget // 28)
+    edges = _panel_edges(phi, lo, hi, h)
     panels = len(edges) - 1
 
     def pass_with(n: int) -> complex:
@@ -282,8 +284,8 @@ def oscillatory_integral(
         mids = 0.5 * (edges[:-1] + edges[1:])
         halfs = 0.5 * (edges[1:] - edges[:-1])
         xs = (mids[:, None] + halfs[:, None] * t[None, :]).ravel()
-        if xs.size > node_budget:
-            raise BudgetExceeded(f"{xs.size} nodes exceed the budget {node_budget}")
+        if xs.size > _NODE_BUDGET:
+            raise BudgetExceeded(f"{xs.size} nodes exceed the budget {_NODE_BUDGET}")
         sg = np.broadcast_to(np.asarray(sigma(xs), dtype=complex), xs.shape)
         ph = np.asarray(phi(xs), dtype=float)
         vals = (sg * np.exp(1j * ph / h)).reshape(panels, n)

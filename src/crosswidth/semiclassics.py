@@ -192,10 +192,9 @@ def _path_key(path: PathSeq) -> PhaseKey:
     )
 
 
-# residual bound of the Chebyshev edge-action caches, and the quadrature
-# tolerance of the edge actions they are fitted to
+# residual bound of the Chebyshev edge-action caches (their edge actions
+# are integrated to quadrature.EDGE_QUAD_TOL)
 _CACHE_TOL = 3e-13
-_EDGE_QUAD_TOL = 1e-13
 # |det(I - M)| at which damped Newton accepts a pseudo-resonance
 NEWTON_TOL = 1e-12
 # energies on the argument-principle contour
@@ -322,7 +321,7 @@ class SemiclassicsEngine:
             eid, flo, fhi = key
             edge = self._edges_sorted[self._index[eid]]
             self._fits[key] = ActionFn.build(
-                lambda E: action_edge(self.p, edge, E, flo, fhi, quad_tol=_EDGE_QUAD_TOL),
+                lambda E: action_edge(self.p, edge, E, flo, fhi),
                 self.domain, tol=_CACHE_TOL)
         return self._fits[key]
 

@@ -34,7 +34,7 @@ def _verdict(num, name, ok, detail):
 def f0_sweep():
     cfg = RunConfig(problem=fixtures.f0(), h_list=H_SWEEP, calib=1.0)
     t0 = time.time()
-    res = compare_sweep(cfg, H_SWEEP, include_green=True)
+    res = compare_sweep(cfg, H_SWEEP)
     res["elapsed"] = time.time() - t0
     return res
 
@@ -43,7 +43,7 @@ def f0_sweep():
 def f1_sweep():
     cfg = RunConfig(problem=fixtures.f1(), h_list=H_SWEEP, calib=1.0)
     t0 = time.time()
-    res = compare_sweep(cfg, H_SWEEP, include_green=False)
+    res = compare_sweep(cfg, H_SWEEP)
     res["elapsed"] = time.time() - t0
     return res
 

@@ -39,7 +39,7 @@ def test_load_config_minimal(tmp_path):
     cfg = load_config(_write(tmp_path, MINIMAL))
     assert cfg.problem.e0 == 0.75
     assert cfg.h_list is None
-    assert cfg.theta == 0.3
+    assert cfg.calib == 1.0
 
 
 def test_load_config_full():
@@ -56,7 +56,7 @@ def test_readme_config_block_loads(tmp_path):
     cfg = load_config(_write(tmp_path, block))
     assert cfg.problem.e0 == 0.75 and cfg.problem.L == 1.5
     assert cfg.h_list == [0.08, 0.06, 0.05, 0.04, 0.03]
-    assert (cfg.calib, cfg.theta) == (1.0, 0.3)
+    assert cfg.calib == 1.0
 
 
 def test_missing_key_names_it(tmp_path):
@@ -208,8 +208,7 @@ def test_oracle_exit_3_when_no_start_reaches_a_root(tmp_path):
 def test_compare_csv(tmp_path):
     out = tmp_path / "compare.csv"
     code = cli.main([
-        "compare", _cfg_path("f1"), "--h-list", "0.06,0.05,0.04,0.03",
-        "--no-green", "--out", str(out),
+        "compare", _cfg_path("f1"), "--h-list", "0.06,0.05,0.04,0.03", "--out", str(out),
     ])
     assert code == 0
     lines = out.read_text().strip().splitlines()
@@ -230,8 +229,7 @@ def test_compare_uncoupled_exits_0_without_fits(tmp_path):
     # is no exponent to fit, but nothing failed either
     out = tmp_path / "compare.csv"
     code = cli.main([
-        "compare", _cfg_path("f0_decoupled"), "--h-list", "0.08,0.06,0.05,0.04",
-        "--no-green", "--out", str(out),
+        "compare", _cfg_path("f0_decoupled"), "--h-list", "0.08,0.06,0.05,0.04", "--out", str(out),
     ])
     assert code == 0
     header, *rows = [ln.split(",") for ln in out.read_text().splitlines() if not ln.startswith("#")]
@@ -248,8 +246,7 @@ def test_compare_records_anchor_fallback(tmp_path):
     out = tmp_path / "compare.csv"
     with pytest.warns(UserWarning, match="no anchor clears the width dips"):
         code = cli.main([
-            "compare", _cfg_path("single_transversal"), "--h-list", "0.06,0.05,0.04,0.03",
-            "--no-green", "--out", str(out),
+            "compare", _cfg_path("single_transversal"), "--h-list", "0.06,0.05,0.04,0.03", "--out", str(out),
         ])
     assert code == 0
     summary = _compare_summary(out)
@@ -271,14 +268,14 @@ def test_exit_3_on_budget_blowup(tmp_path):
     (["bs", "f0", "--h", "0"], "--h must be finite and positive"),
     (["bs", "f0", "--h", "-0.05"], "--h must be finite and positive"),
     (["bs", "f0", "--h", "nan"], "--h must be finite and positive"),
-    (["analyze", "f0", "--h", "inf"], "--h must be finite and positive"),
+    (["pseudo", "f0", "--h", "inf"], "--h must be finite and positive"),
     (["widths", "f0", "--h", "0.5"], "resonance box does not fit"),
     (["compare", "f0", "--h-list", "0.05,0.06"], "--h-list must be strictly decreasing"),
     (["compare", "f0", "--h-list", "0.5,0.06"], "resonance box does not fit"),
     (["stphase", "f0", "--m", "1", "--h-list", "1e-2,0", "--phi", "x^2", "--sigma", "1"],
      "--h-list must be finite and positive"),
-    (["oracle", "f0", "--h", "0.05", "--theta", "0"], "theta must lie in (0, pi/2)"),
-    (["oracle", "f0", "--h", "0.05", "--theta", "2"], "theta must lie in (0, pi/2)"),
+    (["stphase", "f0", "--m", "-2", "--h-list", "1e-2", "--phi", "x^2", "--sigma", "1"], "m must be >= 1"),
+    (["stphase", "f0", "--m", "-1", "--h-list", "1e-2", "--phi", "x^2", "--sigma", "1"], "m must be >= 1"),
     # Bohr-Sommerfeld levels that come out merged (the level spacing alone
     # passes at this h)
     (["bs", "f0", "--h", "2e-15"], "h = 2e-15 is too small"),
@@ -294,7 +291,7 @@ def test_exit_3_on_budget_blowup(tmp_path):
     (["bs", "f0", "--h", "1e-300"], "h = 1e-300 is too small"),
     (["bs", "f0", "--h", "1e-16"], "h = 1e-16 is too small"),
     (["compare", "f1", "--h-list", "0.05"], "at least two values of h (h_list or --h-list)"),
-    (["compare", "f1", "--h-list", "0.08,0.06,0.05,1e-300", "--no-green"], "h = 1e-300 is too small"),
+    (["compare", "f1", "--h-list", "0.08,0.06,0.05,1e-300"], "h = 1e-300 is too small"),
     (["stphase", "f0", "--m", "199", "--h-list", "1e-2", "--phi", "x^200", "--sigma", "1"],
      "m = 199 is too large"),
 ])
@@ -323,24 +320,6 @@ def test_h_list_must_be_finite(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(_write(tmp_path, text))
     assert "finite and positive" in str(err.value)
-
-
-def _f0_with_oracle(tmp_path, section):
-    text = open(_cfg_path("f0"), encoding="utf-8").read().replace("theta = 0.3", section)
-    return _write(tmp_path, text)
-
-
-@pytest.mark.parametrize("section, problem", [
-    ("theta = 0", "theta must lie in (0, pi/2)"),
-    ("theta = nan", "theta must lie in (0, pi/2)"),
-    # the oracle's step tolerance is fixed, and no key in any section
-    ("ode_tol = 1e-10", "unknown key 'ode_tol' in section [oracle]"),
-])
-def test_bad_oracle_config_exits_2(tmp_path, section, problem):
-    out = tmp_path / "out.json"
-    code = cli.main(["oracle", _f0_with_oracle(tmp_path, section), "--h", "0.05", "--out", str(out)])
-    assert code == 2
-    assert problem in json.loads(out.read_text())["diagnostics"]
 
 
 @pytest.mark.parametrize("setting, problem", [
@@ -373,17 +352,24 @@ def test_bad_numerics_config_exits_2(tmp_path, setting, problem):
     ("numerics", "k_max = 2.7"),
     ("oracle", "R0 = 3.0"),
     ("oracle", "X = 10.0"),
+    ("oracle", "theta = 0.3"),
+    ("oracle", "theta = 0"),
+    ("oracle", "theta = nan"),
+    ("oracle", "ode_tol = 1e-10"),
 ])
 def test_fixed_tolerance_keys_are_unknown(tmp_path, section, setting):
-    # the tolerances are module constants and the contour extent comes from
-    # the problem; the former default value and values the old validation
-    # refused are all refused as unknown keys, before any value check
+    # the tolerances are module constants, the contour angle is oracle.THETA
+    # and the contour extent comes from the problem; the former default
+    # value and values the old validation refused are all refused as unknown
+    # keys (or, with [oracle] gone, as an unknown section), before any value
+    # check
     text = open(_cfg_path("f0"), encoding="utf-8").read() + f"\n[{section}]\n{setting}\n"
     out = tmp_path / "out.json"
     code = cli.main(["oracle", _write(tmp_path, text), "--h", "0.05", "--out", str(out)])
     assert code == 2
     key = setting.partition(" =")[0]
-    assert f"unknown key '{key}' in section [{section}]" in json.loads(out.read_text())["diagnostics"]
+    problem = "unknown section [oracle]" if section == "oracle" else f"unknown key '{key}' in section [{section}]"
+    assert problem in json.loads(out.read_text())["diagnostics"]
 
 
 @pytest.mark.parametrize("X", ["12", "1", "inf"])
@@ -462,6 +448,57 @@ def test_stphase_has_no_calib_flag(capsys):
     assert "unrecognized arguments: --calib" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["oracle", "f0", "--h", "0.05", "--theta", "0.35"], "--theta 0.35"),
+    (["oracle", "f0", "--h", "0.05", "--theta", "0"], "--theta 0"),
+    (["oracle", "f0", "--h", "0.05", "--theta", "2"], "--theta 2"),
+    (["compare", "f1", "--no-green"], "--no-green"),
+    (["analyze", "f0", "--h", "0.05"], "--h 0.05"),
+], ids=["oracle --theta 0.35", "oracle --theta 0", "oracle --theta 2", "compare --no-green", "analyze --h 0.05"])
+def test_removed_options_exit_2(capsys, argv, flag):
+    # the contour angle is oracle.THETA, every oracle result carries its
+    # Green-identity width, and analyze builds at the config's largest h
+    with pytest.raises(SystemExit) as exc:
+        cli.main([argv[0], _cfg_path(argv[1]), *argv[2:]])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["widths", "--h", "0.05"]], ids=["analyze", "widths"])
+@pytest.mark.parametrize("setting, flag, detail", [
+    ("v1 = 1/x", "simple_well", "V1 is not finite at x = 0"),
+    ("v2 = 1/x", "v2_simple_roots", "V2 is not finite at x = 0"),
+    ("v2 = 0.1 - 0.6*tanh(x) + 1/(x-8)", "v2_simple_roots", "V2 is not finite at x = 8"),
+])
+def test_pole_on_the_scan_grid_exits_2(tmp_path, command, setting, flag, detail):
+    # x = 0 is a point of the window's scan grid and x = 8 its edge; the
+    # scan names the potential and the pole instead of refining a root there
+    key = setting.partition(" =")[0]
+    with open(_cfg_path("f1"), encoding="utf-8") as fh:
+        text = "".join(setting + "\n" if ln.startswith(key + " =") else ln for ln in fh)
+    out = tmp_path / "out.json"
+    code = cli.main([command[0], _write(tmp_path, text), *command[1:], "--out", str(out)])
+    assert code == 2
+    payload = json.loads(out.read_text())
+    if command[0] == "analyze":
+        assert payload["diagnostics"] == "structure validation failed"
+        assert payload["report"]["flags"][flag] == {"ok": False, "detail": detail}
+    else:
+        assert payload["diagnostics"].startswith("structure checks failed: ")
+        assert flag in payload["diagnostics"]
+
+
+@pytest.mark.parametrize("config", ["f1", "missing"], ids=["runs", "fails to load"])
+def test_unopenable_out_exits_2(tmp_path, capsys, config):
+    # whether the command would succeed or its config fails to load, the
+    # diagnostic goes to stdout and names the path
+    path = tmp_path / "no such dir" / "x.csv"
+    code = cli.main(["bs", os.path.join(CONFIGS, f"{config}.cfg"), "--h", "0.05", "--out", str(path)])
+    assert code == 2
+    assert json.loads(capsys.readouterr().out)["diagnostics"] == (
+        f"cannot open --out {path}: No such file or directory")
+
+
 def test_pseudo_omits_and_widths_nulls_a_seed_without_root(tmp_path, monkeypatch):
     # drop the middle seed's root, as _roots_from_seeds does for a root
     # that duplicates another or leaves the box
@@ -480,14 +517,6 @@ def test_pseudo_omits_and_widths_nulls_a_seed_without_root(tmp_path, monkeypatch
     assert got["pseudo"] == want["pseudo"][:1] + want["pseudo"][2:]
     nulled = {**want["widths"][1], "pseudo_re": None, "pseudo_im": None}
     assert got["widths"] == [want["widths"][0], nulled, want["widths"][2]]
-
-
-def test_oracle_theta_flag_equals_config_key(tmp_path):
-    flag, key = tmp_path / "flag.json", tmp_path / "key.json"
-    assert cli.main(["oracle", _cfg_path("f0"), "--h", "0.05", "--theta", "0.35", "--out", str(flag)]) == 0
-    cfg = _f0_with_oracle(tmp_path, "theta = 0.35")
-    assert cli.main(["oracle", cfg, "--h", "0.05", "--out", str(key)]) == 0
-    assert flag.read_bytes() == key.read_bytes()
 
 
 @settings(derandomize=True, deadline=None, max_examples=20)

@@ -43,3 +43,6 @@ def test_removed_names_stay_gone():
     assert not {"tolerances", "k_max"} & {f.name for f in dataclasses.fields(model.Problem)}
     assert not {"contour_R0", "contour_X"} & {f.name for f in dataclasses.fields(config.RunConfig)}
     assert not hasattr(config, "_parse_count")
+    # the contour angle and the edge quadrature tolerance are constants too
+    assert "theta" not in {f.name for f in dataclasses.fields(config.RunConfig)}
+    assert not hasattr(semiclassics, "_EDGE_QUAD_TOL")

@@ -9,6 +9,7 @@ import fixtures
 from crosswidth import exprs, oracle, pipeline
 from crosswidth.model import Problem
 from crosswidth.oracle import (
+    BadContour,
     Contour,
     InsufficientData,
     MatchingProblem,
@@ -46,6 +47,15 @@ def test_contour_geometry():
     assert abs(z - (2.0 + 2.0 * cmath.exp(0.3j))) < 1e-15
     with pytest.raises(ValueError):
         Contour(R0=3.0, theta=0.3, X=2.0)
+
+
+@pytest.mark.parametrize("theta", [0.0, 2.0, math.nan], ids=["0", "2", "nan"])
+def test_contour_theta_out_of_range(theta):
+    # default_contour always takes oracle.THETA; Contour itself refuses an
+    # angle outside (0, pi/2) up to sign
+    assert 0 < oracle.THETA < math.pi / 2
+    with pytest.raises(BadContour, match=r"theta must lie in \(0, pi/2\) up to sign"):
+        Contour(R0=2.0, theta=theta, X=6.0)
 
 
 def test_free_wave_phase_accumulation():
@@ -290,7 +300,9 @@ def test_omega_cubic_matches_scipy_per_step(f1_engine):
     base = complex(0.76, -3e-4)
     for ts, z0, phi in _test_chunks(c, h):
         cubic = oracle._omega_cubic(p, h, ts, z0, phi)
-        assert len(cubic) == 4
+        # the coefficients _omega keeps: f1's r1 is constant, so Omega2 and
+        # Omega3 vanish on every step and are dropped
+        assert len(cubic) == 2
         for E in (base, base - 0.06 - 0.02j, complex(0.71)):
             got = oracle._expm(oracle._horner(cubic, E))
             for k in range(len(ts) - 1):

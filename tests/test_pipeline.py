@@ -61,6 +61,6 @@ def test_compare_solves_each_grid_twice(monkeypatch):
 
     monkeypatch.setattr(SemiclassicsEngine, "bohr_sommerfeld", counted)
     hs = [0.08, 0.06]
-    result = compare_sweep(RunConfig(problem=fixtures.f1(), h_list=hs), hs, include_green=False)
+    result = compare_sweep(RunConfig(problem=fixtures.f1(), h_list=hs), hs)
     assert [row["h"] for row in result["rows"]] == hs
     assert sorted(calls) == sorted(2 * hs)
