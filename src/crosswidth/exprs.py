@@ -538,13 +538,28 @@ def _emit(e: ExprAst) -> str:
     return f"_{e.fn}({_emit(e.arg)})"
 
 
+def _depends_on_x(e: ExprAst) -> bool:
+    if isinstance(e, Var):
+        return True
+    if isinstance(e, (Num, Pi)):
+        return False
+    if isinstance(e, (Neg, Call)):
+        return _depends_on_x(e.arg)
+    if isinstance(e, Pow):
+        return _depends_on_x(e.base)
+    return _depends_on_x(e.lhs) or _depends_on_x(e.rhs)
+
+
 def compile_fn(e: ExprAst) -> Callable:
     """Compile to a fast numpy callable that handles scalars and arrays,
-    real or complex.  Compiled callables skip the domain checks of
-    :func:`evaluate` (the contours used by callers are chosen to stay off
-    the cuts).
+    real or complex; its value is shaped like its argument, also for an
+    expression without x (a read-only broadcast of the constant, which
+    takes no memory per point).  Compiled callables skip the domain
+    checks of :func:`evaluate` (the contours used by callers are chosen to
+    stay off the cuts).
     """
     ns = {f"_{name}": getattr(np, name) for name in FUNCTIONS}
-    ns["_pi"] = np.pi
-    src = f"lambda x: ({_emit(e)})"
+    ns.update(_pi=np.pi, _broadcast_to=np.broadcast_to, _shape=np.shape)
+    body = _emit(e) if _depends_on_x(e) else f"_broadcast_to({_emit(e)}, _shape(x))"
+    src = f"lambda x: ({body})"
     return eval(compile(src, "<expr>", "eval"), ns)  # noqa: S307 - own AST only

@@ -122,7 +122,8 @@ class Problem:
     @cached_property
     def coeffs_np(self):
         """(v1, v2, r0, r1, r1') as numpy callables for contour work; they take
-        complex arrays, and a constant coefficient comes back as a scalar."""
+        complex arrays and return arrays of the same shape (read-only for a
+        constant)."""
         r = (exprs.compile_fn(e) for e in (self.r0, self.r1, exprs.differentiate(self.r1)))
         return (self.v1_np, self.v2_np, *r)
 

@@ -156,7 +156,7 @@ _POLE_SAMPLES = 512
 def _pole_check(p: Problem, c: Contour):
     z = np.array([c.z(float(t)) for t in np.linspace(-c.X, c.X, _POLE_SAMPLES)])
     with np.errstate(all="ignore"):
-        w = np.array([np.broadcast_to(fn(z), z.shape) for fn in p.coeffs_np])
+        w = np.array([fn(z) for fn in p.coeffs_np])
     bad = (~np.isfinite(w) | (np.abs(w) > 1e8)).any(axis=0)
     if bad.any():
         raise PolesOnContour(f"coefficient blows up at contour point {z[np.argmax(bad)]:.4g}")
@@ -497,7 +497,7 @@ def _alphas(p: Problem, E: complex, h: float, ts: np.ndarray,
     then (4, 4, C, L)."""
     dt = np.diff(ts)
     z = z0 + phi * (ts[..., :-1] + _GAUSS.reshape((3,) + (1,) * dt.ndim) * dt - ts[..., :1])
-    v1, v2, r0, r1, r1p = (np.broadcast_to(fn(z), z.shape) for fn in p.coeffs_np)
+    v1, v2, r0, r1, r1p = (fn(z) for fn in p.coeffs_np)
     pdt = phi * dt
     a1, a2, a3 = (np.zeros((4, 4) + dt.shape, dtype=complex) for _ in range(3))
     # the eight nonzero entries of A; rows 0 and 2 are alike at every node

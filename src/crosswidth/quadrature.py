@@ -3,7 +3,9 @@
 Turning-point square-root singularities are absorbed by substitutions
 (x = mid + half*sin t across a full arc, x = x_turn -/+ u^2 one-sided)
 before Gauss-Legendre panels are applied, so every integrand handed to
-the quadrature driver is smooth.
+the quadrature driver is smooth.  The driver takes one interval per row
+(an energy, for the edge actions) and refines each row on its own, so a
+row's value does not depend on the rows batched with it.
 """
 
 from __future__ import annotations
@@ -63,6 +65,8 @@ _GL_CACHE = {}
 # panel rule and panel doublings of the adaptive action quadrature
 _GL_POINTS = 32
 _MAX_DOUBLINGS = 13
+# most Gauss nodes one block of rows holds in a quadrature pass
+_PASS_NODES = 2 ** 17
 # phase change per oscillatory panel, in units of h, and the most Gauss
 # nodes an oscillatory integral may take
 _PHASE_PER_PANEL = 6.0
@@ -77,78 +81,107 @@ def _gl(n: int):
     return _GL_CACHE[n]
 
 
-def _composite_gl(fvec: Callable, lo: float, hi: float, panels: int, n: int) -> float:
-    t, w = _gl(n)
-    edges = np.linspace(lo, hi, panels + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halfs = 0.5 * (edges[1:] - edges[:-1])
-    xs = (mids[:, None] + halfs[:, None] * t[None, :]).ravel()
-    vals = np.asarray(fvec(xs), dtype=float).reshape(panels, n)
-    return float(np.sum(vals @ w * halfs))
+def _composite_gl(f: Callable, lo: np.ndarray, hi: np.ndarray, rows: np.ndarray,
+                  panels: int) -> np.ndarray:
+    """Composite Gauss-Legendre sums over [lo[k], hi[k]], one per row k.
+    f(x, rows) gives the integrand of the given rows at x, shaped
+    (rows, panels, nodes); rows are taken a block at a time so that a
+    deep pass holds at most _PASS_NODES nodes."""
+    t, w = _gl(_GL_POINTS)
+    step = max(1, _PASS_NODES // (panels * _GL_POINTS))
+    out = np.empty(len(rows))
+    for i in range(0, len(rows), step):
+        block = slice(i, i + step)
+        # C order, so that each row's products and sums run as for one row
+        edges = np.ascontiguousarray(np.linspace(lo[block], hi[block], panels + 1, axis=1))
+        mids = 0.5 * (edges[:, :-1] + edges[:, 1:])
+        halfs = 0.5 * (edges[:, 1:] - edges[:, :-1])
+        vals = np.asarray(f(mids[:, :, None] + halfs[:, :, None] * t, rows[block]), dtype=float)
+        out[block] = np.sum(vals @ w * halfs, axis=1)
+    return out
 
 
-def _adaptive_gl(fvec: Callable, lo: float, hi: float, tol: float) -> Tuple[float, float]:
-    """Composite Gauss with panel doubling until two passes agree to tol.
+def _adaptive_gl(f: Callable, lo, hi, tol: float) -> np.ndarray:
+    """Composite Gauss with panel doubling until two passes agree to tol,
+    for each row's interval [lo[k], hi[k]] on its own: all rows start at
+    one panel and double together, and a row drops out once it is done,
+    so each row gets the float a run on it alone gives.
 
     Deep refinement can start resolving sub-roundoff structure (for
     integrands built from near-cancelling differences, e.g. E - V close to
     a just-solved turning point), after which the estimates drift instead
-    of converging.  When the successive differences grow twice in a row,
-    the best earlier estimate is returned with its difference as the
-    error, provided it is within a few orders of the target.
+    of converging.  When a row's successive differences grow twice in a
+    row, its best earlier estimate is returned, provided its difference is
+    within a few orders of the target.
     """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    out = np.empty(len(lo))
+    rows = np.arange(len(lo))  # the rows still refining
     prev = None
-    best_val, best_err = None, math.inf
-    growth = 0
+    best_val, best_err = np.zeros(len(lo)), np.full(len(lo), math.inf)
+    growth = np.zeros(len(lo), dtype=int)
     panels = 1
     for _ in range(_MAX_DOUBLINGS + 1):
-        cur = _composite_gl(fvec, lo, hi, panels, _GL_POINTS)
+        cur = _composite_gl(f, lo[rows], hi[rows], rows, panels)
         if prev is not None:
-            err = abs(cur - prev)
-            if err <= tol:
-                return cur, err
-            if err < best_err:
-                best_val, best_err = cur, err
-                growth = 0
-            else:
-                growth += 1
-                if growth >= 2 and best_err <= 2000.0 * tol:
-                    return best_val, best_err
+            err = np.abs(cur - prev)
+            better = err < best_err
+            best_val = np.where(better, cur, best_val)
+            best_err = np.where(better, err, best_err)
+            growth = np.where(better, 0, growth + 1)
+            done = err <= tol
+            out[rows[done]] = cur[done]
+            gave_up = ~done & (growth >= 2) & (best_err <= 2000.0 * tol)
+            out[rows[gave_up]] = best_val[gave_up]
+            keep = ~(done | gave_up)
+            rows, cur, best_val, best_err, growth = (
+                a[keep] for a in (rows, cur, best_val, best_err, growth))
+            if not rows.size:
+                return out
         prev = cur
         panels *= 2
-    if best_err <= 2000.0 * tol:
-        return best_val, best_err
-    raise QuadratureError(f"no convergence to {tol:g} on [{lo}, {hi}]")
+    failed = best_err > 2000.0 * tol
+    if failed.any():
+        k = rows[failed][0]
+        raise QuadratureError(f"no convergence to {tol:g} on [{lo[k]}, {hi[k]}]")
+    out[rows] = best_val
+    return out
 
 
-def sqrt_piece_integral(vfn: Callable, E: float, lo: float, hi: float,
-                        lo_sing: bool, hi_sing: bool, tol: float) -> float:
-    """integral of sqrt(E - V) over [lo, hi]; singular flags mark turning
-    points sitting exactly at an endpoint."""
-    if hi <= lo:
-        return 0.0
+def sqrt_piece_integral(vfn: Callable, E, lo, hi, lo_sing: bool, hi_sing: bool,
+                        tol: float) -> np.ndarray:
+    """integral of sqrt(E - V) over [lo, hi], one row per energy: E, lo and
+    hi are 1-D arrays of one length, and a row with hi <= lo gives 0.  The
+    singular flags mark turning points sitting exactly at an endpoint."""
+    E, lo, hi = (np.atleast_1d(np.asarray(a, dtype=float)) for a in (E, lo, hi))
+    out = np.zeros(len(E))
+    live = np.flatnonzero(hi > lo)
+    if not live.size:
+        return out
+    E, lo, hi = E[live, None, None], lo[live], hi[live]
 
-    def clamped(x):
-        return np.sqrt(np.maximum(E - np.asarray(vfn(x), dtype=float), 0.0))
+    def clamped(x, rows):
+        return np.sqrt(np.maximum(E[rows] - np.asarray(vfn(x), dtype=float), 0.0))
 
     if lo_sing and hi_sing:
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        mid, half = (v[:, None, None] for v in (0.5 * (lo + hi), 0.5 * (hi - lo)))
 
-        def f(t):
-            return clamped(mid + half * np.sin(t)) * half * np.cos(t)
+        def f(t, rows):
+            return clamped(mid[rows] + half[rows] * np.sin(t), rows) * half[rows] * np.cos(t)
 
-        val, _ = _adaptive_gl(f, -math.pi / 2, math.pi / 2, tol)
-        return val
-    if lo_sing or hi_sing:
+        a, b = np.full(len(live), -math.pi / 2), np.full(len(live), math.pi / 2)
+    elif lo_sing or hi_sing:
         turn, sgn = (hi, -1.0) if hi_sing else (lo, 1.0)
+        turn = turn[:, None, None]
 
-        def f(u):
-            return clamped(turn + sgn * u * u) * 2.0 * u
+        def f(u, rows):
+            return clamped(turn[rows] + sgn * u * u, rows) * 2.0 * u
 
-        val, _ = _adaptive_gl(f, 0.0, math.sqrt(hi - lo), tol)
-        return val
-    val, _ = _adaptive_gl(clamped, lo, hi, tol)
-    return val
+        a, b = np.zeros(len(live)), np.sqrt(hi - lo)
+    else:
+        f, a, b = clamped, lo, hi
+    out[live] = _adaptive_gl(f, a, b, tol)
+    return out
 
 
 def _well_at(p: Problem, E: float) -> Optional[Tuple[float, float]]:
@@ -172,7 +205,7 @@ def action_loop(p: Problem, E: float) -> float:
     if well is None:
         return 0.0
     a, b = well
-    return 2.0 * sqrt_piece_integral(p.v1_np, E, a, b, True, True, QUAD_TOL)
+    return 2.0 * float(sqrt_piece_integral(p.v1_np, E, a, b, True, True, QUAD_TOL)[0])
 
 
 def action_derivative(p: Problem, E: float) -> float:
@@ -185,12 +218,11 @@ def action_derivative(p: Problem, E: float) -> float:
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     vfn = p.v1_np
 
-    def f(t):
+    def f(t, rows):
         under = np.maximum(E - np.asarray(vfn(mid + half * np.sin(t)), dtype=float), 1e-300)
         return half * np.cos(t) / np.sqrt(under)
 
-    val, _ = _adaptive_gl(f, -math.pi / 2, math.pi / 2, QUAD_TOL)
-    return val
+    return float(_adaptive_gl(f, [-math.pi / 2], [math.pi / 2], QUAD_TOL)[0])
 
 
 def _resolve_turn(p: Problem, channel: int, E: float, x0: float, inward: float) -> float:
@@ -213,26 +245,28 @@ def _resolve_turn(p: Problem, channel: int, E: float, x0: float, inward: float) 
     raise NoTurningPoints(f"turning point near x = {x0:.6g} lost at E = {E:.6g}")
 
 
-def action_edge(p: Problem, edge: Edge, E: float, flo: float = 0.0, fhi: float = 1.0) -> float:
-    """integral of xi dx along (a fraction of) an oriented edge segment.
+def action_edge(p: Problem, edge: Edge, E, flo: float = 0.0, fhi: float = 1.0):
+    """integral of xi dx along (a fraction of) an oriented edge segment, at
+    one energy (a float) or at each of a 1-D array of energies (an array).
 
     Positive by flow orientation.  Turning-point endpoints are re-solved at
-    the requested energy; vertex endpoints stay fixed.
+    each energy; vertex endpoints stay fixed.  Each energy is a row of one
+    quadrature per piece, and gets the float a call with it alone gives.
     """
+    Es = np.atleast_1d(np.asarray(E, dtype=float))
+    energies = Es.tolist()
     pieces, _ = edge.sub_pieces(flo, fhi)
-    total = 0.0
+    total = np.zeros(len(Es))
     for pc in pieces:
-        lo, hi = pc.x_lo, pc.x_hi
+        lo, hi = np.full(len(Es), pc.x_lo), np.full(len(Es), pc.x_hi)
         if pc.lo_turn:
-            lo = _resolve_turn(p, edge.channel, E, lo, +1.0)
+            lo = np.array([_resolve_turn(p, edge.channel, e, pc.x_lo, +1.0) for e in energies])
         if pc.hi_turn:
-            hi = _resolve_turn(p, edge.channel, E, hi, -1.0)
-        if hi <= lo:
-            if pc.lo_turn or pc.hi_turn:
-                raise NoTurningPoints("segment collapsed at this energy")
-            continue
-        total += sqrt_piece_integral(p.v_np(edge.channel), E, lo, hi, pc.lo_turn, pc.hi_turn, EDGE_QUAD_TOL)
-    return total
+            hi = np.array([_resolve_turn(p, edge.channel, e, pc.x_hi, -1.0) for e in energies])
+        if (pc.lo_turn or pc.hi_turn) and np.any(hi <= lo):
+            raise NoTurningPoints("segment collapsed at this energy")
+        total += sqrt_piece_integral(p.v_np(edge.channel), Es, lo, hi, pc.lo_turn, pc.hi_turn, EDGE_QUAD_TOL)
+    return total if np.ndim(E) else float(total[0])
 
 
 # --- oscillatory integrals ---------------------------------------------------
@@ -286,9 +320,8 @@ def oscillatory_integral(
         xs = (mids[:, None] + halfs[:, None] * t[None, :]).ravel()
         if xs.size > _NODE_BUDGET:
             raise BudgetExceeded(f"{xs.size} nodes exceed the budget {_NODE_BUDGET}")
-        sg = np.broadcast_to(np.asarray(sigma(xs), dtype=complex), xs.shape)
         ph = np.asarray(phi(xs), dtype=float)
-        vals = (sg * np.exp(1j * ph / h)).reshape(panels, n)
+        vals = (sigma(xs) * np.exp(1j * ph / h)).reshape(panels, n)
         return complex(np.sum((vals @ w) * halfs))
 
     coarse = pass_with(20)
@@ -381,21 +414,20 @@ class ActionFn:
     n_nodes: int
 
     @classmethod
-    def build(cls, fn: Callable[[float], float], domain: Tuple[float, float],
+    def build(cls, fn: Callable[[np.ndarray], np.ndarray], domain: Tuple[float, float],
               tol: float = 1e-12) -> "ActionFn":
+        """Fit fn, which maps a 1-D array of energies to their values, at
+        each degree of _CHEB_DEGREES in turn: one call of fn at the degree's
+        Chebyshev nodes and one at its probe energies."""
         lo, hi = domain
-
-        def fnv(xs):
-            return np.array([fn(float(x)) for x in np.atleast_1d(xs)])
-
         last_err = math.inf
         cheb = None
         nodes = 0
         for deg in _CHEB_DEGREES:
-            cheb = Chebyshev.interpolate(fnv, deg, domain=[lo, hi])
+            cheb = Chebyshev.interpolate(fn, deg, domain=[lo, hi])
             nodes += deg + 1
             probe = lo + (hi - lo) * (0.5 + 0.5 * np.cos(np.pi * (np.arange(2 * deg) + 0.5) / (2 * deg)))
-            last_err = float(np.max(np.abs(cheb(probe) - fnv(probe))))
+            last_err = float(np.max(np.abs(cheb(probe) - fn(probe))))
             nodes += probe.size
             if last_err <= tol:
                 break

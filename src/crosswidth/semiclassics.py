@@ -202,6 +202,7 @@ _COUNT_NODES = 4096
 # energies evaluated at a time by det_one_minus_m and the one-switch width:
 # bounds the memory of their temporaries
 _SLICE = 128
+_ONE_ROW = np.zeros(1, dtype=int)
 
 
 class SemiclassicsEngine:
@@ -209,12 +210,16 @@ class SemiclassicsEngine:
 
     Segment actions are fitted as Chebyshev interpolants over the energy
     domain covering the resonance box for every h up to ``h_max``, each on
-    its first evaluation, and kept in one dict of fits; graph topology stays
-    frozen at the reference energy.  Every action value, and every energy
-    derivative, comes from one ActionTable that stacks the fits in use.  It
-    is built on the first evaluation and rebuilt when a new segment is
-    needed.  Energies are evaluated in arrays; a scalar energy is an array
-    of one, and no value depends on how the energies are batched.
+    its first evaluation, and kept in one dict of fits; a fit integrates
+    all of a degree's Chebyshev nodes in one batched quadrature.  Graph
+    topology stays frozen at the reference energy.  Every action value, and
+    every energy derivative, comes from one ActionTable that stacks the
+    fits in use.  It is built on the first evaluation and rebuilt when a new
+    segment is needed.  Energies are evaluated in arrays, and the table once
+    per evaluation, at the distinct real parts: off the axis an action
+    continues to first order from its real part, so the argument-principle
+    count evaluates it once for its whole contour.  A scalar energy is an
+    array of one, and no value depends on how the energies are batched.
     """
 
     def __init__(
@@ -332,10 +337,13 @@ class SemiclassicsEngine:
             self._table = ActionTable([self._fit(key) for key in self._columns])
         return self._table
 
-    def _actions(self, x: np.ndarray, derivatives: bool) -> np.ndarray:
-        """Segment actions at the real energies x, columns as in _column,
-        followed by their energy derivatives when asked for."""
-        return self._action_table()(x, None if derivatives else len(self._columns))
+    def _actions(self, x: np.ndarray, derivatives: bool) -> Tuple[np.ndarray, np.ndarray]:
+        """Segment actions at the distinct real energies of x, columns as in
+        _column, followed by their energy derivatives when asked for, and
+        the row of each entry of x: one table evaluation.  One energy skips
+        np.unique, which costs about as much as the table there."""
+        xs, rows = np.unique(x, return_inverse=True) if len(x) > 1 else (x, _ONE_ROW)
+        return self._action_table()(xs, None if derivatives else len(self._columns)), rows
 
     def _loop_derivative(self, vals: np.ndarray) -> np.ndarray:
         """A'(E) from the derivative columns of the loop edges' halves, summed
@@ -348,9 +356,18 @@ class SemiclassicsEngine:
 
     def _evaluate(self, E: np.ndarray, h: float, key: PhaseKey,
                   loop_derivative: bool = False) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """Phases e^{iS/h - i pi nu/2} of the segments named by key at the
-        complex energies E, as an (N, len(key)) array, and A'(Re E) when
-        loop_derivative is set: one table evaluation for both.
+        """_phases of the segments named by key at the complex energies E,
+        and A'(Re E) when loop_derivative is set: one table evaluation for
+        both."""
+        plan = self._plan(key)  # first: a new column resets the table
+        vals, rows = self._actions(E.real, bool(E.imag.any()) or loop_derivative)
+        vals = vals[rows]
+        return self._phases(vals, E.imag, h, plan), (self._loop_derivative(vals) if loop_derivative else None)
+
+    def _phases(self, vals: np.ndarray, y: np.ndarray, h: float, plan: tuple) -> np.ndarray:
+        """Phases e^{iS/h - i pi nu/2} of the segments of a _plan at the
+        energies x + iy, as an (N, segments) array, given the table rows
+        vals at x (with derivative columns wherever y is not 0).
 
         Off the real axis the action continues to first order,
         S(x + iy) = S(x) + i y S'(x); |Im E| <= Lh keeps the quadratic
@@ -358,16 +375,13 @@ class SemiclassicsEngine:
         real and imaginary parts, (-Im S / h, Re S / h - pi nu / 2), which
         are the floats Python's complex arithmetic gives.
         """
-        first, full, second, nu_terms, units = self._plan(key)
-        x, y = E.real, E.imag
-        off_axis = bool(y.any())
-        vals = self._actions(x, off_axis or loop_derivative)
+        first, full, second, nu_terms, units = plan
         s_re = vals[:, first]
         if full.size:
             s_re[:, full] += vals[:, second]
         arg = np.zeros(s_re.shape, dtype=complex)
         arg.imag = s_re / h - nu_terms
-        if off_axis:
+        if y.any():
             n = len(self._columns)
             dy = y[:, None] * vals[:, n:]
             s_im = dy[:, first]
@@ -377,7 +391,7 @@ class SemiclassicsEngine:
         ph = np.exp(arg)
         if units.size:
             ph[:, units] = 1.0
-        return ph, (self._loop_derivative(vals) if loop_derivative else None)
+        return ph
 
     # --- probability amplitudes ----------------------------------------------
 
@@ -437,14 +451,22 @@ class SemiclassicsEngine:
         return M if Es.ndim else M[0]
 
     def det_one_minus_m(self, E, h: float):
-        """det(I - M(E)): a complex, or an array for an array of energies,
-        whose monodromy stacks are formed _SLICE energies at a time."""
+        """det(I - M(E)): a complex, or an array for an array of energies.
+        One table evaluation, over the distinct real parts, serves every
+        energy; phases and monodromy stacks are formed _SLICE energies at a
+        time."""
         Es = np.asarray(E, dtype=complex)
         flat = Es.reshape(-1)
+        plan = self._plan(self._halves)  # first: a new column resets the table
+        vals, rows = self._actions(flat.real, bool(flat.imag.any()))
+        n = len(self._edges_sorted)
         d = np.empty(len(flat), dtype=complex)
-        eye = np.eye(len(self._edges_sorted), dtype=complex)
+        eye = np.eye(n, dtype=complex)
         for i in range(0, len(flat), _SLICE):
-            M = self.monodromy(flat[i:i + _SLICE], h)
+            part = slice(i, i + _SLICE)
+            y = flat.imag[part]
+            M = np.zeros((len(y), n, n), dtype=complex)
+            self._fill(M, self._phases(vals[rows[part]], y, h, plan), h)
             # I - M in place, as -M + I: the same floats
             np.negative(M, out=M)
             M += eye
@@ -491,7 +513,7 @@ class SemiclassicsEngine:
         return self._action_sum(self.g.gamma1_edges(), E)
 
     def _gamma1_action_derivative(self, E: float) -> float:
-        return float(self._loop_derivative(self._actions(np.array([float(E)]), True))[0])
+        return float(self._loop_derivative(self._actions(np.array([float(E)]), True)[0])[0])
 
     def level_spacing(self, h: float) -> float:
         """Spacing 2 pi h / |A'(e0)| of the Bohr-Sommerfeld levels near e0."""

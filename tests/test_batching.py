@@ -12,7 +12,9 @@ import random
 import numpy as np
 import pytest
 
-from crosswidth import pipeline, semiclassics
+import fixtures
+from crosswidth import pipeline, quadrature, semiclassics
+from crosswidth.geometry import Edge, Piece
 from crosswidth.semiclassics import _cmul
 
 H = 0.05
@@ -141,23 +143,97 @@ def test_real_arithmetic_product_matches_python_complex():
 
 
 @pytest.mark.parametrize("name", ["f0_engine", "f1arc_engine"])
-def test_count_makes_one_batched_call(request, name):
+def test_count_makes_one_table_evaluation(request, name, monkeypatch):
     _, _, engine = request.getfixturevalue(name)
-    calls = []
-    stack = engine.monodromy
+    tables, stacks = [], []
+    table_call = semiclassics.ActionTable.__call__
+    fill = engine._fill
 
-    def counted(E, h):
-        calls.append(np.shape(E))
-        return stack(E, h)
+    def counted_table(table, E, count=None):
+        tables.append(np.array(E))
+        return table_call(table, E, count)
 
-    engine.monodromy = counted
+    def counted_fill(M, ph, h):
+        stacks.append(M.shape)
+        return fill(M, ph, h)
+
+    monkeypatch.setattr(semiclassics.ActionTable, "__call__", counted_table)
+    engine._fill = counted_fill
     try:
         nodes = _contour_nodes(engine, H)
     finally:
-        del engine.monodromy
-    # det_one_minus_m forms its stacks a slice of energies at a time
-    step = semiclassics._SLICE
-    assert calls == [(min(step, len(nodes) - i),) for i in range(0, len(nodes), step)]
+        del engine._fill
+    # one table evaluation, over the contour's distinct real parts: each
+    # vertical side has one, and the top and bottom sides share theirs
+    assert len(tables) == 1
+    assert tables[0].tobytes() == np.unique(nodes.real).tobytes()
+    assert len(tables[0]) < len(nodes) // 2
+    # the phases and monodromy stacks are formed a slice of energies at a time
+    step, n = semiclassics._SLICE, len(engine._edges_sorted)
+    assert stacks == [(min(step, len(nodes) - i), n, n) for i in range(0, len(nodes), step)]
+
+
+def _one_energy_fit(p, edge, flo, fhi, domain):
+    def one_at_a_time(E):
+        return np.array([quadrature.action_edge(p, edge, e, flo, fhi) for e in E.tolist()])
+
+    return quadrature.ActionFn.build(one_at_a_time, domain, tol=semiclassics._CACHE_TOL)
+
+
+def test_batched_fits_equal_one_energy_fits(f0_engine, f1arc_engine):
+    engines = [f0_engine[2], f1arc_engine[2], pipeline.build_engine(fixtures.f2(), h_max=0.08)[2]]
+    for engine in engines:
+        # the monodromy's halves and every one-switch path segment
+        engine.det_one_minus_m(engine.p.e0, H)
+        engine.width_coefficient(np.array([engine.p.e0]), H)
+        assert len(engine._fits) >= len(engine._halves)
+        for (eid, flo, fhi), fit in engine._fits.items():
+            edge = engine._edges_sorted[engine._index[eid]]
+            one = _one_energy_fit(engine.p, edge, flo, fhi, engine.domain)
+            assert fit.cheb.coef.tobytes() == one.cheb.coef.tobytes()
+            assert (fit.err_estimate, fit.n_nodes) == (one.err_estimate, one.n_nodes)
+
+
+def _recorded_passes(monkeypatch):
+    """(rows, panels) of every quadrature pass, as they run."""
+    passes = []
+    composite = quadrature._composite_gl
+
+    def recorded(f, lo, hi, rows, panels):
+        passes.append((len(rows), panels))
+        return composite(f, lo, hi, rows, panels)
+
+    monkeypatch.setattr(quadrature, "_composite_gl", recorded)
+    return passes
+
+
+def test_action_edge_rows_equal_one_energy_calls(f1arc_engine, monkeypatch):
+    passes = _recorded_passes(monkeypatch)
+    # harmonic: a full arc between turning points (sine substitution),
+    # one-sided arcs from a turning point on each side (u^2 substitution)
+    # and a piece between fixed vertices
+    p = fixtures.harmonic()
+    es = np.linspace(0.6, 1.5, 7)
+    for pieces in [(Piece(-1.0, 1.0, +1, True, True),), (Piece(-1.0, -0.2, +1, True, False),),
+                   (Piece(0.3, 1.0, -1, False, True),), (Piece(0.3, 0.5, +1, False, False),),
+                   (Piece(-1.0, 0.0, -1, True, False), Piece(-1.0, 0.0, +1, True, False))]:
+        arc = Edge(0, 1, None, None, pieces, base_frac=0.5)
+        got = quadrature.action_edge(p, arc, es)
+        assert got.tobytes() == np.array([quadrature.action_edge(p, arc, E) for E in es.tolist()]).tobytes()
+        assert isinstance(quadrature.action_edge(p, arc, 1.0), float)
+    # f1_arc's channel-1 edge over the energy domain: its rows converge at
+    # different panel counts and leave the batch one by one
+    _, g, engine = f1arc_engine
+    es = np.linspace(*engine.domain, 9)
+    for edge in g.edges:
+        passes.clear()
+        got = quadrature.action_edge(engine.p, edge, es)
+        batch = list(passes)
+        assert got.tobytes() == np.array([quadrature.action_edge(engine.p, edge, E)
+                                          for E in es.tolist()]).tobytes()
+        if edge.eid == 0:
+            assert len({rows for rows, _ in batch}) >= 3
+            assert all(rows < len(es) for rows, panels in batch if panels > 2)
 
 
 def test_width_dips_makes_one_batched_width_call(f0_engine):

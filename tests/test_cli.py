@@ -488,6 +488,36 @@ def test_pole_on_the_scan_grid_exits_2(tmp_path, command, setting, flag, detail)
         assert flag in payload["diagnostics"]
 
 
+@pytest.mark.parametrize("command", [["analyze"], ["widths", "--h", "0.05"]], ids=["analyze", "widths"])
+@pytest.mark.parametrize("setting, flag, detail", [
+    ("v2 = 0.1", None, None),
+    ("v2 = 0.9", "crossings", "V1 = V2 has no root below e0 inside the well"),
+    ("v2 = 0.75", "e0_off_limits", "e0 coincides with a potential limit"),
+    ("v1 = 0.5", "simple_well", "V1 = e0 has 0 roots in the window; a simple well needs exactly 2"),
+])
+def test_constant_potential_runs_or_exits_2(tmp_path, command, setting, flag, detail):
+    # a potential without x is evaluated on the scan grid like any other:
+    # a flat open channel 2 crossing the well twice is a valid problem, the
+    # others fail a named structure check
+    key = setting.partition(" =")[0]
+    with open(_cfg_path("f1"), encoding="utf-8") as fh:
+        text = "".join(setting + "\n" if ln.startswith(key + " =") else ln for ln in fh)
+    out = tmp_path / "out.json"
+    code = cli.main([command[0], _write(tmp_path, text), *command[1:], "--out", str(out)])
+    payload = json.loads(out.read_text())
+    if flag is None:
+        assert code == 0
+        assert payload["report"]["passed"] if command[0] == "analyze" else len(payload["records"]) == 3
+        return
+    assert code == 2
+    if command[0] == "analyze":
+        assert payload["diagnostics"] == "structure validation failed"
+        assert payload["report"]["flags"][flag] == {"ok": False, "detail": detail}
+    else:
+        assert payload["diagnostics"].startswith("structure checks failed: ")
+        assert flag in payload["diagnostics"]
+
+
 @pytest.mark.parametrize("config", ["f1", "missing"], ids=["runs", "fails to load"])
 def test_unopenable_out_exits_2(tmp_path, capsys, config):
     # whether the command would succeed or its config fails to load, the

@@ -2,6 +2,7 @@ import math
 import random
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -202,3 +203,15 @@ def test_differentiate_matches_jet():
             want = taylor_jet(e, x, 1).derivative(1)
             got = evaluate(d, x).real
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("src", ["0.1", "-2*pi + sqrt(2)", "exp(1)/3"])
+def test_compiled_values_are_shaped_like_the_argument(src):
+    # an expression without x, and the derivative of one, gives an array
+    # like its argument; the floats are those of the scalar expression
+    fn, dfn = exprs.compile_fn(parse(src)), exprs.compile_fn(differentiate(parse(src)))
+    for arg in (0.5, np.linspace(-1.0, 1.0, 5), np.ones((2, 3)), np.full(4, 0.3 - 0.2j)):
+        assert np.shape(fn(arg)) == np.shape(arg) == np.shape(dfn(arg))
+        assert np.all(fn(arg) == fn(0.5))
+        assert np.all(dfn(arg) == dfn(0.5))
+    assert float(fn(0.5)) == evaluate(parse(src), 0.5)

@@ -171,7 +171,7 @@ def test_stationary_phase_preconditions():
 
 
 def test_action_fn_cache():
-    fit = ActionFn.build(math.sin, (0.0, 1.0), tol=1e-13)
+    fit = ActionFn.build(np.sin, (0.0, 1.0), tol=1e-13)
     table = ActionTable([fit])
     xs = np.linspace(0.05, 0.95, 17)
     vals = table(xs)
@@ -189,3 +189,32 @@ def test_action_fn_cache():
         table._at(2.0, [0])
     with pytest.raises(ValueError):
         table(np.array([0.5, 2.0]))
+
+
+def test_adaptive_rows_keep_their_own_bookkeeping():
+    # row 0 converges at two panels; row 1's estimates drift apart after its
+    # second pass, so it returns that pass's value; row 2 needs many panels
+    def drift(panels):
+        return {1: 0.0, 2: 1e-12, 4: 3e-12}.get(panels, 6e-12)
+
+    integrands = [lambda x: np.cos(x), lambda x: np.cos(x) + drift(x.shape[1]),
+                  lambda x: np.sqrt(x + 1e-3)]
+
+    def f(x, rows):
+        return np.stack([integrands[r](x[k:k + 1])[0] for k, r in enumerate(rows.tolist())])
+
+    lo, hi = np.zeros(3), np.ones(3)
+    batch = quadrature._adaptive_gl(f, lo, hi, 1e-14)
+    for r in range(3):
+        one = quadrature._adaptive_gl(lambda x, rows: f(x, rows + r), lo[r:r + 1], hi[r:r + 1], 1e-14)
+        assert batch[r:r + 1].tobytes() == one.tobytes()
+    assert abs(batch[0] - math.sin(1.0)) < 1e-15
+    assert abs(batch[1] - (math.sin(1.0) + 1e-12)) < 1e-15
+    assert abs(batch[2] - 2.0 / 3.0 * (1.001 ** 1.5 - 0.001 ** 1.5)) < 1e-13
+
+    # a row that never settles fails the whole batch and is named
+    def settles_then_not(x, rows):
+        return np.where(rows[:, None, None] == 0, np.cos(x), np.sqrt(x))
+
+    with pytest.raises(quadrature.QuadratureError, match=r"on \[0.0, 2.0\]"):
+        quadrature._adaptive_gl(settles_then_not, lo[:2], np.array([1.0, 2.0]), 1e-14)
