@@ -127,6 +127,12 @@ class Problem:
         r = (exprs.compile_fn(e) for e in (self.r0, self.r1, exprs.differentiate(self.r1)))
         return (self.v1_np, self.v2_np, *r)
 
+    @cached_property
+    def turns(self) -> dict:
+        """Turning points re-solved at an energy, keyed (channel, reference
+        location, E): quadrature's memo of its turning-point solves."""
+        return {}
+
     def v_np(self, channel: int):
         return self.v1_np if channel == 1 else self.v2_np
 

@@ -67,15 +67,18 @@ def width_dips(engine: SemiclassicsEngine, h: float) -> List[float]:
         pass
     lo, hi = engine.box(h)
     es = np.linspace(lo, hi, 801)
-    dvals = engine.width_coefficient(es, h, "one_switch").D
+    return _dips(es, engine.width_coefficient(es, h, "one_switch").D)
+
+
+def _dips(es: np.ndarray, dvals: np.ndarray) -> List[float]:
+    """The interior scan points where D has a local minimum (ties count)
+    below 2% of its largest value."""
     top = float(np.max(dvals))
     if top <= 0:
         return []
-    dips = []
-    for i in range(1, len(es) - 1):
-        if dvals[i] <= dvals[i - 1] and dvals[i] <= dvals[i + 1] and dvals[i] < 0.02 * top:
-            dips.append(float(es[i]))
-    return dips
+    mid = dvals[1:-1]
+    dip = (mid <= dvals[:-2]) & (mid <= dvals[2:]) & (mid < 0.02 * top)
+    return es[1:-1][dip].tolist()
 
 
 def box_levels(engine: SemiclassicsEngine, h: float) -> List[float]:

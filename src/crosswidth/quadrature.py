@@ -225,9 +225,14 @@ def action_derivative(p: Problem, E: float) -> float:
     return float(_adaptive_gl(f, [-math.pi / 2], [math.pi / 2], QUAD_TOL)[0])
 
 
-def _resolve_turn(p: Problem, channel: int, E: float, x0: float, inward: float) -> float:
-    """Re-solve the turning point V_ch(x) = E near its reference location x0.
-    ``inward`` points toward the allowed side."""
+def _resolve_turn(p: Problem, channel: int, E: float, x0: float) -> float:
+    """Re-solve the turning point V_ch(x) = E near its reference location
+    x0.  Each solve is kept in p.turns: the action fits share one domain
+    and one degree ladder, so segments that end on one turning point ask
+    for it at the same energies."""
+    key = (channel, x0, E)
+    if key in p.turns:
+        return p.turns[key]
     vfn = p.v_np(channel)
 
     def f(x):
@@ -238,7 +243,8 @@ def _resolve_turn(p: Problem, channel: int, E: float, x0: float, inward: float) 
     for _ in range(60):
         lo, hi = x0 - d, x0 + d
         if f(lo) * f(hi) < 0:
-            return brentq(f, lo, hi, ROOT_TOL)
+            x = p.turns[key] = brentq(f, lo, hi, ROOT_TOL)
+            return x
         d *= 2.0
         if d > 10.0:
             break
@@ -260,9 +266,9 @@ def action_edge(p: Problem, edge: Edge, E, flo: float = 0.0, fhi: float = 1.0):
     for pc in pieces:
         lo, hi = np.full(len(Es), pc.x_lo), np.full(len(Es), pc.x_hi)
         if pc.lo_turn:
-            lo = np.array([_resolve_turn(p, edge.channel, e, pc.x_lo, +1.0) for e in energies])
+            lo = np.array([_resolve_turn(p, edge.channel, e, pc.x_lo) for e in energies])
         if pc.hi_turn:
-            hi = np.array([_resolve_turn(p, edge.channel, e, pc.x_hi, -1.0) for e in energies])
+            hi = np.array([_resolve_turn(p, edge.channel, e, pc.x_hi) for e in energies])
         if (pc.lo_turn or pc.hi_turn) and np.any(hi <= lo):
             raise NoTurningPoints("segment collapsed at this energy")
         total += sqrt_piece_integral(p.v_np(edge.channel), Es, lo, hi, pc.lo_turn, pc.hi_turn, EDGE_QUAD_TOL)

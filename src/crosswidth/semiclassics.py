@@ -218,8 +218,11 @@ class SemiclassicsEngine:
     segment is needed.  Energies are evaluated in arrays, and the table once
     per evaluation, at the distinct real parts: off the axis an action
     continues to first order from its real part, so the argument-principle
-    count evaluates it once for its whole contour.  A scalar energy is an
-    array of one, and no value depends on how the energies are batched.
+    count evaluates it once for its whole contour.  The Newton runs of one
+    h's seeds go in lockstep, one det_one_minus_m call per round, and the
+    one-switch width forms its path amplitudes over arrays of energies.  A
+    scalar energy is an array of one, and no value depends on how the
+    energies are batched.
     """
 
     def __init__(
@@ -395,19 +398,24 @@ class SemiclassicsEngine:
 
     # --- probability amplitudes ----------------------------------------------
 
-    def _path_product(self, path: PathSeq, phases: Sequence[complex], cols: Sequence[int],
-                      h: float) -> complex:
-        """A path amplitude at one energy, given the phases of its segments
-        at the positions cols of phases."""
+    def _path_amplitude(self, path: PathSeq, ph: np.ndarray, cols: Sequence[int],
+                        h: float) -> Tuple[np.ndarray, np.ndarray]:
+        """A path's amplitude at each row's energy, as real and imaginary
+        parts, given the phases ph of its segments at the positions cols of
+        each row: 1 times each phase and transfer entry in path order, every
+        product formed as Python's complex product."""
         edges = path.edges
-        amp = 1.0 + 0.0j
+        re, im = np.ones(len(ph)), np.zeros(len(ph))
         for k, e in enumerate(edges):
             if k > 0:
-                amp *= self.tau(edges[k - 1].channel, e.channel, edges[k - 1].target, h)
-            amp *= phases[cols[k]]
+                t = self.tau(edges[k - 1].channel, e.channel, edges[k - 1].target, h)
+                re, im = _cmul(re, im, t.real, t.imag)
+            phase = ph[:, cols[k]]
+            re, im = _cmul(re, im, phase.real, phase.imag)
         if path.tail is not None:
-            amp *= self.tau(edges[-1].channel, path.tail.channel, path.tail.attach, h)
-        return amp
+            t = self.tau(edges[-1].channel, path.tail.channel, path.tail.attach, h)
+            re, im = _cmul(re, im, t.real, t.imag)
+        return re, im
 
     def probability_amplitude(self, path: PathSeq, E, h: float) -> complex:
         """Product of segment phases, turning-point factors and transfer
@@ -417,8 +425,9 @@ class SemiclassicsEngine:
         included but the tail's own (common, unimodular at real energy)
         phase factor is dropped.
         """
-        phases = self._evaluate(np.array([complex(E)]), h, _path_key(path))[0][0].tolist()
-        return self._path_product(path, phases, range(len(path.edges)), h)
+        ph = self._evaluate(np.array([complex(E)]), h, _path_key(path))[0]
+        re, im = self._path_amplitude(path, ph, range(len(path.edges)), h)
+        return complex(re[0], im[0])
 
     # --- monodromy -------------------------------------------------------------
 
@@ -542,15 +551,19 @@ class SemiclassicsEngine:
 
     # --- pseudo-resonances ------------------------------------------------------
 
-    def _newton_root(self, seed: float, h: float) -> PseudoResonance:
-        f = lambda E: self.det_one_minus_m(E, h)  # noqa: E731
+    def _newton_run(self, seed: float, h: float):
+        """Damped Newton on det(I - M) from one seed, as a coroutine: it
+        yields the energies whose determinants it needs next, [E], then
+        [E + delta, E - delta], then [E + step], and is sent their values.
+        Returns the energy it ended at, the determinant there and the
+        iterations taken."""
         E = complex(seed)
-        fE = f(E)
+        (fE,) = yield [E]
         delta = 1e-3 * h
         for it in range(1, 51):
             if abs(fE) <= NEWTON_TOL:
-                return PseudoResonance(E=E, seed=seed, residual=abs(fE), newton_iters=it - 1)
-            f_plus, f_minus = f(np.array([E + delta, E - delta])).tolist()
+                return E, fE, it - 1
+            f_plus, f_minus = yield [E + delta, E - delta]
             fp = (f_plus - f_minus) / (2.0 * delta)
             if fp == 0:
                 break
@@ -558,7 +571,7 @@ class SemiclassicsEngine:
             accepted = False
             for _ in range(25):
                 cand = E + step
-                fc = f(cand)
+                (fc,) = yield [cand]
                 if abs(fc) < abs(fE):
                     E, fE = cand, fc
                     accepted = True
@@ -568,8 +581,34 @@ class SemiclassicsEngine:
                     break
             if not accepted:
                 break
+        return E, fE, 50
+
+    def _newton_runs(self, seeds: List[float], h: float) -> list:
+        """Every seed's _newton_run in lockstep, each round one
+        det_one_minus_m call for all the energies the runs ask for (a value
+        does not depend on the energies batched with it).  Returns each
+        run's end."""
+        runs = [self._newton_run(seed, h) for seed in seeds]
+        ends: list = [None] * len(runs)
+        asks = {k: run.send(None) for k, run in enumerate(runs)}
+        while asks:
+            dets = iter(self.det_one_minus_m(
+                np.array([z for zs in asks.values() for z in zs], dtype=complex), h).tolist())
+            for k, zs in list(asks.items()):
+                try:
+                    asks[k] = runs[k].send([next(dets) for _ in zs])
+                except StopIteration as stop:
+                    ends[k] = stop.value
+                    del asks[k]
+        return ends
+
+    def _newton_root(self, seed: float, end: Tuple[complex, complex, int]) -> PseudoResonance:
+        """The pseudo-resonance at the end (E, det(I - M(E)), iterations) of
+        the Newton run from seed, or NewtonDiverged where det(I - M) is not
+        yet small there."""
+        E, fE, iters = end
         if abs(fE) <= NEWTON_TOL:
-            return PseudoResonance(E=E, seed=seed, residual=abs(fE), newton_iters=50)
+            return PseudoResonance(E=E, seed=seed, residual=abs(fE), newton_iters=iters)
         raise NewtonDiverged(f"seed {seed:.10g}: residual {abs(fE):.3e} after damped Newton")
 
     def count_by_argument_principle(self, h: float) -> int:
@@ -578,11 +617,15 @@ class SemiclassicsEngine:
         half = self.p.L * h
         per = _COUNT_NODES // 4
         corners = [complex(lo, -half), complex(hi, -half), complex(hi, half), complex(lo, half)]
-        zs = []
-        for a, b in zip(corners, corners[1:] + corners[:1]):
-            ts = np.arange(per) / per
-            zs.extend(a + (b - a) * t for t in ts)
-        vals = self.det_one_minus_m(np.array(zs, dtype=complex), h)
+        ts = np.arange(per) / per
+        zs = np.empty(4 * per, dtype=complex)
+        for k, (a, b) in enumerate(zip(corners, corners[1:] + corners[:1])):
+            # a + (b - a) t on real and imaginary parts: on a box's sides
+            # these are the floats of Python's complex arithmetic
+            side = slice(k * per, (k + 1) * per)
+            zs.real[side] = a.real + (b - a).real * ts
+            zs.imag[side] = a.imag + (b - a).imag * ts
+        vals = self.det_one_minus_m(zs, h)
         if np.any(np.abs(vals) < 1e-13):
             raise CountMismatch("det(I - M) vanishes on the counting contour")
         args = np.angle(vals)
@@ -599,9 +642,13 @@ class SemiclassicsEngine:
         return self._roots_from_seeds(self.bohr_sommerfeld(h), h)
 
     def _roots_from_seeds(self, seeds: List[float], h: float) -> List[PseudoResonance]:
+        """The distinct roots in the box that Newton reaches from the seeds.
+        The runs go in lockstep; their ends are taken in seed order, so the
+        first seed whose run diverged raises, as one run after another
+        would."""
         roots: List[PseudoResonance] = []
-        for seed in seeds:
-            pr = self._newton_root(seed, h)
+        for seed, end in zip(seeds, self._newton_runs(seeds, h)):
+            pr = self._newton_root(seed, end)
             if any(abs(pr.E - q.E) < h * h for q in roots):
                 continue
             lo, hi = self.box(h)
@@ -708,16 +755,22 @@ class SemiclassicsEngine:
         key, tails = self._switch_paths()
         amps = np.empty((len(es), sum(len(ps) for _, ps in tails)), dtype=complex)
         sums = np.empty((len(es), len(tails)), dtype=complex)
-        D = np.empty(len(es))
+        ap = np.empty(len(es))
         for i in range(0, len(es), _SLICE):
-            ph, ap = self._evaluate(es[i:i + _SLICE].astype(complex), h, key, loop_derivative=True)
-            for k, (phases, a) in enumerate(zip(ph.tolist(), ap.tolist()), i):
-                row, tail_sums = [], []
-                for _, paths in tails:
-                    tail_amps = [self._path_product(pth, phases, cols, h) for pth, cols in paths]
-                    row.extend(tail_amps)
-                    tail_sums.append(complex(sum(tail_amps)))
-                amps[k], sums[k], D[k] = row, tail_sums, self._D(tail_sums, a, h)
+            part = slice(i, i + _SLICE)
+            ph, ap[part] = self._evaluate(es[part].astype(complex), h, key, loop_derivative=True)
+            j = 0
+            for t, (_, paths) in enumerate(tails):
+                # the tail sum as Python's sum() forms it: 0 + a1 + a2 ...
+                s_re, s_im = 0.0, 0.0
+                for pth, cols in paths:
+                    re, im = self._path_amplitude(pth, ph, cols, h)
+                    amps.real[part, j], amps.imag[part, j] = re, im
+                    s_re, s_im = s_re + re, s_im + im
+                    j += 1
+                sums.real[part, t], sums.imag[part, t] = s_re, s_im
+        # |v|^2 on Python floats: numpy's abs and square differ in the last bit
+        D = np.array([self._D(row, a, h) for row, a in zip(sums.tolist(), ap.tolist())])
         tids = [tid for tid, _ in tails]
         if np.ndim(E):
             return WidthBreakdown(es, h, D, tuple(zip(tids, sums.T)), tuple(amps.T), "one_switch")

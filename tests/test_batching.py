@@ -6,6 +6,7 @@ the calls the batched paths make.
 """
 
 import cmath
+import dataclasses
 import math
 import random
 
@@ -251,3 +252,312 @@ def test_width_dips_makes_one_batched_width_call(f0_engine):
     finally:
         del engine.width_coefficient
     assert calls == [(801,)]
+
+
+# --- the semiclassical engine's per-seed and per-energy loops -----------------------
+
+SWEEP = (0.08, 0.06, 0.05, 0.04, 0.03)
+
+
+@pytest.fixture(scope="module")
+def f2_engine():
+    return pipeline.build_engine(fixtures.f2(), h_max=0.08)
+
+
+def _sequential_newton(engine, seed, h):
+    """Damped Newton from one seed with one det_one_minus_m call per step,
+    as it ran before the seeds ran in lockstep; returns the root and the
+    number of det_one_minus_m calls it made."""
+    calls = []
+
+    def f(E):
+        calls.append(E)
+        return engine.det_one_minus_m(E, h)
+
+    E = complex(seed)
+    fE = f(E)
+    delta = 1e-3 * h
+    for it in range(1, 51):
+        if abs(fE) <= semiclassics.NEWTON_TOL:
+            return semiclassics.PseudoResonance(E=E, seed=seed, residual=abs(fE), newton_iters=it - 1), len(calls)
+        f_plus, f_minus = f(np.array([E + delta, E - delta])).tolist()
+        fp = (f_plus - f_minus) / (2.0 * delta)
+        if fp == 0:
+            break
+        step = -fE / fp
+        accepted = False
+        for _ in range(25):
+            cand = E + step
+            fc = f(cand)
+            if abs(fc) < abs(fE):
+                E, fE = cand, fc
+                accepted = True
+                break
+            step /= 2.0
+            if abs(step) < 1e-16 * max(1.0, abs(E)):
+                break
+        if not accepted:
+            break
+    if abs(fE) <= semiclassics.NEWTON_TOL:
+        return semiclassics.PseudoResonance(E=E, seed=seed, residual=abs(fE), newton_iters=50), len(calls)
+    raise semiclassics.NewtonDiverged(f"seed {seed:.10g}: residual {abs(fE):.3e} after damped Newton")
+
+
+def _sequential_roots(engine, seeds, h):
+    """_roots_from_seeds with one Newton run after another."""
+    roots = []
+    for seed in seeds:
+        pr, _ = _sequential_newton(engine, seed, h)
+        if any(abs(pr.E - q.E) < h * h for q in roots):
+            continue
+        lo, hi = engine.box(h)
+        half = engine.p.L * h
+        if lo - 1e-12 <= pr.E.real <= hi + 1e-12 and abs(pr.E.imag) <= half + 1e-12:
+            roots.append(pr)
+    n_wind = engine.count_by_argument_principle(h)
+    if n_wind != len(roots):
+        raise semiclassics.CountMismatch(
+            f"argument principle counts {n_wind} zeros, Newton found {len(roots)}")
+    return roots
+
+
+def _outcome(fn):
+    """fn's roots with their bytes, or its exception's type and message."""
+    try:
+        roots = fn()
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc).__name__, str(exc)
+    return [(pr.seed, _bits([pr.E]), pr.residual.hex(), pr.newton_iters) for pr in roots]
+
+
+def _recorded_dets(engine):
+    """Record the energies of every det_one_minus_m call on the engine."""
+    calls = []
+    det = engine.det_one_minus_m
+
+    def recorded(E, h):
+        calls.append(np.array(E))
+        return det(E, h)
+
+    engine.det_one_minus_m = recorded
+    return calls
+
+
+@pytest.mark.parametrize("name", ["f0_engine", "f1arc_engine", "f2_engine"])
+def test_lockstep_newton_equals_sequential_runs(request, name):
+    engine = request.getfixturevalue(name)[2]
+    for h in SWEEP:
+        seeds = engine.bohr_sommerfeld(h)
+        runs = [_sequential_newton(engine, seed, h) for seed in seeds]
+        calls = _recorded_dets(engine)
+        try:
+            ends = engine._newton_runs(seeds, h)
+        finally:
+            del engine.det_one_minus_m
+        for seed, end, (pr, _) in zip(seeds, ends, runs):
+            got = engine._newton_root(seed, end)
+            assert (got.seed, _bits([got.E]), got.residual.hex(), got.newton_iters) == (
+                pr.seed, _bits([pr.E]), pr.residual.hex(), pr.newton_iters)
+        # one call per round: as many as the longest run made alone
+        assert len(calls) == max(n for _, n in runs)
+        assert _outcome(lambda: engine._roots_from_seeds(seeds, h)) == _outcome(
+            lambda: _sequential_roots(engine, seeds, h))
+
+
+def test_lockstep_newton_keeps_f2_count_mismatch(f2_engine):
+    engine = f2_engine[2]
+    seeds = engine.bohr_sommerfeld(0.05)
+    want = _outcome(lambda: _sequential_roots(engine, seeds, 0.05))
+    assert want == ("CountMismatch", "argument principle counts 3 zeros, Newton found 2")
+    assert _outcome(lambda: engine.resonance_table(0.05)) == want
+
+
+def test_lockstep_newton_keeps_the_first_diverged_seed(f0_engine, monkeypatch):
+    # runs whose determinant never gets small: the first seed in seed
+    # order raises, with the message a run after another gives
+    engine = f0_engine[2]
+    seeds = engine.bohr_sommerfeld(0.05)
+    monkeypatch.setattr(semiclassics, "NEWTON_TOL", 0.0)
+    want = _outcome(lambda: _sequential_roots(engine, seeds, 0.05))
+    assert want[0] == "NewtonDiverged" and f"seed {seeds[0]:.10g}:" in want[1]
+    assert _outcome(lambda: engine._roots_from_seeds(seeds, 0.05)) == want
+
+
+def test_newton_root_is_called_once_per_seed(f0_engine, monkeypatch):
+    # the benchmark's tracer wraps _newton_root by name and reads each
+    # call's newton_iters and residual
+    engine = f0_engine[2]
+    calls = []
+    newton_root = semiclassics.SemiclassicsEngine._newton_root
+
+    def recorded(self, seed, end):
+        pr = newton_root(self, seed, end)
+        calls.append((seed, pr))
+        return pr
+
+    monkeypatch.setattr(semiclassics.SemiclassicsEngine, "_newton_root", recorded)
+    for h in SWEEP:
+        calls.clear()
+        seeds = engine.bohr_sommerfeld(h)
+        engine.resonance_table(h)
+        runs = [_sequential_newton(engine, seed, h)[0] for seed in seeds]
+        assert [seed for seed, _ in calls] == seeds
+        assert [pr for _, pr in calls] == runs
+        assert sum(pr.newton_iters for _, pr in calls) == sum(pr.newton_iters for pr in runs)
+
+
+def _sequential_path_product(engine, path, phases, cols, h):
+    """A path amplitude at one energy as a Python complex product."""
+    edges = path.edges
+    amp = 1.0 + 0.0j
+    for k, e in enumerate(edges):
+        if k > 0:
+            amp *= engine.tau(edges[k - 1].channel, e.channel, edges[k - 1].target, h)
+        amp *= phases[cols[k]]
+    if path.tail is not None:
+        amp *= engine.tau(edges[-1].channel, path.tail.channel, path.tail.attach, h)
+    return amp
+
+
+def _hex(z):
+    return complex(z).real.hex(), complex(z).imag.hex()
+
+
+@pytest.mark.parametrize("name", ["f0_engine", "f1arc_engine", "f2_engine"])
+def test_one_switch_width_equals_per_energy_path_products(request, name):
+    engine = request.getfixturevalue(name)[2]
+    key, tails = engine._switch_paths()
+    lo, hi = engine.box(H)
+    es = np.linspace(lo, hi, 801)
+    got = engine.width_coefficient(es, H, "one_switch")
+    ph, ap = engine._evaluate(es.astype(complex), H, key, loop_derivative=True)
+    for k, (phases, a) in enumerate(zip(ph.tolist(), ap.tolist())):
+        amps, sums = [], []
+        for _, paths in tails:
+            tail_amps = [_sequential_path_product(engine, pth, phases, cols, H) for pth, cols in paths]
+            amps.extend(tail_amps)
+            sums.append(complex(sum(tail_amps)))
+        assert [_hex(v[k]) for v in got.per_path] == [_hex(v) for v in amps]
+        assert [_hex(v[k]) for _, v in got.per_tail] == [_hex(v) for v in sums]
+        assert float(got.D[k]).hex() == engine._D(sums, a, H).hex()
+    # probability_amplitude is the same product at one energy, on or off
+    # the real axis
+    for E in (es[100], complex(es[500], 0.3 * engine.p.L * H)):
+        for _, paths in tails:
+            for pth, _ in paths:
+                phases = engine._evaluate(np.array([E], dtype=complex), H,
+                                          semiclassics._path_key(pth))[0][0].tolist()
+                want = _sequential_path_product(engine, pth, phases, range(len(pth.edges)), H)
+                assert _hex(engine.probability_amplitude(pth, E, H)) == _hex(want)
+
+
+def test_contour_nodes_equal_the_python_complex_formula(f0_engine, f1arc_engine):
+    def python_nodes(lo, hi, half):
+        per = semiclassics._COUNT_NODES // 4
+        corners = [complex(lo, -half), complex(hi, -half), complex(hi, half), complex(lo, half)]
+        zs = []
+        for a, b in zip(corners, corners[1:] + corners[:1]):
+            zs.extend(a + (b - a) * t for t in np.arange(per) / per)
+        return np.array(zs, dtype=complex)
+
+    for engine in (f0_engine[2], f1arc_engine[2]):
+        for h in SWEEP:
+            assert _contour_nodes(engine, h).tobytes() == python_nodes(*engine.box(h), engine.p.L * h).tobytes()
+
+    # random boxes, zero and negative edges included, through a stand-in
+    # engine that records the nodes and stops the count
+    class Stop(Exception):
+        pass
+
+    class Box:
+        def __init__(self, lo, hi, L):
+            self.p = type("P", (), {"L": L})()
+            self._box = (lo, hi)
+
+        def box(self, h):
+            return self._box
+
+        def det_one_minus_m(self, E, h):
+            self.nodes = E
+            raise Stop
+
+    rng = random.Random(11)
+    for _ in range(300):
+        lo = rng.choice([0.0, -0.0, rng.uniform(-2.0, 2.0), _signed(rng)])
+        box = Box(lo, lo + rng.uniform(1e-6, 1.0), rng.uniform(0.1, 5.0))
+        h = rng.choice([rng.uniform(1e-4, 0.1), 0.05])
+        with pytest.raises(Stop):
+            semiclassics.SemiclassicsEngine.count_by_argument_principle(box, h)
+        assert box.nodes.tobytes() == python_nodes(*box._box, box.p.L * h).tobytes()
+
+
+class _Forgetful(dict):
+    """A turning-point memo that keeps nothing: every request is solved."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def test_turning_point_memo_solves_each_key_once(monkeypatch):
+    solves, asks = [], []
+    brentq, resolve = quadrature.brentq, quadrature._resolve_turn
+
+    def counted_brentq(*args):
+        solves.append(args[1:3])
+        return brentq(*args)
+
+    def recorded(p, channel, E, x0):
+        asks.append((channel, x0, E))
+        return resolve(p, channel, E, x0)
+
+    monkeypatch.setattr(quadrature, "brentq", counted_brentq)
+    monkeypatch.setattr(quadrature, "_resolve_turn", recorded)
+    for problem in (fixtures.f0(), fixtures.f1_arc(), fixtures.f2()):
+        engine = pipeline.build_engine(problem, h_max=0.08)[2]
+        solves.clear()
+        asks.clear()
+        engine.det_one_minus_m(engine.p.e0, H)
+        engine.width_coefficient(np.array([engine.p.e0]), H)
+        # one solve per distinct (channel, x0, E), and fits share them
+        assert len(solves) == len(set(asks)) == len(problem.turns)
+        assert len(asks) > len(set(asks))
+        # the same fits from a problem that solves every request afresh
+        fresh = pipeline.build_engine(dataclasses.replace(problem), h_max=0.08)[2]
+        fresh.p.turns = _Forgetful()
+        for (eid, flo, fhi), fit in engine._fits.items():
+            edge = engine._edges_sorted[engine._index[eid]]
+            again = quadrature.ActionFn.build(
+                lambda E: quadrature.action_edge(fresh.p, edge, E, flo, fhi),
+                engine.domain, tol=semiclassics._CACHE_TOL)
+            assert fit.cheb.coef.tobytes() == again.cheb.coef.tobytes()
+            assert (fit.err_estimate, fit.n_nodes) == (again.err_estimate, again.n_nodes)
+        assert not fresh.p.turns
+
+
+def _looped_dips(es, dvals):
+    """width_dips' scan as a loop over the grid."""
+    top = float(np.max(dvals))
+    if top <= 0:
+        return []
+    dips = []
+    for i in range(1, len(es) - 1):
+        if dvals[i] <= dvals[i - 1] and dvals[i] <= dvals[i + 1] and dvals[i] < 0.02 * top:
+            dips.append(float(es[i]))
+    return dips
+
+
+def test_dip_mask_equals_the_loop(f0_engine, f2_engine):
+    found = 0
+    for engine in (f0_engine[2], f2_engine[2]):
+        for h in SWEEP:
+            es = np.linspace(*engine.box(h), 801)
+            dvals = engine.width_coefficient(es, h, "one_switch").D
+            dips = pipeline._dips(es, dvals)
+            assert _bits(dips) == _bits(_looped_dips(es, dvals))
+            found += len(dips)
+            # ties and a flat zero scan
+            flat = np.round(dvals, 2)
+            assert pipeline._dips(es, flat) == _looped_dips(es, flat)
+    assert found > 0
+    es = np.linspace(0.0, 1.0, 9)
+    assert pipeline._dips(es, np.zeros(9)) == _looped_dips(es, np.zeros(9)) == []
