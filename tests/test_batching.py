@@ -25,9 +25,8 @@ def _bits(values):
     return np.asarray(values, dtype=complex).tobytes()
 
 
-def _contour_nodes(engine, h):
-    """The energies count_by_argument_principle evaluates, recorded from
-    its one batched det_one_minus_m call."""
+def _recorded_dets(engine):
+    """Record the energies of every det_one_minus_m call on the engine."""
     calls = []
     det = engine.det_one_minus_m
 
@@ -36,6 +35,13 @@ def _contour_nodes(engine, h):
         return det(E, h)
 
     engine.det_one_minus_m = recorded
+    return calls
+
+
+def _contour_nodes(engine, h):
+    """The energies count_by_argument_principle evaluates, recorded from
+    its one batched det_one_minus_m call."""
+    calls = _recorded_dets(engine)
     try:
         engine.count_by_argument_principle(h)
     finally:
@@ -328,19 +334,6 @@ def _outcome(fn):
     except Exception as exc:  # noqa: BLE001 - the exception is the outcome
         return type(exc).__name__, str(exc)
     return [(pr.seed, _bits([pr.E]), pr.residual.hex(), pr.newton_iters) for pr in roots]
-
-
-def _recorded_dets(engine):
-    """Record the energies of every det_one_minus_m call on the engine."""
-    calls = []
-    det = engine.det_one_minus_m
-
-    def recorded(E, h):
-        calls.append(np.array(E))
-        return det(E, h)
-
-    engine.det_one_minus_m = recorded
-    return calls
 
 
 @pytest.mark.parametrize("name", ["f0_engine", "f1arc_engine", "f2_engine"])
