@@ -133,9 +133,8 @@ class Graph:
     edges: List[Edge]
     tails: List[Tail]
     e0: Edge
-    # (vertex key, channel) -> the edge or tail leaving / entering that slot
+    # (vertex key, channel) -> the edge or tail leaving that slot
     out: Dict[Tuple, Union[Edge, Tail]]
-    into: Dict[Tuple, Union[Edge, Tail]]
     e0_alternatives: List[Edge]
 
     def gamma1_edges(self) -> List[Edge]:
@@ -324,7 +323,7 @@ def build_graph(report: StructureReport, problem: Problem, e_floor: float) -> Gr
     candidates = [into[(t.attach.key, 1)] for t in outgoing]
     if not candidates:
         raise InternalInconsistency("no outgoing tail attaches to the graph")
-    return Graph(vertices, edges, tails, candidates[0], out, into, candidates)
+    return Graph(vertices, edges, tails, candidates[0], out, candidates)
 
 
 def primitive_cycles(g: Graph) -> List[Tuple[Edge, ...]]:

@@ -362,12 +362,13 @@ def crossing_points(p: Problem) -> List[CrossingPoint]:
     gscale = float(np.max(np.abs(g))) or 1.0
     # interior minima of |g| dipping to zero (tangential crossings)
     absg = np.abs(g)
-    for i in range(1, len(xs) - 1):
-        if absg[i] < absg[i - 1] and absg[i] <= absg[i + 1] and g[i - 1] * g[i] > 0 and g[i] * g[i + 1] > 0:
-            if gpfn(xs[i - 1]) * gpfn(xs[i + 1]) < 0:
-                x_star = _refine_root(gpfn, xs[i - 1], xs[i + 1], ROOT_TOL)
-                if abs(gfn(x_star)) <= ROOT_TOL * max(1.0, gscale):
-                    roots.append(x_star)
+    minima = ((absg[1:-1] < absg[:-2]) & (absg[1:-1] <= absg[2:])
+              & (g[:-2] * g[1:-1] > 0) & (g[1:-1] * g[2:] > 0))
+    for i in np.flatnonzero(minima) + 1:
+        if gpfn(xs[i - 1]) * gpfn(xs[i + 1]) < 0:
+            x_star = _refine_root(gpfn, xs[i - 1], xs[i + 1], ROOT_TOL)
+            if abs(gfn(x_star)) <= ROOT_TOL * max(1.0, gscale):
+                roots.append(x_star)
     roots.sort()
     merged: List[float] = []
     for r in roots:
@@ -437,25 +438,13 @@ def validate_structure(p: Problem) -> StructureReport:
     except StructureError as exc:
         flags["v2_simple_roots"] = (False, str(exc))
 
-    # allowed region of channel 2: unbounded components only
-    mask = v2g <= p.e0
-    bounded_components = 0
-    i = 0
-    n = len(xs)
-    touches_any = False
-    while i < n:
-        if not mask[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and mask[j + 1]:
-            j += 1
-        if i == 0 or j == n - 1:
-            touches_any = True
-        else:
-            bounded_components += 1
-        i = j + 1
-    ok = bounded_components == 0 and touches_any
+    # allowed region of channel 2: unbounded components only, a run of
+    # allowed grid points [start, end) being bounded unless it meets an edge
+    step = np.diff(np.concatenate(([0], (v2g <= p.e0).astype(int), [0])))
+    starts, ends = np.flatnonzero(step == 1), np.flatnonzero(step == -1)
+    at_edge = (starts == 0) | (ends == len(xs))
+    bounded_components = int(np.count_nonzero(~at_edge))
+    ok = bounded_components == 0 and bool(at_edge.any())
     flags["v2_nontrapping"] = (
         ok,
         "" if ok else f"{bounded_components} bounded allowed component(s) inside the window",

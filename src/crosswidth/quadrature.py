@@ -24,6 +24,7 @@ from .model import ROOT_TOL, SCAN_POINTS, DegenerateTurningPoint, Problem, brent
 __all__ = [
     "QUAD_TOL",
     "EDGE_QUAD_TOL",
+    "CACHE_TOL",
     "NoTurningPoints",
     "QuadratureError",
     "BudgetExceeded",
@@ -56,10 +57,11 @@ class PreconditionViolated(ValueError):
 
 
 # fixed accuracy target of the action quadratures and of the oscillatory
-# panel check, and the tighter one of the edge actions that the engine's
-# Chebyshev caches are fitted to
+# panel check, the tighter one of the edge actions that the engine's
+# Chebyshev caches are fitted to, and the residual bound of those fits
 QUAD_TOL = 1e-11
 EDGE_QUAD_TOL = 1e-13
+CACHE_TOL = 3e-13
 
 _GL_CACHE = {}
 # panel rule and panel doublings of the adaptive action quadrature
@@ -420,11 +422,10 @@ class ActionFn:
     n_nodes: int
 
     @classmethod
-    def build(cls, fn: Callable[[np.ndarray], np.ndarray], domain: Tuple[float, float],
-              tol: float = 1e-12) -> "ActionFn":
-        """Fit fn, which maps a 1-D array of energies to their values, at
-        each degree of _CHEB_DEGREES in turn: one call of fn at the degree's
-        Chebyshev nodes and one at its probe energies."""
+    def build(cls, fn: Callable[[np.ndarray], np.ndarray], domain: Tuple[float, float]) -> "ActionFn":
+        """Fit fn, which maps a 1-D array of energies to their values, at each
+        degree of _CHEB_DEGREES until the residual is within CACHE_TOL: one
+        call of fn at the degree's Chebyshev nodes and one at its probes."""
         lo, hi = domain
         last_err = math.inf
         cheb = None
@@ -435,10 +436,10 @@ class ActionFn:
             probe = lo + (hi - lo) * (0.5 + 0.5 * np.cos(np.pi * (np.arange(2 * deg) + 0.5) / (2 * deg)))
             last_err = float(np.max(np.abs(cheb(probe) - fn(probe))))
             nodes += probe.size
-            if last_err <= tol:
+            if last_err <= CACHE_TOL:
                 break
-        if last_err > tol:
-            raise QuadratureError(f"action cache residual {last_err:.3e} exceeds {tol:g}")
+        if last_err > CACHE_TOL:
+            raise QuadratureError(f"action cache residual {last_err:.3e} exceeds {CACHE_TOL:g}")
         return cls(cheb=cheb, domain=(lo, hi), err_estimate=last_err, n_nodes=nodes)
 
 

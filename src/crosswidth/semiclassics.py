@@ -133,15 +133,12 @@ class PseudoResonance:
 
 @dataclass(frozen=True)
 class WidthBreakdown:
-    """D(E) with its per-tail and per-path amplitudes; E, D and the
-    amplitudes are arrays when the width was asked for an array of E."""
+    """The width coefficient D at energy E and semiclassical parameter h;
+    E and D are arrays when the width was asked for an array of E."""
 
     E: float
     h: float
     D: float
-    per_tail: Tuple[Tuple[int, complex], ...]
-    per_path: Tuple[complex, ...]
-    variant: str
 
 
 def omega(c: CrossingPoint, sign: int, calib: float = 1.0) -> complex:
@@ -192,9 +189,6 @@ def _path_key(path: PathSeq) -> PhaseKey:
     )
 
 
-# residual bound of the Chebyshev edge-action caches (their edge actions
-# are integrated to quadrature.EDGE_QUAD_TOL)
-_CACHE_TOL = 3e-13
 # |det(I - M)| at which damped Newton accepts a pseudo-resonance
 NEWTON_TOL = 1e-12
 # energies on the argument-principle contour
@@ -240,7 +234,6 @@ class SemiclassicsEngine:
         self.m0 = report.m0
         # the paper's width law: Im E ~ -D(E) h^width_exponent
         self.width_exponent = (self.m0 + 3.0) / (self.m0 + 1.0)
-        self.h_max = h_max
         self.domain = energy_domain(problem, report, h_max)
         self._fits: Dict[Tuple[int, float, float], ActionFn] = {}
         self._transfer: Dict[Tuple[int, int, float], list] = {}
@@ -329,8 +322,7 @@ class SemiclassicsEngine:
             eid, flo, fhi = key
             edge = self._edges_sorted[self._index[eid]]
             self._fits[key] = ActionFn.build(
-                lambda E: action_edge(self.p, edge, E, flo, fhi),
-                self.domain, tol=_CACHE_TOL)
+                lambda E: action_edge(self.p, edge, E, flo, fhi), self.domain)
         return self._fits[key]
 
     def _action_table(self) -> ActionTable:
@@ -431,10 +423,10 @@ class SemiclassicsEngine:
 
     # --- monodromy -------------------------------------------------------------
 
-    def _fill(self, M: np.ndarray, ph: np.ndarray, h: float) -> None:
-        """Write the monodromy entries M[i, j] = ph2[j] * tau * ph1[i] into
-        the zero stack M, given the halves' phases ph at the same energies;
-        the incidence and the tau of each entry are cached per h."""
+    def _stack(self, ph: np.ndarray, h: float) -> np.ndarray:
+        """The (N, n, n) monodromy stack with entries M[:, i, j] = ph2[j] *
+        tau * ph1[i], given the halves' phases ph at N energies; the
+        incidence and the tau of each entry are cached per h."""
         links = self._links.get(h)
         if links is None:
             entries = [(i, j, self.tau(ep.channel, e.channel, ep.target, h))
@@ -445,18 +437,18 @@ class SemiclassicsEngine:
         rows, cols, ph2_cols, tau_re, tau_im = links
         ph2, ph1 = ph[:, ph2_cols], ph[:, rows]
         m_re, m_im = _cmul(*_cmul(ph2.real, ph2.imag, tau_re, tau_im), ph1.real, ph1.imag)
+        n = len(self._edges_sorted)
+        M = np.zeros((len(ph), n, n), dtype=complex)
         M.real[:, rows, cols] = m_re
         M.imag[:, rows, cols] = m_im
+        return M
 
     def monodromy(self, E, h: float) -> np.ndarray:
         """Edge-indexed matrix of one-vertex amplitudes between base points
         (rows/columns ordered by edge id); an (N, n, n) stack for an array
         of N energies."""
         Es = np.asarray(E, dtype=complex)
-        flat = Es.reshape(-1)
-        n = len(self._edges_sorted)
-        M = np.zeros((len(flat), n, n), dtype=complex)
-        self._fill(M, self._evaluate(flat, h, self._halves)[0], h)
+        M = self._stack(self._evaluate(Es.reshape(-1), h, self._halves)[0], h)
         return M if Es.ndim else M[0]
 
     def det_one_minus_m(self, E, h: float):
@@ -473,9 +465,7 @@ class SemiclassicsEngine:
         eye = np.eye(n, dtype=complex)
         for i in range(0, len(flat), _SLICE):
             part = slice(i, i + _SLICE)
-            y = flat.imag[part]
-            M = np.zeros((len(y), n, n), dtype=complex)
-            self._fill(M, self._phases(vals[rows[part]], y, h, plan), h)
+            M = self._stack(self._phases(vals[rows[part]], flat.imag[part], h, plan), h)
             # I - M in place, as -M + I: the same floats
             np.negative(M, out=M)
             M += eye
@@ -636,11 +626,6 @@ class SemiclassicsEngine:
             raise CountMismatch(f"winding number {winding:.3f} is not close to an integer")
         return int(round(winding))
 
-    def pseudo_resonances(self, h: float) -> List[PseudoResonance]:
-        """One Newton run per Bohr-Sommerfeld seed on det(I - M), with the
-        root count cross-checked by the argument principle."""
-        return self._roots_from_seeds(self.bohr_sommerfeld(h), h)
-
     def _roots_from_seeds(self, seeds: List[float], h: float) -> List[PseudoResonance]:
         """The distinct roots in the box that Newton reaches from the seeds.
         The runs go in lockstep; their ends are taken in seed order, so the
@@ -680,9 +665,7 @@ class SemiclassicsEngine:
         monodromy's phases."""
         ph, ap = self._evaluate(np.array([complex(E)]), h, self._halves, loop_derivative)
         n = len(self._edges_sorted)
-        M = np.zeros((1, n, n), dtype=complex)
-        self._fill(M, ph, h)
-        M = M[0]
+        M = self._stack(ph, h)[0]
         i0 = self._index[self.g.e0.eid]
         Mt = M.copy()
         Mt[i0, :] = 0.0
@@ -723,16 +706,15 @@ class SemiclassicsEngine:
         better at finite h).  The one-switch variant sums the finitely many
         single-switch paths; the full variant replaces the inner sum by the
         resolvent amplitude.  The one-switch variant also takes a 1-D array
-        of energies; E, D and the per-tail and per-path amplitudes of its
-        breakdown are then arrays over the energies.
+        of energies; E and D of its result are then arrays over the energies.
         """
         if variant == "one_switch":
             return self._one_switch(E, h)
         if variant != "full":
             raise ValueError(f"unknown variant {variant!r}")
         _, tail_amp, ap = self._resolvent(E, h, loop_derivative=True)
-        per_tail = tuple((t.tid, tail_amp[t.tid]) for t in self.g.outgoing_tails())
-        return WidthBreakdown(E, h, self._D([v for _, v in per_tail], ap, h), per_tail, (), variant)
+        tail_sums = [tail_amp[t.tid] for t in self.g.outgoing_tails()]
+        return WidthBreakdown(E, h, self._D(tail_sums, ap, h))
 
     def _D(self, tail_sums: List[complex], ap: float, h: float) -> float:
         total = sum(abs(v) ** 2 for v in tail_sums)
@@ -742,40 +724,34 @@ class SemiclassicsEngine:
         """The one-switch paths of each outgoing tail, each with the
         positions of its segments in the phase key that all of them share."""
         if self._one_switch_paths is None:
-            tails = [(t.tid, [(pth, _path_key(pth)) for pth in paths_one_switch(self.g, t)])
+            tails = [[(pth, _path_key(pth)) for pth in paths_one_switch(self.g, t)]
                      for t in self.g.outgoing_tails()]
-            key = tuple(dict.fromkeys(seg for _, ps in tails for _, k in ps for seg in k))
+            key = tuple(dict.fromkeys(seg for ps in tails for _, k in ps for seg in k))
             pos = {seg: j for j, seg in enumerate(key)}
             self._one_switch_paths = key, [
-                (tid, [(pth, [pos[seg] for seg in k]) for pth, k in ps]) for tid, ps in tails]
+                [(pth, [pos[seg] for seg in k]) for pth, k in ps] for ps in tails]
         return self._one_switch_paths
 
     def _one_switch(self, E, h: float) -> WidthBreakdown:
         es = np.asarray(E, dtype=float).reshape(-1)
         key, tails = self._switch_paths()
-        amps = np.empty((len(es), sum(len(ps) for _, ps in tails)), dtype=complex)
         sums = np.empty((len(es), len(tails)), dtype=complex)
         ap = np.empty(len(es))
         for i in range(0, len(es), _SLICE):
             part = slice(i, i + _SLICE)
             ph, ap[part] = self._evaluate(es[part].astype(complex), h, key, loop_derivative=True)
-            j = 0
-            for t, (_, paths) in enumerate(tails):
+            for t, paths in enumerate(tails):
                 # the tail sum as Python's sum() forms it: 0 + a1 + a2 ...
                 s_re, s_im = 0.0, 0.0
                 for pth, cols in paths:
                     re, im = self._path_amplitude(pth, ph, cols, h)
-                    amps.real[part, j], amps.imag[part, j] = re, im
                     s_re, s_im = s_re + re, s_im + im
-                    j += 1
                 sums.real[part, t], sums.imag[part, t] = s_re, s_im
         # |v|^2 on Python floats: numpy's abs and square differ in the last bit
         D = np.array([self._D(row, a, h) for row, a in zip(sums.tolist(), ap.tolist())])
-        tids = [tid for tid, _ in tails]
         if np.ndim(E):
-            return WidthBreakdown(es, h, D, tuple(zip(tids, sums.T)), tuple(amps.T), "one_switch")
-        return WidthBreakdown(E, h, float(D[0]), tuple(zip(tids, sums[0].tolist())),
-                              tuple(amps[0].tolist()), "one_switch")
+            return WidthBreakdown(es, h, D)
+        return WidthBreakdown(E, h, float(D[0]))
 
     def _simple_topology(self):
         """(crossing, outgoing tail, other vertex, mixed cycle) of the

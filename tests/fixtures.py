@@ -95,6 +95,11 @@ def single_transversal() -> Problem:
     return _problem("0.3 - 0.6*tanh(x)")
 
 
+def pseudo_resonances(engine, h: float):
+    """The pseudo-resonances of engine.resonance_table(h), in seed order."""
+    return [row["pseudo"] for row in engine.resonance_table(h) if row["pseudo"] is not None]
+
+
 def harmonic() -> Problem:
     """V1 = x^2 (loop action pi*E); only the quadrature operations apply."""
     return _problem("0.2 - 0.7*x", r0="0", r1="0", e0=1.0, window=(-6.0, 6.0),

@@ -107,7 +107,7 @@ def test_criterion_5_pseudo_resonance_structure(f0_engine):
     detail = []
     for h in H_SWEEP:
         seeds = eng.bohr_sommerfeld(h)
-        prs = eng.pseudo_resonances(h)  # raises CountMismatch on winding disagreement
+        prs = fixtures.pseudo_resonances(eng, h)  # raises CountMismatch on winding disagreement
         if len(prs) != len(seeds):
             ok = False
             detail.append(f"h={h}: {len(prs)} roots vs {len(seeds)} seeds")
@@ -126,7 +126,7 @@ def test_criterion_6_decoupled_limit(f0_decoupled_engine):
     p = eng.p
     h = 0.05
     seeds = eng.bohr_sommerfeld(h)
-    prs = sorted(eng.pseudo_resonances(h), key=lambda q: q.E.real)
+    prs = sorted(fixtures.pseudo_resonances(eng, h), key=lambda q: q.E.real)
     real_ok = all(abs(pr.E.imag) <= 1e-12 and abs(pr.E.real - s) <= 1e-12
                   for pr, s in zip(prs, seeds))
     d_ok = all(eng.width_coefficient(s, h, "one_switch").D == 0.0 for s in seeds)

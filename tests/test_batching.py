@@ -71,11 +71,6 @@ def test_dip_scan_batch_equals_one_energy_calls(f0_engine):
     batch = engine.width_coefficient(es, H, "one_switch")
     single = [engine.width_coefficient(E, H, "one_switch") for E in es.tolist()]
     assert batch.D.tobytes() == np.array([w.D for w in single]).tobytes()
-    for k, (tid, sums) in enumerate(batch.per_tail):
-        assert tid == single[0].per_tail[k][0]
-        assert sums.tobytes() == _bits([w.per_tail[k][1] for w in single])
-    for j, amps in enumerate(batch.per_path):
-        assert amps.tobytes() == _bits([w.per_path[j] for w in single])
 
 
 def test_contour_phases_and_entries_follow_python_complex_arithmetic(f0_engine):
@@ -154,22 +149,23 @@ def test_count_makes_one_table_evaluation(request, name, monkeypatch):
     _, _, engine = request.getfixturevalue(name)
     tables, stacks = [], []
     table_call = semiclassics.ActionTable.__call__
-    fill = engine._fill
+    stack = engine._stack
 
     def counted_table(table, E, count=None):
         tables.append(np.array(E))
         return table_call(table, E, count)
 
-    def counted_fill(M, ph, h):
+    def counted_stack(ph, h):
+        M = stack(ph, h)
         stacks.append(M.shape)
-        return fill(M, ph, h)
+        return M
 
     monkeypatch.setattr(semiclassics.ActionTable, "__call__", counted_table)
-    engine._fill = counted_fill
+    engine._stack = counted_stack
     try:
         nodes = _contour_nodes(engine, H)
     finally:
-        del engine._fill
+        del engine._stack
     # one table evaluation, over the contour's distinct real parts: each
     # vertical side has one, and the top and bottom sides share theirs
     assert len(tables) == 1
@@ -184,7 +180,7 @@ def _one_energy_fit(p, edge, flo, fhi, domain):
     def one_at_a_time(E):
         return np.array([quadrature.action_edge(p, edge, e, flo, fhi) for e in E.tolist()])
 
-    return quadrature.ActionFn.build(one_at_a_time, domain, tol=semiclassics._CACHE_TOL)
+    return quadrature.ActionFn.build(one_at_a_time, domain)
 
 
 def test_batched_fits_equal_one_energy_fits(f0_engine, f1arc_engine):
@@ -425,18 +421,13 @@ def test_one_switch_width_equals_per_energy_path_products(request, name):
     got = engine.width_coefficient(es, H, "one_switch")
     ph, ap = engine._evaluate(es.astype(complex), H, key, loop_derivative=True)
     for k, (phases, a) in enumerate(zip(ph.tolist(), ap.tolist())):
-        amps, sums = [], []
-        for _, paths in tails:
-            tail_amps = [_sequential_path_product(engine, pth, phases, cols, H) for pth, cols in paths]
-            amps.extend(tail_amps)
-            sums.append(complex(sum(tail_amps)))
-        assert [_hex(v[k]) for v in got.per_path] == [_hex(v) for v in amps]
-        assert [_hex(v[k]) for _, v in got.per_tail] == [_hex(v) for v in sums]
+        sums = [complex(sum(_sequential_path_product(engine, pth, phases, cols, H) for pth, cols in paths))
+                for paths in tails]
         assert float(got.D[k]).hex() == engine._D(sums, a, H).hex()
     # probability_amplitude is the same product at one energy, on or off
     # the real axis
     for E in (es[100], complex(es[500], 0.3 * engine.p.L * H)):
-        for _, paths in tails:
+        for paths in tails:
             for pth, _ in paths:
                 phases = engine._evaluate(np.array([E], dtype=complex), H,
                                           semiclassics._path_key(pth))[0][0].tolist()
@@ -520,8 +511,7 @@ def test_turning_point_memo_solves_each_key_once(monkeypatch):
         for (eid, flo, fhi), fit in engine._fits.items():
             edge = engine._edges_sorted[engine._index[eid]]
             again = quadrature.ActionFn.build(
-                lambda E: quadrature.action_edge(fresh.p, edge, E, flo, fhi),
-                engine.domain, tol=semiclassics._CACHE_TOL)
+                lambda E: quadrature.action_edge(fresh.p, edge, E, flo, fhi), engine.domain)
             assert fit.cheb.coef.tobytes() == again.cheb.coef.tobytes()
             assert (fit.err_estimate, fit.n_nodes) == (again.err_estimate, again.n_nodes)
         assert not fresh.p.turns

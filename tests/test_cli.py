@@ -106,6 +106,19 @@ def test_analyze_exit_2_on_validation_failure(tmp_path):
     assert "diagnostics" in payload
 
 
+def test_analyze_exit_2_on_a_bounded_channel_2_pocket(tmp_path):
+    # f1 with channel 2 allowed in a pocket that reaches neither window edge
+    lines = open(_cfg_path("f1"), encoding="utf-8").read().splitlines()
+    text = "\n".join("v2 = 0.2 + 0.6 * tanh(x) ^ 2 - 0.5 / cosh(x - 4.0) ^ 2"
+                     if line.startswith("v2 =") else line for line in lines)
+    out = tmp_path / "analyze.json"
+    assert cli.main(["analyze", _write(tmp_path, text), "--out", str(out)]) == 2
+    payload = json.loads(out.read_text())
+    assert payload["report"]["flags"]["v2_nontrapping"] == {
+        "ok": False, "detail": "1 bounded allowed component(s) inside the window"}
+    assert payload["diagnostics"] == "structure validation failed"
+
+
 def test_exit_2_on_broken_config(tmp_path):
     out = tmp_path / "out.json"
     code = cli.main(["analyze", _write(tmp_path, "not a config"), "--out", str(out)])

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 
 import crosswidth
@@ -46,3 +47,12 @@ def test_removed_names_stay_gone():
     # the contour angle and the edge quadrature tolerance are constants too
     assert "theta" not in {f.name for f in dataclasses.fields(config.RunConfig)}
     assert not hasattr(semiclassics, "_EDGE_QUAD_TOL")
+    # one monodromy builder, one route to the pseudo-resonances, and a width
+    # result that holds only what its callers read
+    assert not hasattr(semiclassics.SemiclassicsEngine, "_fill")
+    assert not hasattr(semiclassics.SemiclassicsEngine, "pseudo_resonances")
+    assert [f.name for f in dataclasses.fields(semiclassics.WidthBreakdown)] == ["E", "h", "D"]
+    assert "into" not in {f.name for f in dataclasses.fields(geometry.Graph)}
+    # the fit residual bound is a constant
+    assert not hasattr(semiclassics, "_CACHE_TOL")
+    assert "tol" not in inspect.signature(quadrature.ActionFn.build).parameters

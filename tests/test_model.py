@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -146,6 +147,22 @@ def test_validate_f2_passes():
     rep = validate_structure(fixtures.f2())
     assert rep.passed
     assert rep.m0 == 3
+
+
+@pytest.mark.parametrize("v2, bounded", [
+    ("0.2 + 0.6 * tanh(x) ^ 2 - 0.5 / cosh(x - 4.0) ^ 2", 1),
+    ("0.8 - 0.5 / cosh(x - 3) ^ 2 - 0.5 / cosh(x + 3) ^ 2", 2),
+    # a pocket beside a component that reaches the window edge
+    ("0.9 - 0.6 * tanh(x) - 0.9 / cosh(x + 3) ^ 2", 1),
+    # no allowed point at all: nothing bounded, and no tail either
+    ("2", 0),
+])
+def test_validate_counts_bounded_channel_2_components(v2, bounded):
+    rep = validate_structure(dataclasses.replace(fixtures.f1(), v2=exprs.parse(v2)))
+    assert not rep.passed
+    assert rep.assumption_flags["v2_nontrapping"] == (
+        False, f"{bounded} bounded allowed component(s) inside the window")
+    assert rep.assumption_flags["simple_well"][0]
 
 
 def test_crossing_invariants():

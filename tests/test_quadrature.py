@@ -171,7 +171,7 @@ def test_stationary_phase_preconditions():
 
 
 def test_action_fn_cache():
-    fit = ActionFn.build(np.sin, (0.0, 1.0), tol=1e-13)
+    fit = ActionFn.build(np.sin, (0.0, 1.0))
     table = ActionTable([fit])
     xs = np.linspace(0.05, 0.95, 17)
     vals = table(xs)

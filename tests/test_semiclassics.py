@@ -181,7 +181,7 @@ def test_decoupled_pseudo_resonances(f0_decoupled_engine):
     _, _, eng = f0_decoupled_engine
     for h in (0.05, 0.04):
         seeds = eng.bohr_sommerfeld(h)
-        prs = eng.pseudo_resonances(h)
+        prs = fixtures.pseudo_resonances(eng, h)
         assert len(prs) == len(seeds)
         for pr, s in zip(sorted(prs, key=lambda q: q.E.real), seeds):
             assert abs(pr.E.imag) <= 1e-12
@@ -193,7 +193,7 @@ def test_pseudo_counts_and_scaling(f1_engine):
     _, _, eng = f1_engine
     for h in (0.05, 0.04):
         seeds = eng.bohr_sommerfeld(h)
-        prs = eng.pseudo_resonances(h)
+        prs = fixtures.pseudo_resonances(eng, h)
         assert len(prs) == len(seeds)
         scale = h ** ((eng.m0 + 3.0) / (eng.m0 + 1.0))
         for pr in prs:
