@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -189,14 +190,49 @@ def _path_key(path: PathSeq) -> PhaseKey:
     )
 
 
-# |det(I - M)| at which damped Newton accepts a pseudo-resonance
+# |det(I - M)| at which damped Newton accepts a pseudo-resonance, unless
+# the roundoff floor of SemiclassicsEngine._newton_tol is larger
 NEWTON_TOL = 1e-12
-# energies on the argument-principle contour
+# the finest grid of the argument-principle contour: its nodes
 _COUNT_NODES = 4096
+# the count's first nodes are every _COUNT_STRIDE-th of the finest grid,
+# so each corner of the box is one
+_COUNT_STRIDE = 16
+# the largest wrapped phase step of det(I - M), in radians, that the count
+# leaves between two neighbouring evaluated nodes; a wider gap is halved
+_COUNT_PHASE_STEP = 0.5
 # energies evaluated at a time by det_one_minus_m and the one-switch width:
 # bounds the memory of their temporaries
 _SLICE = 128
 _ONE_ROW = np.zeros(1, dtype=int)
+
+
+def _contour_steps(f: Callable[[np.ndarray], np.ndarray], n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """A function's values on a dyadic subset of the n nodes of a closed
+    contour, in node order, and the wrapped phase steps from each to the
+    next.  f takes an increasing array of node indices to the values there.
+
+    Every _COUNT_STRIDE-th node is evaluated first; then, one f call per
+    round, the middle node of every gap whose phase step exceeds
+    _COUNT_PHASE_STEP, until every step is within it or its gap is one
+    node wide (Ying & Katz, Numer. Math. 53 (1988)).  A stretch stays
+    coarse only where the phase moves by less than the bound across it;
+    elsewhere it is refined down to every node.
+    """
+    idx = np.arange(0, n, _COUNT_STRIDE)
+    vals = f(idx)
+    while True:
+        args = np.angle(vals)
+        steps = np.diff(np.concatenate([args, args[:1]]))
+        steps = (steps + math.pi) % (2.0 * math.pi) - math.pi
+        gaps = np.diff(np.append(idx, idx[0] + n))
+        split = (np.abs(steps) > _COUNT_PHASE_STEP) & (gaps > 1)
+        if not split.any():
+            return vals, steps
+        new = idx[split] + gaps[split] // 2
+        order = np.argsort(np.concatenate([idx, new]))
+        idx = np.concatenate([idx, new])[order]
+        vals = np.concatenate([vals, f(new)])[order]
 
 
 class SemiclassicsEngine:
@@ -211,8 +247,9 @@ class SemiclassicsEngine:
     fits in use.  It is built on the first evaluation and rebuilt when a new
     segment is needed.  Energies are evaluated in arrays, and the table once
     per evaluation, at the distinct real parts: off the axis an action
-    continues to first order from its real part, so the argument-principle
-    count evaluates it once for its whole contour.  The Newton runs of one
+    continues to first order from its real part, so each round of the
+    argument-principle count evaluates it once for all the round's contour
+    nodes.  The Newton runs of one
     h's seeds go in lockstep, one det_one_minus_m call per round, and the
     one-switch width forms its path amplitudes over arrays of energies.  A
     scalar energy is an array of one, and no value depends on how the
@@ -541,18 +578,27 @@ class SemiclassicsEngine:
 
     # --- pseudo-resonances ------------------------------------------------------
 
-    def _newton_run(self, seed: float, h: float):
+    def _newton_tol(self, h: float) -> float:
+        """|det(I - M)| at which damped Newton accepts a root at h:
+        NEWTON_TOL, or the roundoff floor eps |A(e0)| / h where that is
+        larger.  A phase e^{iS/h} is formed from S/h, whose rounding error
+        is about eps |S| / h, so near a root |det(I - M)| cannot fall much
+        below the floor.  With the loop action A(e0) = pi the floor passes
+        NEWTON_TOL below h = 7e-4."""
+        return max(NEWTON_TOL, sys.float_info.epsilon * abs(self.gamma1_action(self.p.e0)) / h)
+
+    def _newton_run(self, seed: float, h: float, tol: float):
         """Damped Newton on det(I - M) from one seed, as a coroutine: it
         yields the energies whose determinants it needs next, [E], then
         [E + delta, E - delta], then [E + step], and is sent their values.
-        Returns the energy it ended at, the determinant there and the
-        iterations taken."""
+        Returns the energy it ended at, the determinant there, the
+        iterations taken and the tolerance tol it stops at."""
         E = complex(seed)
         (fE,) = yield [E]
         delta = 1e-3 * h
         for it in range(1, 51):
-            if abs(fE) <= NEWTON_TOL:
-                return E, fE, it - 1
+            if abs(fE) <= tol:
+                return E, fE, it - 1, tol
             f_plus, f_minus = yield [E + delta, E - delta]
             fp = (f_plus - f_minus) / (2.0 * delta)
             if fp == 0:
@@ -571,14 +617,15 @@ class SemiclassicsEngine:
                     break
             if not accepted:
                 break
-        return E, fE, 50
+        return E, fE, 50, tol
 
     def _newton_runs(self, seeds: List[float], h: float) -> list:
         """Every seed's _newton_run in lockstep, each round one
         det_one_minus_m call for all the energies the runs ask for (a value
         does not depend on the energies batched with it).  Returns each
         run's end."""
-        runs = [self._newton_run(seed, h) for seed in seeds]
+        tol = self._newton_tol(h)
+        runs = [self._newton_run(seed, h, tol) for seed in seeds]
         ends: list = [None] * len(runs)
         asks = {k: run.send(None) for k, run in enumerate(runs)}
         while asks:
@@ -592,17 +639,19 @@ class SemiclassicsEngine:
                     del asks[k]
         return ends
 
-    def _newton_root(self, seed: float, end: Tuple[complex, complex, int]) -> PseudoResonance:
-        """The pseudo-resonance at the end (E, det(I - M(E)), iterations) of
-        the Newton run from seed, or NewtonDiverged where det(I - M) is not
-        yet small there."""
-        E, fE, iters = end
-        if abs(fE) <= NEWTON_TOL:
+    def _newton_root(self, seed: float, end: Tuple[complex, complex, int, float]) -> PseudoResonance:
+        """The pseudo-resonance at the end (E, det(I - M(E)), iterations,
+        tolerance) of the Newton run from seed, or NewtonDiverged where
+        det(I - M) is not yet within the tolerance there."""
+        E, fE, iters, tol = end
+        if abs(fE) <= tol:
             return PseudoResonance(E=E, seed=seed, residual=abs(fE), newton_iters=iters)
         raise NewtonDiverged(f"seed {seed:.10g}: residual {abs(fE):.3e} after damped Newton")
 
     def count_by_argument_principle(self, h: float) -> int:
-        """Winding number of det(I - M) around the resonance box boundary."""
+        """Winding number of det(I - M) around the resonance box boundary,
+        from its values on an adaptive subset of the _COUNT_NODES contour
+        nodes (_contour_steps)."""
         lo, hi = self.box(h)
         half = self.p.L * h
         per = _COUNT_NODES // 4
@@ -615,13 +664,10 @@ class SemiclassicsEngine:
             side = slice(k * per, (k + 1) * per)
             zs.real[side] = a.real + (b - a).real * ts
             zs.imag[side] = a.imag + (b - a).imag * ts
-        vals = self.det_one_minus_m(zs, h)
+        vals, steps = _contour_steps(lambda idx: self.det_one_minus_m(zs[idx], h), len(zs))
         if np.any(np.abs(vals) < 1e-13):
             raise CountMismatch("det(I - M) vanishes on the counting contour")
-        args = np.angle(vals)
-        d = np.diff(np.concatenate([args, args[:1]]))
-        d = (d + math.pi) % (2.0 * math.pi) - math.pi
-        winding = float(np.sum(d)) / (2.0 * math.pi)
+        winding = float(np.sum(steps)) / (2.0 * math.pi)
         if abs(winding - round(winding)) > 0.25:
             raise CountMismatch(f"winding number {winding:.3f} is not close to an integer")
         return int(round(winding))

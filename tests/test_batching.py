@@ -2,13 +2,15 @@
 
 A scalar call is the array path with one energy, so these tests compare
 the bytes of each batched result with the one-energy results, and count
-the calls the batched paths make.
+the calls the batched paths make.  The argument-principle count's adaptive
+contour is checked against the winding numbers of its full node grid.
 """
 
 import cmath
 import dataclasses
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -38,16 +40,40 @@ def _recorded_dets(engine):
     return calls
 
 
-def _contour_nodes(engine, h):
-    """The energies count_by_argument_principle evaluates, recorded from
-    its one batched det_one_minus_m call."""
+def _recorded_rounds(engine, h):
+    """The energies of each det_one_minus_m call that
+    count_by_argument_principle(h) makes, one call per refinement round,
+    the contour-node indices each call evaluates, and the count or the
+    CountMismatch it raised."""
+    rounds = []
+    steps = semiclassics._contour_steps
+
+    def recorded(f, n):
+        def indexed(idx):
+            rounds.append(idx)
+            return f(idx)
+
+        return steps(indexed, n)
+
+    semiclassics._contour_steps = recorded
     calls = _recorded_dets(engine)
     try:
-        engine.count_by_argument_principle(h)
+        count = engine.count_by_argument_principle(h)
+    except semiclassics.CountMismatch as exc:
+        count = exc
     finally:
+        semiclassics._contour_steps = steps
         del engine.det_one_minus_m
-    assert len(calls) == 1 and calls[0].shape == (semiclassics._COUNT_NODES,)
-    return calls[0]
+    assert [len(E) for E in calls] == [len(idx) for idx in rounds]
+    return calls, rounds, count
+
+
+def _contour_nodes(engine, h):
+    """The energies count_by_argument_principle evaluates, in the order of
+    its det_one_minus_m calls."""
+    calls, _, count = _recorded_rounds(engine, h)
+    assert isinstance(count, int)
+    return np.concatenate(calls)
 
 
 @pytest.mark.parametrize("name", ["f0_engine", "f1arc_engine"])
@@ -145,7 +171,7 @@ def test_real_arithmetic_product_matches_python_complex():
 
 
 @pytest.mark.parametrize("name", ["f0_engine", "f1arc_engine"])
-def test_count_makes_one_table_evaluation(request, name, monkeypatch):
+def test_count_makes_one_table_evaluation_per_round(request, name, monkeypatch):
     _, _, engine = request.getfixturevalue(name)
     tables, stacks = [], []
     table_call = semiclassics.ActionTable.__call__
@@ -163,17 +189,16 @@ def test_count_makes_one_table_evaluation(request, name, monkeypatch):
     monkeypatch.setattr(semiclassics.ActionTable, "__call__", counted_table)
     engine._stack = counted_stack
     try:
-        nodes = _contour_nodes(engine, H)
+        calls, _, _ = _recorded_rounds(engine, H)
     finally:
         del engine._stack
-    # one table evaluation, over the contour's distinct real parts: each
-    # vertical side has one, and the top and bottom sides share theirs
-    assert len(tables) == 1
-    assert tables[0].tobytes() == np.unique(nodes.real).tobytes()
-    assert len(tables[0]) < len(nodes) // 2
+    # one table evaluation per round, over its nodes' distinct real parts:
+    # each vertical side has one, and the top and bottom sides share theirs
+    assert [t.tobytes() for t in tables] == [np.unique(E.real).tobytes() for E in calls]
+    assert len(tables[0]) < len(calls[0]) // 2
     # the phases and monodromy stacks are formed a slice of energies at a time
     step, n = semiclassics._SLICE, len(engine._edges_sorted)
-    assert stacks == [(min(step, len(nodes) - i), n, n) for i in range(0, len(nodes), step)]
+    assert stacks == [(min(step, len(E) - i), n, n) for E in calls for i in range(0, len(E), step)]
 
 
 def _one_energy_fit(p, edge, flo, fhi, domain):
@@ -276,11 +301,14 @@ def _sequential_newton(engine, seed, h):
         calls.append(E)
         return engine.det_one_minus_m(E, h)
 
+    # NEWTON_TOL, or the roundoff floor eps |A(e0)| / h of det(I - M) near
+    # a root where that is larger
+    tol = max(semiclassics.NEWTON_TOL, sys.float_info.epsilon * abs(engine.gamma1_action(engine.p.e0)) / h)
     E = complex(seed)
     fE = f(E)
     delta = 1e-3 * h
     for it in range(1, 51):
-        if abs(fE) <= semiclassics.NEWTON_TOL:
+        if abs(fE) <= tol:
             return semiclassics.PseudoResonance(E=E, seed=seed, residual=abs(fE), newton_iters=it - 1), len(calls)
         f_plus, f_minus = f(np.array([E + delta, E - delta])).tolist()
         fp = (f_plus - f_minus) / (2.0 * delta)
@@ -300,7 +328,7 @@ def _sequential_newton(engine, seed, h):
                 break
         if not accepted:
             break
-    if abs(fE) <= semiclassics.NEWTON_TOL:
+    if abs(fE) <= tol:
         return semiclassics.PseudoResonance(E=E, seed=seed, residual=abs(fE), newton_iters=50), len(calls)
     raise semiclassics.NewtonDiverged(f"seed {seed:.10g}: residual {abs(fE):.3e} after damped Newton")
 
@@ -367,6 +395,7 @@ def test_lockstep_newton_keeps_the_first_diverged_seed(f0_engine, monkeypatch):
     engine = f0_engine[2]
     seeds = engine.bohr_sommerfeld(0.05)
     monkeypatch.setattr(semiclassics, "NEWTON_TOL", 0.0)
+    monkeypatch.setattr(engine, "gamma1_action", lambda E: 0.0)  # no roundoff floor
     want = _outcome(lambda: _sequential_roots(engine, seeds, 0.05))
     assert want[0] == "NewtonDiverged" and f"seed {seeds[0]:.10g}:" in want[1]
     assert _outcome(lambda: engine._roots_from_seeds(seeds, 0.05)) == want
@@ -435,44 +464,143 @@ def test_one_switch_width_equals_per_energy_path_products(request, name):
                 assert _hex(engine.probability_amplitude(pth, E, H)) == _hex(want)
 
 
-def test_contour_nodes_equal_the_python_complex_formula(f0_engine, f1arc_engine):
-    def python_nodes(lo, hi, half):
-        per = semiclassics._COUNT_NODES // 4
-        corners = [complex(lo, -half), complex(hi, -half), complex(hi, half), complex(lo, half)]
-        zs = []
-        for a, b in zip(corners, corners[1:] + corners[:1]):
-            zs.extend(a + (b - a) * t for t in np.arange(per) / per)
-        return np.array(zs, dtype=complex)
+def _python_nodes(lo, hi, half):
+    """The _COUNT_NODES contour nodes of the box [lo, hi] x [-half, half],
+    each side a + (b - a) t in Python's complex arithmetic."""
+    per = semiclassics._COUNT_NODES // 4
+    corners = [complex(lo, -half), complex(hi, -half), complex(hi, half), complex(lo, half)]
+    zs = []
+    for a, b in zip(corners, corners[1:] + corners[:1]):
+        zs.extend(a + (b - a) * t for t in np.arange(per) / per)
+    return np.array(zs, dtype=complex)
 
+
+def test_contour_nodes_equal_the_python_complex_formula(f0_engine, f1arc_engine):
+    stride = semiclassics._COUNT_STRIDE
+
+    def evaluated_nodes(engine, h):
+        """The rounds of the count; every node each evaluates is bit-equal
+        to python_nodes at its index: every stride-th node first, then the
+        middle node of a gap halved in each round."""
+        calls, rounds, _ = _recorded_rounds(engine, h)
+        want = _python_nodes(*engine.box(h), engine.p.L * h)
+        assert rounds[0].tolist() == list(range(0, semiclassics._COUNT_NODES, stride))
+        for r, (E, idx) in enumerate(zip(calls, rounds)):
+            assert E.tobytes() == want[idx].tobytes()
+            if r:
+                assert np.all(idx % (2 * (stride >> r)) == stride >> r)
+        assert len(rounds) <= stride.bit_length()
+        return rounds
+
+    refined = 0
     for engine in (f0_engine[2], f1arc_engine[2]):
         for h in SWEEP:
-            assert _contour_nodes(engine, h).tobytes() == python_nodes(*engine.box(h), engine.p.L * h).tobytes()
+            refined += len(evaluated_nodes(engine, h)) > 1
+    assert refined > 0
 
     # random boxes, zero and negative edges included, through a stand-in
-    # engine that records the nodes and stops the count
-    class Stop(Exception):
-        pass
-
+    # engine whose determinant turns by 0.6 rad per node along the bottom
+    # and top sides: 1.2, 2.4, -1.48 and -2.97 rad wrapped across 2, 4, 8
+    # and 16 nodes, so each round halves every gap of those sides
     class Box:
-        def __init__(self, lo, hi, L):
+        count_by_argument_principle = semiclassics.SemiclassicsEngine.count_by_argument_principle
+
+        def __init__(self, lo, width, L):
             self.p = type("P", (), {"L": L})()
-            self._box = (lo, hi)
+            self._box = (lo, lo + width)
+            self.width = width
 
         def box(self, h):
             return self._box
 
         def det_one_minus_m(self, E, h):
-            self.nodes = E
-            raise Stop
+            turns = 0.6 * semiclassics._COUNT_NODES / 4
+            return np.exp(1j * turns * (E.real - self._box[0]) / self.width)
 
     rng = random.Random(11)
+    finest = 0
     for _ in range(300):
         lo = rng.choice([0.0, -0.0, rng.uniform(-2.0, 2.0), _signed(rng)])
-        box = Box(lo, lo + rng.uniform(1e-6, 1.0), rng.uniform(0.1, 5.0))
+        box = Box(lo, rng.uniform(1e-6, 1.0), rng.uniform(0.1, 5.0))
         h = rng.choice([rng.uniform(1e-4, 0.1), 0.05])
-        with pytest.raises(Stop):
-            semiclassics.SemiclassicsEngine.count_by_argument_principle(box, h)
-        assert box.nodes.tobytes() == python_nodes(*box._box, box.p.L * h).tobytes()
+        finest += len(evaluated_nodes(box, h)) == stride.bit_length()
+    assert finest > 250
+
+
+# --- the adaptive counting contour ------------------------------------------------
+
+COUNT_ENGINES = ["f0_engine", "f0_decoupled_engine", "f1_engine", "f1arc_engine", "f2_engine", "single_engine"]
+
+
+def _full_grid_count(engine, h):
+    """The argument-principle count on every one of the _COUNT_NODES
+    contour nodes, in one det_one_minus_m call."""
+    vals = engine.det_one_minus_m(_python_nodes(*engine.box(h), engine.p.L * h), h)
+    if np.any(np.abs(vals) < 1e-13):
+        raise semiclassics.CountMismatch("det(I - M) vanishes on the counting contour")
+    args = np.angle(vals)
+    steps = np.diff(np.concatenate([args, args[:1]]))
+    steps = (steps + math.pi) % (2.0 * math.pi) - math.pi
+    winding = float(np.sum(steps)) / (2.0 * math.pi)
+    if abs(winding - round(winding)) > 0.25:
+        raise semiclassics.CountMismatch(f"winding number {winding:.3f} is not close to an integer")
+    return int(round(winding))
+
+
+def _count_outcome(fn):
+    """fn's count, or its CountMismatch's message."""
+    try:
+        return fn()
+    except semiclassics.CountMismatch as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", COUNT_ENGINES)
+def test_adaptive_count_equals_the_full_grid_count(request, name):
+    engine = request.getfixturevalue(name)[2]
+    for h in np.geomspace(0.03, 0.08, 41).tolist():
+        assert _count_outcome(lambda: engine.count_by_argument_principle(h)) == _count_outcome(
+            lambda: _full_grid_count(engine, h))
+
+
+@pytest.mark.parametrize("name", COUNT_ENGINES)
+def test_count_evaluates_at_most_512_energies(request, name):
+    engine = request.getfixturevalue(name)[2]
+    for h in SWEEP:
+        calls = _recorded_dets(engine)
+        try:
+            engine.count_by_argument_principle(h)
+        finally:
+            del engine.det_one_minus_m
+        assert sum(len(E) for E in calls) <= 512
+
+
+def test_count_refines_to_every_node_next_to_a_zero_by_the_contour():
+    # a stand-in determinant E - z0 whose zero sits 1e-6 node spacings
+    # above or below the bottom side, halfway between nodes 300 and 301
+    class Box:
+        count_by_argument_principle = semiclassics.SemiclassicsEngine.count_by_argument_principle
+        p = type("P", (), {"L": 1.5})()
+
+        def __init__(self, z0):
+            self.z0 = z0
+
+        def box(self, h):
+            return (0.675, 0.825)
+
+        def det_one_minus_m(self, E, h):
+            return E - self.z0
+
+    h = 0.05
+    lo, hi = Box.box(None, h)
+    spacing = (hi - lo) / (semiclassics._COUNT_NODES // 4)
+    for offset, inside in ((1e-6, 1), (-1e-6, 0)):
+        box = Box(complex(lo + 300.5 * spacing, -Box.p.L * h + offset * spacing))
+        calls, rounds, count = _recorded_rounds(box, h)
+        evaluated = set(np.concatenate(rounds).tolist())
+        assert {300, 301} <= evaluated
+        assert len(evaluated) <= 512
+        assert count == _full_grid_count(box, h) == inside
 
 
 class _Forgetful(dict):

@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import sys
 import tempfile
 import time
 
@@ -154,6 +156,19 @@ def test_pseudo_json(tmp_path):
     for rec in payload["records"]:
         assert rec["residual"] <= 1e-12
         assert rec["im_pred"] == -rec["D"] * 0.05**2
+
+
+@pytest.mark.parametrize("h", ["3e-4", "1e-4"])
+def test_pseudo_accepts_roots_at_the_roundoff_floor_below_h_1e_3(tmp_path, h):
+    # near a root |det(I - M)| cannot fall much below eps |A(e0)| / h,
+    # which passes NEWTON_TOL = 1e-12 below h = 7e-4 (|A(e0)| = pi)
+    out = tmp_path / "pseudo.json"
+    code = cli.main(["pseudo", _cfg_path("f0"), "--h", h, "--out", str(out)])
+    assert code == 0
+    records = json.loads(out.read_text())["records"]
+    assert len(records) == 3
+    assert max(rec["residual"] for rec in records) > 1e-12
+    assert all(rec["residual"] <= sys.float_info.epsilon * math.pi / float(h) for rec in records)
 
 
 def test_stphase_csv(tmp_path):

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -187,6 +188,20 @@ def test_decoupled_pseudo_resonances(f0_decoupled_engine):
             assert abs(pr.E.imag) <= 1e-12
             assert abs(pr.E.real - s) <= 1e-12
             assert pr.residual <= NEWTON_TOL
+
+
+@pytest.mark.parametrize("name", ["f0_engine", "f0_decoupled_engine", "f1_engine", "f1arc_engine",
+                                  "single_engine"])
+def test_newton_tol_is_newton_tol_down_to_h_1e_3(request, name):
+    # the loop action at e0 is pi on every shipped well, so the roundoff
+    # floor eps pi / h stays below NEWTON_TOL for h >= 1e-3 and passes it
+    # below 7e-4
+    _, _, eng = request.getfixturevalue(name)
+    assert eng.gamma1_action(eng.p.e0) == pytest.approx(math.pi, rel=1e-9)
+    for h in (0.08, 0.05, 0.03, 1e-2, 1e-3):
+        assert eng._newton_tol(h) == NEWTON_TOL
+    for h in (6e-4, 3e-4, 1e-4):
+        assert eng._newton_tol(h) == sys.float_info.epsilon * abs(eng.gamma1_action(eng.p.e0)) / h > NEWTON_TOL
 
 
 def test_pseudo_counts_and_scaling(f1_engine):
