@@ -196,14 +196,14 @@ class PairTrack:
     """Admissible solution pair shot inward from one end, orthonormalized at
     checkpoints; ``final`` is the 4x2 block at t = 0.  ``chunks`` holds, per
     checkpoint chunk in shooting order, the triangular factor R taken at its
-    end (None on the last) and the recorded core values (ts, pair values
-    8 x N), or None off the core."""
+    end (None on the last) and the recorded values (ts, pair values 8 x N),
+    or None where the pair is not recorded."""
 
     final: np.ndarray
     chunks: List[tuple] = field(default_factory=list)
 
     def state_on_core(self, coeff: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Values of the combination (final @ coeff) on the stored core grid.
+        """Values of the combination (final @ coeff) on the recorded grid.
 
         Walking outward, the pair on chunk k ends as Q_k R_k (the basis the
         next chunk started from), so the combination's coefficients there
@@ -212,11 +212,11 @@ class PairTrack:
         """
         ts_all, ws_all = [], []
         c = np.asarray(coeff, dtype=complex)
-        for R, dense in reversed(self.chunks):
+        for R, recorded in reversed(self.chunks):
             if R is not None:
                 c = np.linalg.solve(R, c)
-            if dense is not None:
-                ts, ys = dense
+            if recorded is not None:
+                ts, ys = recorded
                 w = ys[0:4, :] * c[0] + ys[4:8, :] * c[1]
                 ts_all.append(ts)
                 ws_all.append(w)
@@ -366,28 +366,12 @@ def _prefix_products(M: np.ndarray) -> np.ndarray:
     return M
 
 
-def _step_counts(t0: float, stops: np.ndarray, dt_max: float) -> np.ndarray:
-    """Numbers of equal steps of at most dt_max from t0 to the first of
-    ``stops`` and between consecutive stops."""
-    return np.ceil(np.abs(np.diff(np.concatenate([[t0], stops]))) / dt_max).astype(int)
-
-
-def _step_ends(t0: float, stops: np.ndarray, dt_max: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Step ends from t0 through each of ``stops`` in turn, with equal steps
-    of at most dt_max between consecutive stops, and the number of steps
-    taken up to each stop."""
-    bounds = np.concatenate([[t0], stops])
-    counts = _step_counts(t0, stops, dt_max)
-    upto = np.cumsum(counts)
-    j = np.arange(1, upto[-1] + 1)
-    k = np.searchsorted(upto, j)
-    frac = (j - upto[k] + counts[k]) / counts[k]
-    return np.concatenate([[t0], bounds[k] + frac * (bounds[k + 1] - bounds[k])]), upto
-
-
 # Magnus steps per unit of h: the steps of a shooting plan are at most
 # h / _STEPS_PER_H long, and the global error scales like (dt/h)^6
 _STEPS_PER_H = 6.0
+# Magnus steps per unit of h on the stretch where propagate records the pair
+# for the Green-identity width: the Simpson rule on it errs like (dt/h)^4
+_GREEN_STEPS_PER_H = 16.0
 # most padded Magnus steps one shooting plan may hold in W's _Stack, as
 # _padded_steps bounds them before any chunk exists.  MatchingProblem
 # caches at most three (4, 4) complex Omega coefficients per padded step
@@ -415,20 +399,19 @@ class TooManySteps(ValueError):
 @dataclass(frozen=True)
 class _Chunk:
     """One checkpoint chunk of a shooting plan: the straight contour piece
-    z = z0 + phi (t - t0), stepped from t0 through each of ``stops`` in
-    steps of at most dt_max (n_steps in all); the pair is recorded at the
-    stops of a ``dense`` chunk."""
+    z = z0 + phi (t - t0) from t0 to t1 in n_steps equal Magnus steps; the
+    pair is recorded at the step ends of a ``record`` chunk."""
 
     t0: float
-    stops: np.ndarray
-    dt_max: float
+    t1: float
     z0: complex
     phi: complex
-    dense: bool
     n_steps: int
+    record: bool
 
-    def steps(self) -> Tuple[np.ndarray, np.ndarray]:
-        return _step_ends(self.t0, self.stops, self.dt_max)
+    def steps(self) -> np.ndarray:
+        """The step ends t0 + (j / n_steps)(t1 - t0), j = 0 .. n_steps."""
+        return self.t0 + np.arange(self.n_steps + 1) / self.n_steps * (self.t1 - self.t0)
 
 
 def _padded_steps(c: Contour, seg_len: float, dt_max: float, ends: Sequence[str]) -> int:
@@ -444,43 +427,41 @@ def _padded_steps(c: Contour, seg_len: float, dt_max: float, ends: Sequence[str]
     return sum(counts) * longest
 
 
-def _plan(c: Contour, h: float, ends: Sequence[str],
-          t_eval_core: Optional[np.ndarray]) -> List[List[_Chunk]]:
+def _plan(c: Contour, h: float, ends: Sequence[str], cut: Optional[float] = None) -> List[List[_Chunk]]:
     """The checkpoint chunks of the shooting from each of ``ends`` to t = 0.
 
-    Fixed 6th-order Magnus steps of at most dt = h / _STEPS_PER_H.  With
-    ``t_eval_core``, the core chunks are dense: their steps also end on
-    those points.  Checkpoints seg_len = min(1.5, 40 h) apart keep the
-    growth between orthonormalizations small enough that both directions
-    of the admissible span survive roundoff.  Before any chunk exists, the
-    padded steps of W's _Stack over all ``ends`` are bounded
-    (_padded_steps), and more than _MAX_STEPS of them raise TooManySteps;
-    the extra steps of dense chunks are not counted, as propagate holds
-    one chunk at a time.
+    Fixed 6th-order Magnus steps of at most h / _STEPS_PER_H.  With
+    ``cut``, a point of the core, the core piece is split there, and each
+    chunk of the stretch from the cut to t = 0 is stepped in an even number
+    of equal steps of at most h / _GREEN_STEPS_PER_H and recorded.
+    Checkpoints seg_len = min(1.5, 40 h) apart keep the growth between
+    orthonormalizations small enough that both directions of the
+    admissible span survive roundoff.  Before any chunk exists, the padded
+    steps of W's _Stack over all ``ends`` are bounded (_padded_steps), and
+    more than _MAX_STEPS of them raise TooManySteps; the recorded stretch
+    is not counted, as propagate holds one chunk at a time.
     """
     seg_len = min(1.5, 40.0 * h)
-    dt_max = h / _STEPS_PER_H
-    total = _padded_steps(c, seg_len, dt_max, ends)
+    dt, dt_green = h / _STEPS_PER_H, h / _GREEN_STEPS_PER_H
+    total = _padded_steps(c, seg_len, dt, ends)
     if total > _MAX_STEPS:
         raise TooManySteps(f"h = {h!r} needs {total} padded Magnus steps on the oracle contour, "
                            f"more than the {_MAX_STEPS} (2^18) the oracle takes")
     plans = []
     for end in ends:
+        ray, (r, _) = c.pieces_from(end)
+        pieces = [(ray, False), ((r, 0.0 if cut is None else cut), False)]
+        if cut is not None:
+            pieces.append(((cut, 0.0), True))
         chunks = []
-        for (t0, t1) in c.pieces_from(end):
-            on_ray = abs(t0) > c.R0
-            phi = cmath.exp(1j * c.theta) if on_ray else 1.0 + 0j
-            dense = t_eval_core is not None and not on_ray
+        for (t0, t1), record in pieces:
+            phi = cmath.exp(1j * c.theta) if abs(t0) > c.R0 else 1.0 + 0j
             for a, b in _split(t0, t1, seg_len):
-                stops = np.array([b])
-                if dense:
-                    lo, hi = min(a, b), max(a, b)
-                    sel = t_eval_core[(t_eval_core >= lo) & (t_eval_core <= hi)]
-                    stops = sel if b > a else sel[::-1]
-                    if stops.size == 0 or stops[-1] != b:
-                        stops = np.append(stops, b)
-                n_steps = int(_step_counts(a, stops, dt_max).sum())
-                chunks.append(_Chunk(a, stops, dt_max, c.z(a), phi, dense, n_steps))
+                if record:  # even, so that no pair of Simpson's steps straddles two chunks
+                    n_steps = 2 * max(1, math.ceil(abs(b - a) / (2.0 * dt_green)))
+                else:
+                    n_steps = math.ceil(abs(b - a) / dt)
+                chunks.append(_Chunk(a, b, c.z(a), phi, n_steps, record))
         plans.append(chunks)
     return plans
 
@@ -617,7 +598,7 @@ class _Stack:
         L = max(chunk.n_steps for chunk in chunks)
         self.ts = np.empty((len(chunks), L + 1))
         for row, chunk in zip(self.ts, chunks):
-            ts, _ = chunk.steps()
+            ts = chunk.steps()
             row[:ts.size] = ts
             row[ts.size:] = ts[-1]
         self.n_steps = [chunk.n_steps for chunk in chunks]
@@ -664,16 +645,20 @@ def _walk(pair: np.ndarray, chunks: List[_Chunk], products: np.ndarray,
           prefixes: Sequence[np.ndarray] = ()) -> PairTrack:
     """Carry the pair through one end's chunks.  ``products`` holds each
     chunk's product of step propagators, (4, 4, n_chunks); ``prefixes``
-    holds, per dense chunk in turn, its products up to each of its stops,
-    where the pair is recorded.  The pair is orthonormalized between chunks
-    (Godunov shooting)."""
+    holds, per recorded chunk in turn, its products up to each step end,
+    where the pair is recorded, and at the start of the first.  The pair is
+    orthonormalized between chunks (Godunov shooting)."""
     track = PairTrack(final=pair)
     prefixes = iter(prefixes)
     for idx, chunk in enumerate(chunks):
-        dense = None
-        if chunk.dense:
-            states = np.moveaxis(next(prefixes), -1, 0) @ pair
-            dense = (chunk.stops, states.transpose(2, 1, 0).reshape(8, -1))
+        recorded = None
+        if chunk.record:
+            ts, states = chunk.steps(), np.moveaxis(next(prefixes), -1, 0) @ pair
+            if idx and chunks[idx - 1].record:  # its start is recorded as the last chunk's end
+                ts = ts[1:]
+            else:
+                states = np.concatenate([pair[None], states])
+            recorded = (ts, states.transpose(2, 1, 0).reshape(8, -1))
             pair = states[-1]
         else:
             pair = products[..., idx] @ pair
@@ -682,27 +667,25 @@ def _walk(pair: np.ndarray, chunks: List[_Chunk], products: np.ndarray,
         R = None
         if idx < len(chunks) - 1:
             pair, R = np.linalg.qr(pair)
-        track.chunks.append((R, dense))
+        track.chunks.append((R, recorded))
     track.final = pair
     return track
 
 
 def propagate(p: Problem, E: complex, h: float, c: Contour, from_end: str,
-              t_eval_core: Optional[np.ndarray] = None) -> PairTrack:
+              cut: Optional[float] = None) -> PairTrack:
     """Shoot the admissible pair from one contour end to t = 0 on the
     chunks and Magnus steps of _plan, one chunk at a time (each chunk's
-    _step_propagators multiplied out alone); with ``t_eval_core`` the pair
-    is also recorded at those points of the core."""
+    _step_propagators multiplied out alone); with ``cut``, a point of the
+    core, the pair is also recorded from the cut to t = 0."""
     E = complex(E)
-    (chunks,) = _plan(c, h, (from_end,), t_eval_core)
+    (chunks,) = _plan(c, h, (from_end,), cut)
     products, prefixes = [], []
     for chunk in chunks:
-        ts, upto = chunk.steps()
-        M = _step_propagators(p, E, h, ts, chunk.z0, chunk.phi)
-        if chunk.dense:
-            P = _prefix_products(M)
-            prefixes.append(P[..., upto - 1])
-            products.append(P[..., -1])
+        M = _step_propagators(p, E, h, chunk.steps(), chunk.z0, chunk.phi)
+        if chunk.record:
+            prefixes.append(_prefix_products(M))
+            products.append(prefixes[-1][..., -1])
         else:
             products.append(_product(M))
     return _walk(_initial_pair(p, E, c, from_end), chunks, np.stack(products, axis=-1), prefixes)
@@ -735,7 +718,7 @@ class MatchingProblem:
     def W(self, E: complex) -> complex:
         E = complex(E)
         if self._stack is None:
-            self._plans = _plan(self.contour, self.h, ("left", "right"), None)
+            self._plans = _plan(self.contour, self.h, ("left", "right"))
             self._stack = _Stack([chunk for chunks in self._plans for chunk in chunks])
             self._cubic = self._stack.cubic(self.p, self.h)
             self._work = [np.empty(self._stack.work_size, dtype=complex) for _ in range(5)]
@@ -815,63 +798,40 @@ def refine_resonance(p: Problem, seed: complex, h: float, c: Contour, m0: int) -
 
 
 def simpson(y: np.ndarray, x: np.ndarray) -> np.float64:
-    """Composite Simpson's rule for samples y on the increasing grid x of
-    at least 3 points: a port of scipy.integrate.simpson (1.17.1) for 1-D
-    input, with the same numpy operations in the same order, so its sums
-    are bit-identical to scipy's.  For an even number of points the last
-    interval takes Cartwright's correction."""
-    n = len(y)
-    stop = n - 2 if n % 2 else n - 3
-    d = np.diff(x)
-    h0, h1 = d[0:stop:2], d[1:stop + 1:2]
-    hsum, hprod = h0 + h1, h0 * h1
-    h0divh1 = h0 / h1
-    result = np.sum(hsum / 6.0 * (y[0:stop:2] * (2.0 - 1.0 / h0divh1)
-                                  + y[1:stop + 1:2] * (hsum * (hsum / hprod))
-                                  + y[2:stop + 2:2] * (2.0 - h0divh1)))
-    if n % 2 == 0:
-        # 0-d arrays, so that ** takes numpy's array path as in scipy
-        a, b = np.squeeze(d[-2:-1]), np.squeeze(d[-1:])
-        alpha = (2 * b ** 2 + 3 * a * b) / (6 * (b + a))
-        beta = (b ** 2 + 3.0 * a * b) / (6 * a)
-        eta = b ** 3 / (6 * a * (a + b))
-        result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
-    return result
+    """Composite Simpson's rule for samples y on a grid x of an odd number
+    of points whose steps are equal in pairs, x[2k + 1] - x[2k] =
+    x[2k + 2] - x[2k + 1]; on a decreasing grid the integral is negative."""
+    return np.sum((x[2::2] - x[:-2:2]) / 6.0 * (y[:-2:2] + 4.0 * y[1::2] + y[2::2]))
 
 
 def width_from_state(p: Problem, E: complex, h: float, c: Contour, x1: float, x2: float) -> float:
     """Green-identity width estimate from the matched resonant state:
     Im z = h^2 Im[-v1' conj(v1) - v2' conj(v2) + r1 v2 conj(v1)]_{x1}^{x2}
-    normalized by the L2 norm of the state on [x1, x2] (x1 < a0 < b0 < x2)."""
+    normalized by the L2 norm of the state on [x1, x2] (x1 < a0 < b0 < x2).
+    The state is recorded from x1 and from x2 to t = 0 (propagate's cut)."""
     if not (-c.R0 < x1 < x2 < c.R0):
         raise BadContour(f"contour core [-R0, R0] with R0 = {c.R0!r} must contain "
                          f"[x1, x2] = [{x1!r}, {x2!r}]")
-    step = h / 16.0
-    ts_l = np.linspace(x1, 0.0, max(int(abs(x1) / step), 32) + 1)
-    ts_r = np.linspace(0.0, x2, max(int(abs(x2) / step), 32) + 1)
-    L = propagate(p, E, h, c, "left", t_eval_core=ts_l)
-    R = propagate(p, E, h, c, "right", t_eval_core=ts_r)
+    L = propagate(p, E, h, c, "left", cut=x1)
+    R = propagate(p, E, h, c, "right", cut=x2)
     A = np.column_stack([L.final, R.final])
     scales = np.maximum(np.linalg.norm(A, axis=0), 1e-300)
     _, sing, vh = np.linalg.svd(A / scales[None, :])
     nvec = vh[-1].conj() / scales
     t_l, w_l = L.state_on_core(nvec[0:2])
     t_r, w_r = R.state_on_core(-nvec[2:4])
-    order_l = np.argsort(t_l)
-    order_r = np.argsort(t_r)
-    t_l, w_l = t_l[order_l], w_l[:, order_l]
-    t_r, w_r = t_r[order_r], w_r[:, order_r]
     r1fn = p.coeffs_np[3]
 
     def boundary(w: np.ndarray, x: float) -> complex:
         y1, y2, y3, y4 = w
         return -h * y2 * np.conj(y1) - h * y4 * np.conj(y3) + h * h * r1fn(x) * y3 * np.conj(y1)
 
-    g2 = boundary(w_r[:, -1], float(t_r[-1]))
-    g1 = boundary(w_l[:, 0], float(t_l[0]))
+    g1 = boundary(w_l[:, 0], x1)
+    g2 = boundary(w_r[:, 0], x2)
     dens_l = np.abs(w_l[0, :]) ** 2 + np.abs(w_l[2, :]) ** 2
     dens_r = np.abs(w_r[0, :]) ** 2 + np.abs(w_r[2, :]) ** 2
-    norm2 = float(simpson(dens_l, x=t_l) + simpson(dens_r, x=t_r))
+    # t_r runs from x2 down to 0
+    norm2 = float(simpson(dens_l, t_l) - simpson(dens_r, t_r))
     return float((g2 - g1).imag) / norm2
 
 

@@ -57,6 +57,13 @@ def f0() -> Problem:
     return _problem("0.1 - 0.6*tanh(x)")
 
 
+def f0_shifted(s: float) -> Problem:
+    """f0 moved right by s, its window alike: the well no longer sits on
+    the contour's centre t = 0."""
+    return _problem(f"0.1 - 0.6*tanh(x - {s!r})", v1_src=f"1 - 1/cosh(x - {s!r})^2",
+                    window=(-8.0 + s, 8.0 + s))
+
+
 def f0_decoupled() -> Problem:
     return _problem("0.1 - 0.6*tanh(x)", r0="0", r1="0")
 

@@ -139,6 +139,53 @@ def test_width_from_state_decoupled(f0_decoupled_engine):
     assert abs(ig) < 1e-12
 
 
+def _green_error(p, rep, eng, h):
+    """|im_green / Im E - 1| at the resonance refined from the second
+    Bohr-Sommerfeld seed, with x1 = a0 - 1 and x2 = b0 + 1 as compare takes them."""
+    seed = eng.bohr_sommerfeld(h)[1]
+    D = eng.width_coefficient(seed, h).D
+    c = default_contour(p, rep, h)
+    res = refine_resonance(p, complex(seed, -D * h ** ((eng.m0 + 3.0) / (eng.m0 + 1.0))), h, c, eng.m0)
+    return abs(width_from_state(p, res.E, h, c, x1=rep.a0.x - 1.0, x2=rep.b0.x + 1.0) / res.E.imag - 1.0)
+
+
+def test_recorded_state_spans_exactly_the_green_interval(f1_engine):
+    # at h = 0.01 the core chunks are at most 0.4 long and neither x1 nor
+    # x2 falls on a chunk end; the pair must still be recorded from the cut
+    # exactly, on steps of at most h/16 that are equal in pairs (Simpson's
+    # panels)
+    rep, _, eng = f1_engine
+    h = 0.01
+    c = default_contour(eng.p, rep, h)
+    for end, cut, sign in (("left", rep.a0.x - 1.0, 1.0), ("right", rep.b0.x + 1.0, -1.0)):
+        ts, ws = propagate(eng.p, complex(0.755, -2e-5), h, c, end, cut=cut).state_on_core([1.0, 0.0])
+        assert ws.shape == (4, ts.size)
+        assert ts[0] == cut and ts[-1] == 0.0
+        steps = sign * np.diff(ts)
+        assert steps.size % 2 == 0 and np.all(steps > 0) and steps.max() <= h / 16.0
+        assert np.allclose(steps[0::2], steps[1::2], rtol=1e-9, atol=0.0)
+    # a cut at t = 0 records an empty stretch as two steps of length 0
+    ts, _ = propagate(eng.p, complex(0.755, -2e-5), h, c, "left", cut=0.0).state_on_core([1.0, 0.0])
+    assert ts.tolist() == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("s", [1.0, 2.5])
+def test_green_width_with_the_well_off_centre(s):
+    # f0 and its window moved by s: the contour's centre t = 0 is no longer
+    # in the well, and at s = 2.5 x1 = a0 - 1 = 0.18 lies right of it, so
+    # the left state is recorded running back from x1 to 0.  A Green grid
+    # that misses [x1, x2] put im_green 2.0e-4 and 2.6e-4 off Im E;
+    # measured now: 1e-11 and 6e-10
+    rep, _, eng = pipeline.build_engine(fixtures.f0_shifted(s), calib=1.0, h_max=0.08)
+    assert _green_error(eng.p, rep, eng, 0.05) <= 1e-9
+
+
+def test_green_width_at_small_h(f1_engine):
+    # measured 4.7e-13; a grid starting left of x1 gave 2.3e-10
+    rep, _, eng = f1_engine
+    assert _green_error(eng.p, rep, eng, 0.01) <= 1e-11
+
+
 def test_matching_bounded_away_from_zero_between_resonances(f0_engine):
     rep, _, eng = f0_engine
     p = eng.p
@@ -269,8 +316,8 @@ def _test_chunks(c, h):
     """At the production step h/6, one core chunk through the well and one
     ray chunk ending at R0: (step ends, z0, phi) of each."""
     for t0, t1, phi in ((-0.3, 0.0, 1.0 + 0j), (c.R0 + 0.3, c.R0, cmath.exp(1j * c.theta))):
-        ts, _ = oracle._step_ends(t0, np.array([t1]), h / 6.0)
-        yield ts, c.z(t0), phi
+        chunk = oracle._Chunk(t0, t1, c.z(t0), phi, math.ceil(abs(t1 - t0) / (h / 6.0)), False)
+        yield chunk.steps(), c.z(t0), phi
 
 
 def test_step_propagators_match_scipy_per_step(f1_engine):
@@ -427,8 +474,8 @@ def test_magnus_sixth_order(f0_engine, monkeypatch):
     steps = []
     planner = oracle._plan
 
-    def counted(c, h, ends, t_eval_core):
-        plans = planner(c, h, ends, t_eval_core)
+    def counted(c, h, ends, cut=None):
+        plans = planner(c, h, ends, cut)
         steps[-1] += sum(chunk.n_steps for chunks in plans for chunk in chunks)
         return plans
 
