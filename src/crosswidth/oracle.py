@@ -27,6 +27,10 @@ re-orthonormalized at checkpoints (Godunov shooting) so the two columns
 never collapse onto the common growing direction in classically
 forbidden stretches; the triangular factors are kept so the resonant
 state can be reconstructed chunk by chunk for the Green-identity width.
+That width is taken on the MatchingProblem that refined the root: its
+last W(E), at the root, has already multiplied out the chunks of the
+contour rays, which the Green-identity shooting shares, so only the core
+chunks are shot again, one at a time as propagate shoots them.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -367,11 +371,11 @@ def _prefix_products(M: np.ndarray) -> np.ndarray:
 
 
 # Magnus steps per unit of h: the steps of a shooting plan are at most
-# h / _STEPS_PER_H long, and the global error scales like (dt/h)^6
+# h / _STEPS_PER_H long, and the global error scales like (dt/h)^6.  The
+# Simpson rule of the Green-identity width on the recorded steps errs like
+# (dt/h)^4; at h/6 that moves the width by at most 1.1e-10 relative against
+# steps of h/16 on the shipped sweeps
 _STEPS_PER_H = 6.0
-# Magnus steps per unit of h on the stretch where propagate records the pair
-# for the Green-identity width: the Simpson rule on it errs like (dt/h)^4
-_GREEN_STEPS_PER_H = 16.0
 # most padded Magnus steps one shooting plan may hold in W's _Stack, as
 # _padded_steps bounds them before any chunk exists.  MatchingProblem
 # caches at most three (4, 4) complex Omega coefficients per padded step
@@ -433,7 +437,8 @@ def _plan(c: Contour, h: float, ends: Sequence[str], cut: Optional[float] = None
     Fixed 6th-order Magnus steps of at most h / _STEPS_PER_H.  With
     ``cut``, a point of the core, the core piece is split there, and each
     chunk of the stretch from the cut to t = 0 is stepped in an even number
-    of equal steps of at most h / _GREEN_STEPS_PER_H and recorded.
+    of equal steps (Simpson's panels) and recorded.  The ray chunks do not
+    depend on ``cut``: every plan of an end shares them with W's.
     Checkpoints seg_len = min(1.5, 40 h) apart keep the growth between
     orthonormalizations small enough that both directions of the
     admissible span survive roundoff.  Before any chunk exists, the padded
@@ -442,7 +447,7 @@ def _plan(c: Contour, h: float, ends: Sequence[str], cut: Optional[float] = None
     is not counted, as propagate holds one chunk at a time.
     """
     seg_len = min(1.5, 40.0 * h)
-    dt, dt_green = h / _STEPS_PER_H, h / _GREEN_STEPS_PER_H
+    dt = h / _STEPS_PER_H
     total = _padded_steps(c, seg_len, dt, ends)
     if total > _MAX_STEPS:
         raise TooManySteps(f"h = {h!r} needs {total} padded Magnus steps on the oracle contour, "
@@ -458,7 +463,7 @@ def _plan(c: Contour, h: float, ends: Sequence[str], cut: Optional[float] = None
             phi = cmath.exp(1j * c.theta) if abs(t0) > c.R0 else 1.0 + 0j
             for a, b in _split(t0, t1, seg_len):
                 if record:  # even, so that no pair of Simpson's steps straddles two chunks
-                    n_steps = 2 * max(1, math.ceil(abs(b - a) / (2.0 * dt_green)))
+                    n_steps = 2 * max(1, math.ceil(abs(b - a) / (2.0 * dt)))
                 else:
                     n_steps = math.ceil(abs(b - a) / dt)
                 chunks.append(_Chunk(a, b, c.z(a), phi, n_steps, record))
@@ -672,23 +677,35 @@ def _walk(pair: np.ndarray, chunks: List[_Chunk], products: np.ndarray,
     return track
 
 
+def _shoot(p: Problem, E: complex, h: float, c: Contour, end: str, cut: Optional[float],
+           known: Dict[_Chunk, np.ndarray]) -> PairTrack:
+    """Shoot the admissible pair from one contour end to t = 0 on the
+    chunks of _plan.  A chunk in ``known`` takes the product of step
+    propagators held there, which must be its product at E; every other
+    chunk's _step_propagators at E are multiplied out alone."""
+    (chunks,) = _plan(c, h, (end,), cut)
+    products, prefixes = [], []
+    for chunk in chunks:
+        product = known.get(chunk)
+        if product is None:
+            M = _step_propagators(p, E, h, chunk.steps(), chunk.z0, chunk.phi)
+            if chunk.record:
+                prefixes.append(_prefix_products(M))
+                product = prefixes[-1][..., -1]
+            else:
+                product = _product(M)
+        products.append(product)
+    return _walk(_initial_pair(p, E, c, end), chunks, np.stack(products, axis=-1), prefixes)
+
+
 def propagate(p: Problem, E: complex, h: float, c: Contour, from_end: str,
               cut: Optional[float] = None) -> PairTrack:
     """Shoot the admissible pair from one contour end to t = 0 on the
     chunks and Magnus steps of _plan, one chunk at a time (each chunk's
-    _step_propagators multiplied out alone); with ``cut``, a point of the
-    core, the pair is also recorded from the cut to t = 0."""
-    E = complex(E)
-    (chunks,) = _plan(c, h, (from_end,), cut)
-    products, prefixes = [], []
-    for chunk in chunks:
-        M = _step_propagators(p, E, h, chunk.steps(), chunk.z0, chunk.phi)
-        if chunk.record:
-            prefixes.append(_prefix_products(M))
-            products.append(prefixes[-1][..., -1])
-        else:
-            products.append(_product(M))
-    return _walk(_initial_pair(p, E, c, from_end), chunks, np.stack(products, axis=-1), prefixes)
+    _step_propagators multiplied out alone): the per-chunk reference of W.
+    With ``cut``, a point of the core, the pair is also recorded from the
+    cut to t = 0."""
+    return _shoot(p, complex(E), h, c, from_end, cut, {})
 
 
 class MatchingProblem:
@@ -703,7 +720,9 @@ class MatchingProblem:
     Each W(E) sums them by Horner's rule, then exponentiates and multiplies
     them out slice by slice in five workspaces kept from the first
     evaluation, and walks each pair through its end's chunk products as
-    propagate does."""
+    propagate does.  The chunk products of the last W(E) are kept, so the
+    Green-identity width at that E (width_from_state) reuses those of the
+    ray chunks (chunk_products)."""
 
     def __init__(self, p: Problem, h: float, contour: Contour):
         self.p = p
@@ -714,6 +733,8 @@ class MatchingProblem:
         self._stack: Optional[_Stack] = None
         self._cubic: List[np.ndarray] = []
         self._work: List[np.ndarray] = []
+        # E and the (4, 4, n_chunks) chunk products of the last W
+        self._last: Optional[Tuple[complex, np.ndarray]] = None
 
     def W(self, E: complex) -> complex:
         E = complex(E)
@@ -723,6 +744,7 @@ class MatchingProblem:
             self._cubic = self._stack.cubic(self.p, self.h)
             self._work = [np.empty(self._stack.work_size, dtype=complex) for _ in range(5)]
         products = self._stack.products(self._cubic, E, self._work)
+        self._last = (E, products)
         n_left = len(self._plans[0])
         A = np.column_stack([
             _walk(_initial_pair(self.p, E, self.contour, end), chunks, prods).final
@@ -731,6 +753,15 @@ class MatchingProblem:
         if self._scales is None:
             self._scales = np.maximum(np.linalg.norm(A, axis=0), 1e-300)
         return complex(np.linalg.det(A / self._scales[None, :]))
+
+    def chunk_products(self, E: complex) -> Dict[_Chunk, np.ndarray]:
+        """Each chunk of W's plan with its product of step propagators, as
+        the last W computed them, if that W was evaluated at E; otherwise
+        nothing."""
+        if self._last is None or self._last[0] != E:
+            return {}
+        chunks = [chunk for plan in self._plans for chunk in plan]
+        return dict(zip(chunks, np.moveaxis(self._last[1], -1, 0)))
 
 
 # Muller iterations before refine_resonance gives up on a start
@@ -761,17 +792,18 @@ def _muller(f, x0: complex, x1: complex, x2: complex, tol: float):
     raise NotConverged(f"Muller did not reach |dE| <= {tol:g} in {_MULLER_MAXIT} steps")
 
 
-def refine_resonance(p: Problem, seed: complex, h: float, c: Contour, m0: int) -> OracleResonance:
+def refine_resonance(mp: MatchingProblem, seed: complex, m0: int) -> OracleResonance:
     """Polish a resonance from a semiclassical seed by Muller iteration on
-    the matching determinant.  A root is accepted only where |W| is at most
-    _RESIDUAL_MAX; otherwise a scan of |W| picks a new start, and a root
-    that still fails the bound raises NotConverged."""
+    the matching determinant ``mp.W``.  A root is accepted only where |W| is
+    at most _RESIDUAL_MAX; otherwise a scan of |W| picks a new start, and a
+    root that still fails the bound raises NotConverged.  The last W is
+    evaluated at the returned root."""
+    h, c = mp.h, mp.contour
     scale = h ** ((m0 + 3.0) / (m0 + 1.0))
     tol = max(1e-14, 1e-6 * scale)
     # start spread well below the oscillation scale of W in E (set by the
     # contour length over h) so Muller's quadratic model is trustworthy
     spread = max(1e-10, min(0.05 * scale, 0.02 * h * h / (c.X / 10.0)))
-    mp = MatchingProblem(p, h, c)
     seed = complex(seed)
 
     def polish(start: complex):
@@ -804,16 +836,30 @@ def simpson(y: np.ndarray, x: np.ndarray) -> np.float64:
     return np.sum((x[2::2] - x[:-2:2]) / 6.0 * (y[:-2:2] + 4.0 * y[1::2] + y[2::2]))
 
 
-def width_from_state(p: Problem, E: complex, h: float, c: Contour, x1: float, x2: float) -> float:
-    """Green-identity width estimate from the matched resonant state:
-    Im z = h^2 Im[-v1' conj(v1) - v2' conj(v2) + r1 v2 conj(v1)]_{x1}^{x2}
-    normalized by the L2 norm of the state on [x1, x2] (x1 < a0 < b0 < x2).
-    The state is recorded from x1 and from x2 to t = 0 (propagate's cut)."""
+def width_from_state(mp: MatchingProblem, E: complex, x1: float, x2: float) -> float:
+    """Green-identity width estimate from the matched resonant state at E
+    (_green_width), normalized on [x1, x2] with x1 < a0 < b0 < x2.
+
+    The state is shot from each end to t = 0 on the plan of propagate with
+    cut x1 (resp. x2).  Its ray chunks are W's: where the last ``mp.W`` was
+    evaluated at E, as refine_resonance leaves it at its root, their
+    products are taken from there and only the core chunks are shot."""
+    p, h, c = mp.p, mp.h, mp.contour
     if not (-c.R0 < x1 < x2 < c.R0):
         raise BadContour(f"contour core [-R0, R0] with R0 = {c.R0!r} must contain "
                          f"[x1, x2] = [{x1!r}, {x2!r}]")
-    L = propagate(p, E, h, c, "left", cut=x1)
-    R = propagate(p, E, h, c, "right", cut=x2)
+    E = complex(E)
+    known = mp.chunk_products(E)
+    L = _shoot(p, E, h, c, "left", x1, known)
+    R = _shoot(p, E, h, c, "right", x2, known)
+    return _green_width(p, h, L, R, x1, x2)
+
+
+def _green_width(p: Problem, h: float, L: PairTrack, R: PairTrack, x1: float, x2: float) -> float:
+    """Im z = h^2 Im[-v1' conj(v1) - v2' conj(v2) + r1 v2 conj(v1)]_{x1}^{x2}
+    normalized by the L2 norm of the state on [x1, x2], from the pairs shot
+    from the left end with the state recorded from x1 (L) and from the
+    right end with it recorded from x2 (R)."""
     A = np.column_stack([L.final, R.final])
     scales = np.maximum(np.linalg.norm(A, axis=0), 1e-300)
     _, sing, vh = np.linalg.svd(A / scales[None, :])

@@ -146,11 +146,13 @@ def oracle_row(cfg: RunConfig, report: StructureReport, m0: int, start: complex,
     predicted imaginary part.
 
     Returns the refined resonance ``res`` and, as its cross-check, the
-    Green-identity width ``im_green``.
+    Green-identity width ``im_green``, taken on the matching problem that
+    refined the root.
     """
     contour = oracle_mod.default_contour(cfg.problem, report, h)
-    res = oracle_mod.refine_resonance(cfg.problem, start, h, contour, m0)
-    im_green = oracle_mod.width_from_state(cfg.problem, res.E, h, contour, report.a0.x - 1.0, report.b0.x + 1.0)
+    mp = oracle_mod.MatchingProblem(cfg.problem, h, contour)
+    res = oracle_mod.refine_resonance(mp, start, m0)
+    im_green = oracle_mod.width_from_state(mp, res.E, report.a0.x - 1.0, report.b0.x + 1.0)
     return {"res": res, "im_green": im_green}
 
 

@@ -18,7 +18,7 @@ import fixtures
 from crosswidth import exprs, quadrature
 from crosswidth.config import RunConfig
 from crosswidth.geometry import PathSeq, paths_one_switch
-from crosswidth.oracle import default_contour, refine_resonance
+from crosswidth.oracle import MatchingProblem, default_contour, refine_resonance
 from crosswidth.pipeline import compare_sweep
 from crosswidth.semiclassics import SemiclassicsEngine, bohr_sommerfeld
 
@@ -133,7 +133,7 @@ def test_criterion_6_decoupled_limit(f0_decoupled_engine):
     c = default_contour(p, rep, h)
     ims = []
     for s in seeds[:2]:
-        res = refine_resonance(p, complex(s), h, c, eng.m0)
+        res = refine_resonance(MatchingProblem(p, h, c), complex(s), eng.m0)
         ims.append(abs(res.E.imag))
     oracle_ok = max(ims) <= 1e-10
     ok = real_ok and d_ok and oracle_ok

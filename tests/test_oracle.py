@@ -110,7 +110,7 @@ def test_decoupled_resonances_match_exact_spectrum(f0_decoupled_engine):
     exact = sorted(1.0 - h * h * (s - n) ** 2 for n in range(25) if 0 < 1.0 - h * h * (s - n) ** 2 < 1)
     c = default_contour(p, rep, h)
     for seed in eng.bohr_sommerfeld(h):
-        res = refine_resonance(p, complex(seed), h, c, eng.m0)
+        res = refine_resonance(MatchingProblem(p, h, c), complex(seed), eng.m0)
         nearest = min(exact, key=lambda v: abs(v - res.E.real))
         assert abs(res.E.real - nearest) < 5e-10
         assert abs(res.E.imag) <= 1e-10
@@ -123,8 +123,9 @@ def test_theta_independence(f0_engine):
     seed = eng.bohr_sommerfeld(h)[1]
     D = eng.width_coefficient(seed, h).D
     c = default_contour(p, rep, h)
-    res = refine_resonance(p, complex(seed, -D * h * h), h, c, eng.m0)
-    rotated = refine_resonance(p, res.E, h, Contour(R0=c.R0, theta=c.theta + 0.05, X=c.X), eng.m0)
+    res = refine_resonance(MatchingProblem(p, h, c), complex(seed, -D * h * h), eng.m0)
+    rotated_c = Contour(R0=c.R0, theta=c.theta + 0.05, X=c.X)
+    rotated = refine_resonance(MatchingProblem(p, h, rotated_c), res.E, eng.m0)
     assert abs(rotated.E.imag - res.E.imag) <= 1e-3 * abs(res.E.imag)
 
 
@@ -134,8 +135,9 @@ def test_width_from_state_decoupled(f0_decoupled_engine):
     h = 0.05
     c = default_contour(p, rep, h)
     seed = eng.bohr_sommerfeld(h)[1]
-    res = refine_resonance(p, complex(seed), h, c, eng.m0)
-    ig = width_from_state(p, res.E, h, c, x1=rep.a0.x - 1.0, x2=rep.b0.x + 1.0)
+    mp = MatchingProblem(p, h, c)
+    res = refine_resonance(mp, complex(seed), eng.m0)
+    ig = width_from_state(mp, res.E, x1=rep.a0.x - 1.0, x2=rep.b0.x + 1.0)
     assert abs(ig) < 1e-12
 
 
@@ -144,16 +146,16 @@ def _green_error(p, rep, eng, h):
     Bohr-Sommerfeld seed, with x1 = a0 - 1 and x2 = b0 + 1 as compare takes them."""
     seed = eng.bohr_sommerfeld(h)[1]
     D = eng.width_coefficient(seed, h).D
-    c = default_contour(p, rep, h)
-    res = refine_resonance(p, complex(seed, -D * h ** ((eng.m0 + 3.0) / (eng.m0 + 1.0))), h, c, eng.m0)
-    return abs(width_from_state(p, res.E, h, c, x1=rep.a0.x - 1.0, x2=rep.b0.x + 1.0) / res.E.imag - 1.0)
+    mp = MatchingProblem(p, h, default_contour(p, rep, h))
+    res = refine_resonance(mp, complex(seed, -D * h ** ((eng.m0 + 3.0) / (eng.m0 + 1.0))), eng.m0)
+    return abs(width_from_state(mp, res.E, x1=rep.a0.x - 1.0, x2=rep.b0.x + 1.0) / res.E.imag - 1.0)
 
 
 def test_recorded_state_spans_exactly_the_green_interval(f1_engine):
     # at h = 0.01 the core chunks are at most 0.4 long and neither x1 nor
     # x2 falls on a chunk end; the pair must still be recorded from the cut
-    # exactly, on steps of at most h/16 that are equal in pairs (Simpson's
-    # panels)
+    # exactly, on W's steps of at most h/6 that are equal in pairs
+    # (Simpson's panels)
     rep, _, eng = f1_engine
     h = 0.01
     c = default_contour(eng.p, rep, h)
@@ -162,7 +164,7 @@ def test_recorded_state_spans_exactly_the_green_interval(f1_engine):
         assert ws.shape == (4, ts.size)
         assert ts[0] == cut and ts[-1] == 0.0
         steps = sign * np.diff(ts)
-        assert steps.size % 2 == 0 and np.all(steps > 0) and steps.max() <= h / 16.0
+        assert steps.size % 2 == 0 and np.all(steps > 0) and steps.max() <= h / 6.0
         assert np.allclose(steps[0::2], steps[1::2], rtol=1e-9, atol=0.0)
     # a cut at t = 0 records an empty stretch as two steps of length 0
     ts, _ = propagate(eng.p, complex(0.755, -2e-5), h, c, "left", cut=0.0).state_on_core([1.0, 0.0])
@@ -175,15 +177,74 @@ def test_green_width_with_the_well_off_centre(s):
     # in the well, and at s = 2.5 x1 = a0 - 1 = 0.18 lies right of it, so
     # the left state is recorded running back from x1 to 0.  A Green grid
     # that misses [x1, x2] put im_green 2.0e-4 and 2.6e-4 off Im E;
-    # measured now: 1e-11 and 6e-10
+    # measured now: 2.5e-10 and 3.5e-11
     rep, _, eng = pipeline.build_engine(fixtures.f0_shifted(s), calib=1.0, h_max=0.08)
     assert _green_error(eng.p, rep, eng, 0.05) <= 1e-9
 
 
 def test_green_width_at_small_h(f1_engine):
-    # measured 4.7e-13; a grid starting left of x1 gave 2.3e-10
+    # measured 1.3e-12; a grid starting left of x1 gave 2.3e-10
     rep, _, eng = f1_engine
     assert _green_error(eng.p, rep, eng, 0.01) <= 1e-11
+
+
+def _refined(eng, rep, h):
+    """The matching problem at h after refining the resonance tracked from
+    e0, with that resonance and the Green interval [x1, x2] compare takes."""
+    p = eng.p
+    table = {entry["seed"]: entry for entry in eng.resonance_table(h)}
+    seed = pipeline.tracked_seed(list(table), p.e0)
+    mp = MatchingProblem(p, h, default_contour(p, rep, h))
+    res = refine_resonance(mp, complex(seed, table[seed]["im_pred"]), eng.m0)
+    return mp, res.E, rep.a0.x - 1.0, rep.b0.x + 1.0
+
+
+def test_green_width_reuses_the_ray_products_of_the_last_W(f1_engine, monkeypatch):
+    # at the root refine_resonance left W at, the Green width evaluates no
+    # W and builds no cubic; it steps each core chunk of its two plans
+    # once and no ray chunk
+    rep, _, eng = f1_engine
+    h = 0.03
+    mp, E, x1, x2 = _refined(eng, rep, h)
+    c = mp.contour
+    calls = {"W": 0, "cubic": 0}
+    stepped = []
+    evaluate, build, step = MatchingProblem.W, oracle._omega_cubic, oracle._step_propagators
+
+    def counted_W(self, E):
+        calls["W"] += 1
+        return evaluate(self, E)
+
+    def counted_build(*args):
+        calls["cubic"] += 1
+        return build(*args)
+
+    def counted_step(p, E, h, ts, z0, phi):
+        stepped.append(ts[0])
+        return step(p, E, h, ts, z0, phi)
+
+    monkeypatch.setattr(MatchingProblem, "W", counted_W)
+    monkeypatch.setattr(oracle, "_omega_cubic", counted_build)
+    monkeypatch.setattr(oracle, "_step_propagators", counted_step)
+    width_from_state(mp, E, x1, x2)
+    core = [chunk.t0 for end, cut in (("left", x1), ("right", x2))
+            for chunk in oracle._plan(c, h, (end,), cut)[0] if abs(chunk.t0) <= c.R0]
+    assert calls == {"W": 0, "cubic": 0}
+    assert sorted(stepped) == sorted(core)
+
+
+@pytest.mark.parametrize("h", [0.08, 0.03])
+@pytest.mark.parametrize("engine", ["f0_engine", "f1_engine"])
+def test_green_width_from_reused_products_matches_propagate(engine, h, request):
+    # the ray products of W's stacked cubic against propagate's per-chunk
+    # ones on the same plans: measured, the widths agree to 2.0e-13 relative
+    rep, _, eng = request.getfixturevalue(engine)
+    mp, E, x1, x2 = _refined(eng, rep, h)
+    p, c = eng.p, mp.contour
+    assert mp.chunk_products(E)
+    want = oracle._green_width(p, h, propagate(p, E, h, c, "left", cut=x1),
+                               propagate(p, E, h, c, "right", cut=x2), x1, x2)
+    assert abs(width_from_state(mp, E, x1, x2) / want - 1.0) <= 1e-12
 
 
 def test_matching_bounded_away_from_zero_between_resonances(f0_engine):
@@ -243,7 +304,7 @@ def test_ode_accuracy_stability(f0_engine, monkeypatch):
     widths = []
     for steps_per_h in (6.0 / 1e3 ** (1.0 / 6.0), 6.0 / 1e2 ** (1.0 / 6.0)):
         monkeypatch.setattr(oracle, "_STEPS_PER_H", steps_per_h)
-        widths.append(refine_resonance(p, complex(seed, -D * h * h), h, c, eng.m0).E.imag)
+        widths.append(refine_resonance(MatchingProblem(p, h, c), complex(seed, -D * h * h), eng.m0).E.imag)
     assert abs(widths[1] - widths[0]) / abs(widths[1]) < 0.01
 
 
@@ -382,7 +443,7 @@ def test_matching_builds_each_cubic_once(f1_engine, monkeypatch):
 
     monkeypatch.setattr(oracle, "_omega_cubic", counted_build)
     monkeypatch.setattr(MatchingProblem, "W", counted_W)
-    refine_resonance(p, complex(seed, table[seed]["im_pred"]), h, c, eng.m0)
+    refine_resonance(MatchingProblem(p, h, c), complex(seed, table[seed]["im_pred"]), eng.m0)
     chunks = [chunk for end in oracle._plan(c, h, ("left", "right"), None) for chunk in end]
     assert len(calls) == 9
     assert set(builds) == {1} and len(builds) < len(chunks)
@@ -503,8 +564,8 @@ def test_richardson_error_of_refined_resonance(engine, h, request, monkeypatch):
     seed = pipeline.tracked_seed(list(table), p.e0)
     start = complex(seed, table[seed]["im_pred"])
     c = default_contour(p, rep, h)
-    coarse = refine_resonance(p, start, h, c, eng.m0).E
+    coarse = refine_resonance(MatchingProblem(p, h, c), start, eng.m0).E
     monkeypatch.setattr(oracle, "_STEPS_PER_H", 2.0 * oracle._STEPS_PER_H)
-    fine = refine_resonance(p, start, h, c, eng.m0).E
+    fine = refine_resonance(MatchingProblem(p, h, c), start, eng.m0).E
     assert abs(fine.imag - coarse.imag) <= 1e-9 * abs(fine.imag)
     assert abs(fine.real - coarse.real) <= 1e-11 * abs(fine)
