@@ -343,33 +343,6 @@ def _product(M: np.ndarray, work: Optional[Sequence[np.ndarray]] = None) -> np.n
     return M[..., 0]
 
 
-def _prefix_products(M: np.ndarray) -> np.ndarray:
-    """C[..., k] = M[..., k] @ ... @ M[..., 0] for every k of a step-last
-    stack, by a Brent-Kung scan: an up-sweep leaves the product of each
-    aligned block of 2s steps at its last step, and a down-sweep completes
-    the others, about 2 products per step in all (a Hillis-Steele scan
-    takes log2 N).  Each round's products go through two flat buffers of
-    M.size entries, and C is written over a copy of M."""
-    M = M.copy()
-    out, tmp = (np.empty(M.size, dtype=M.dtype) for _ in range(2))
-
-    def combine(first: int, s: int) -> None:
-        # M[j] = M[j] @ M[j - s] for j = first, first + 2s, ...
-        hi = M[..., first::2 * s]
-        if hi.shape[-1]:
-            hi[...] = _mm(hi, M[..., first - s::2 * s][..., :hi.shape[-1]],
-                          _take(out, hi.shape), _take(tmp, hi.shape))
-
-    s = 1
-    while 2 * s <= M.shape[-1]:
-        combine(2 * s - 1, s)
-        s *= 2
-    while s > 1:
-        s //= 2
-        combine(3 * s - 1, s)
-    return M
-
-
 # Magnus steps per unit of h: the steps of a shooting plan are at most
 # h / _STEPS_PER_H long, and the global error scales like (dt/h)^6.  The
 # Simpson rule of the Green-identity width on the recorded steps errs like
@@ -390,8 +363,9 @@ _MAX_STEPS = 2**18
 # out together in five (4, 4, rows, L) workspaces of 256 B per step
 _SLICE_STEPS = 1024
 # padded Magnus steps of one slice of the Omega cubic's build
-# (_Stack.cubic), whose temporaries are allocated afresh: this keeps each within glibc's 128 KiB mmap threshold, above which
-# it would be page-faulted anew on every build
+# (_Stack.cubic), whose temporaries are allocated afresh: this keeps each
+# within glibc's 128 KiB mmap threshold, above which it would be
+# page-faulted anew on every build
 _BUILD_STEPS = 512
 
 
@@ -646,27 +620,27 @@ class _Stack:
         return products
 
 
-def _walk(pair: np.ndarray, chunks: List[_Chunk], products: np.ndarray,
-          prefixes: Sequence[np.ndarray] = ()) -> PairTrack:
-    """Carry the pair through one end's chunks.  ``products`` holds each
-    chunk's product of step propagators, (4, 4, n_chunks); ``prefixes``
-    holds, per recorded chunk in turn, its products up to each step end,
-    where the pair is recorded, and at the start of the first.  The pair is
-    orthonormalized between chunks (Godunov shooting)."""
+def _walk(pair: np.ndarray, chunks: List[_Chunk], mats: Sequence[np.ndarray]) -> PairTrack:
+    """Carry the pair through one end's chunks.  ``mats`` holds, per chunk,
+    its product of step propagators, (4, 4), or for a recorded chunk its
+    step propagators, (4, 4, n_steps): the pair is carried through those
+    one step at a time and recorded at each step end, and at the start of
+    the first recorded chunk.  The pair is orthonormalized between chunks
+    (Godunov shooting)."""
     track = PairTrack(final=pair)
-    prefixes = iter(prefixes)
-    for idx, chunk in enumerate(chunks):
+    for idx, (chunk, M) in enumerate(zip(chunks, mats)):
         recorded = None
         if chunk.record:
-            ts, states = chunk.steps(), np.moveaxis(next(prefixes), -1, 0) @ pair
+            states = [pair]
+            for k in range(chunk.n_steps):
+                states.append(M[..., k] @ states[-1])
+            ts, states = chunk.steps(), np.array(states)
             if idx and chunks[idx - 1].record:  # its start is recorded as the last chunk's end
-                ts = ts[1:]
-            else:
-                states = np.concatenate([pair[None], states])
+                ts, states = ts[1:], states[1:]
             recorded = (ts, states.transpose(2, 1, 0).reshape(8, -1))
             pair = states[-1]
         else:
-            pair = products[..., idx] @ pair
+            pair = M @ pair
         if not np.all(np.isfinite(pair.view(float))):
             raise StepUnderflow("propagated state lost finiteness")
         R = None
@@ -682,27 +656,26 @@ def _shoot(p: Problem, E: complex, h: float, c: Contour, end: str, cut: Optional
     """Shoot the admissible pair from one contour end to t = 0 on the
     chunks of _plan.  A chunk in ``known`` takes the product of step
     propagators held there, which must be its product at E; every other
-    chunk's _step_propagators at E are multiplied out alone."""
+    chunk's _step_propagators at E are multiplied out alone, or, on a
+    recorded chunk, handed to _walk as they are."""
     (chunks,) = _plan(c, h, (end,), cut)
-    products, prefixes = [], []
+    mats = []
     for chunk in chunks:
-        product = known.get(chunk)
-        if product is None:
+        M = known.get(chunk)
+        if M is None:
             M = _step_propagators(p, E, h, chunk.steps(), chunk.z0, chunk.phi)
-            if chunk.record:
-                prefixes.append(_prefix_products(M))
-                product = prefixes[-1][..., -1]
-            else:
-                product = _product(M)
-        products.append(product)
-    return _walk(_initial_pair(p, E, c, end), chunks, np.stack(products, axis=-1), prefixes)
+            if not chunk.record:
+                M = _product(M)
+        mats.append(M)
+    return _walk(_initial_pair(p, E, c, end), chunks, mats)
 
 
 def propagate(p: Problem, E: complex, h: float, c: Contour, from_end: str,
               cut: Optional[float] = None) -> PairTrack:
     """Shoot the admissible pair from one contour end to t = 0 on the
     chunks and Magnus steps of _plan, one chunk at a time (each chunk's
-    _step_propagators multiplied out alone): the per-chunk reference of W.
+    _step_propagators multiplied out alone, or walked step by step where
+    recorded): the per-chunk reference of W.
     With ``cut``, a point of the core, the pair is also recorded from the
     cut to t = 0."""
     return _shoot(p, complex(E), h, c, from_end, cut, {})
@@ -733,7 +706,7 @@ class MatchingProblem:
         self._stack: Optional[_Stack] = None
         self._cubic: List[np.ndarray] = []
         self._work: List[np.ndarray] = []
-        # E and the (4, 4, n_chunks) chunk products of the last W
+        # E and the (n_chunks, 4, 4) chunk products of the last W
         self._last: Optional[Tuple[complex, np.ndarray]] = None
 
     def W(self, E: complex) -> complex:
@@ -743,13 +716,12 @@ class MatchingProblem:
             self._stack = _Stack([chunk for chunks in self._plans for chunk in chunks])
             self._cubic = self._stack.cubic(self.p, self.h)
             self._work = [np.empty(self._stack.work_size, dtype=complex) for _ in range(5)]
-        products = self._stack.products(self._cubic, E, self._work)
-        self._last = (E, products)
+        mats = np.moveaxis(self._stack.products(self._cubic, E, self._work), -1, 0)
+        self._last = (E, mats)
         n_left = len(self._plans[0])
         A = np.column_stack([
             _walk(_initial_pair(self.p, E, self.contour, end), chunks, prods).final
-            for end, chunks, prods in zip(("left", "right"), self._plans,
-                                          (products[..., :n_left], products[..., n_left:]))])
+            for end, chunks, prods in zip(("left", "right"), self._plans, (mats[:n_left], mats[n_left:]))])
         if self._scales is None:
             self._scales = np.maximum(np.linalg.norm(A, axis=0), 1e-300)
         return complex(np.linalg.det(A / self._scales[None, :]))
@@ -761,7 +733,7 @@ class MatchingProblem:
         if self._last is None or self._last[0] != E:
             return {}
         chunks = [chunk for plan in self._plans for chunk in plan]
-        return dict(zip(chunks, np.moveaxis(self._last[1], -1, 0)))
+        return dict(zip(chunks, self._last[1]))
 
 
 # Muller iterations before refine_resonance gives up on a start
@@ -773,7 +745,7 @@ _RESIDUAL_MAX = 1e-6
 
 def _muller(f, x0: complex, x1: complex, x2: complex, tol: float):
     f0, f1, f2 = f(x0), f(x1), f(x2)
-    for it in range(1, _MULLER_MAXIT + 1):
+    for _ in range(_MULLER_MAXIT):
         q = (x2 - x1) / (x1 - x0)
         a = q * f2 - q * (1 + q) * f1 + q * q * f0
         b = (2 * q + 1) * f2 - (1 + q) ** 2 * f1 + q * q * f0
@@ -786,7 +758,7 @@ def _muller(f, x0: complex, x1: complex, x2: complex, tol: float):
         step = -(x2 - x1) * (2 * cc / den)
         x3 = x2 + step
         if abs(step) <= tol:
-            return x3, f(x3), it
+            return x3, f(x3)
         x0, x1, x2 = x1, x2, x3
         f0, f1, f2 = f1, f2, f(x3)
     raise NotConverged(f"Muller did not reach |dE| <= {tol:g} in {_MULLER_MAXIT} steps")
@@ -811,7 +783,7 @@ def refine_resonance(mp: MatchingProblem, seed: complex, m0: int) -> OracleReson
         return _muller(mp.W, *starts, tol=tol)
 
     try:
-        root, wval, _ = polish(seed)
+        root, wval = polish(seed)
     except NotConverged:
         wval = math.inf
     if abs(wval) > _RESIDUAL_MAX:
@@ -823,7 +795,7 @@ def refine_resonance(mp: MatchingProblem, seed: complex, m0: int) -> OracleReson
         offsets = np.linspace(-span, span, 49)
         vals = [abs(mp.W(seed + complex(d))) for d in offsets]
         best = seed + complex(offsets[int(np.argmin(vals))])
-        root, wval, _ = polish(best)
+        root, wval = polish(best)
     if abs(wval) > _RESIDUAL_MAX:
         raise NotConverged(f"Muller stalled at {root:.10g} with |W| = {abs(wval):.3g} > {_RESIDUAL_MAX:g}")
     return OracleResonance(E=root, residual=abs(wval))

@@ -201,9 +201,6 @@ _COUNT_STRIDE = 16
 # the largest wrapped phase step of det(I - M), in radians, that the count
 # leaves between two neighbouring evaluated nodes; a wider gap is halved
 _COUNT_PHASE_STEP = 0.5
-# energies evaluated at a time by det_one_minus_m and the one-switch width:
-# bounds the memory of their temporaries
-_SLICE = 128
 _ONE_ROW = np.zeros(1, dtype=int)
 
 
@@ -249,11 +246,10 @@ class SemiclassicsEngine:
     per evaluation, at the distinct real parts: off the axis an action
     continues to first order from its real part, so each round of the
     argument-principle count evaluates it once for all the round's contour
-    nodes.  The Newton runs of one
-    h's seeds go in lockstep, one det_one_minus_m call per round, and the
-    one-switch width forms its path amplitudes over arrays of energies.  A
-    scalar energy is an array of one, and no value depends on how the
-    energies are batched.
+    nodes.  The Newton runs of one h's seeds go in lockstep, one
+    det_one_minus_m call per round, and the one-switch width forms its path
+    amplitudes over arrays of energies.  A scalar energy is an array of
+    one, and no value depends on how the energies are batched.
     """
 
     def __init__(
@@ -374,7 +370,7 @@ class SemiclassicsEngine:
         _column, followed by their energy derivatives when asked for, and
         the row of each entry of x: one table evaluation.  One energy skips
         np.unique, which costs about as much as the table there."""
-        xs, rows = np.unique(x, return_inverse=True) if len(x) > 1 else (x, _ONE_ROW)
+        xs, rows = np.unique(x, return_inverse=True) if len(x) != 1 else (x, _ONE_ROW)
         return self._action_table()(xs, None if derivatives else len(self._columns)), rows
 
     def _loop_derivative(self, vals: np.ndarray) -> np.ndarray:
@@ -489,24 +485,14 @@ class SemiclassicsEngine:
         return M if Es.ndim else M[0]
 
     def det_one_minus_m(self, E, h: float):
-        """det(I - M(E)): a complex, or an array for an array of energies.
-        One table evaluation, over the distinct real parts, serves every
-        energy; phases and monodromy stacks are formed _SLICE energies at a
-        time."""
+        """det(I - M(E)): a complex, or an array for an array of energies,
+        on the monodromy stack of all the energies (one table evaluation)."""
         Es = np.asarray(E, dtype=complex)
-        flat = Es.reshape(-1)
-        plan = self._plan(self._halves)  # first: a new column resets the table
-        vals, rows = self._actions(flat.real, bool(flat.imag.any()))
-        n = len(self._edges_sorted)
-        d = np.empty(len(flat), dtype=complex)
-        eye = np.eye(n, dtype=complex)
-        for i in range(0, len(flat), _SLICE):
-            part = slice(i, i + _SLICE)
-            M = self._stack(self._phases(vals[rows[part]], flat.imag[part], h, plan), h)
-            # I - M in place, as -M + I: the same floats
-            np.negative(M, out=M)
-            M += eye
-            d[i:i + _SLICE] = np.linalg.det(M)
+        M = self._stack(self._evaluate(Es.reshape(-1), h, self._halves)[0], h)
+        # I - M in place, as -M + I: the same floats
+        np.negative(M, out=M)
+        M += np.eye(M.shape[-1], dtype=complex)
+        d = np.linalg.det(M)
         return d if Es.ndim else complex(d[0])
 
     def det_cycle_expansion(self, E, h: float) -> complex:
@@ -592,13 +578,18 @@ class SemiclassicsEngine:
         yields the energies whose determinants it needs next, [E], then
         [E + delta, E - delta], then [E + step], and is sent their values.
         Returns the energy it ended at, the determinant there, the
-        iterations taken and the tolerance tol it stops at."""
+        iterations taken and the tolerance tol it stops at.  The run stays in
+        the cached energy domain: a step whose real part leaves it is halved
+        unevaluated, and the run ends where E +/- delta would leave it."""
+        lo, hi = self.domain
         E = complex(seed)
         (fE,) = yield [E]
         delta = 1e-3 * h
         for it in range(1, 51):
             if abs(fE) <= tol:
                 return E, fE, it - 1, tol
+            if not (lo <= E.real - delta and E.real + delta <= hi):
+                break
             f_plus, f_minus = yield [E + delta, E - delta]
             fp = (f_plus - f_minus) / (2.0 * delta)
             if fp == 0:
@@ -607,11 +598,12 @@ class SemiclassicsEngine:
             accepted = False
             for _ in range(25):
                 cand = E + step
-                (fc,) = yield [cand]
-                if abs(fc) < abs(fE):
-                    E, fE = cand, fc
-                    accepted = True
-                    break
+                if lo <= cand.real <= hi:
+                    (fc,) = yield [cand]
+                    if abs(fc) < abs(fE):
+                        E, fE = cand, fc
+                        accepted = True
+                        break
                 step /= 2.0
                 if abs(step) < 1e-16 * max(1.0, abs(E)):
                     break
@@ -782,17 +774,14 @@ class SemiclassicsEngine:
         es = np.asarray(E, dtype=float).reshape(-1)
         key, tails = self._switch_paths()
         sums = np.empty((len(es), len(tails)), dtype=complex)
-        ap = np.empty(len(es))
-        for i in range(0, len(es), _SLICE):
-            part = slice(i, i + _SLICE)
-            ph, ap[part] = self._evaluate(es[part].astype(complex), h, key, loop_derivative=True)
-            for t, paths in enumerate(tails):
-                # the tail sum as Python's sum() forms it: 0 + a1 + a2 ...
-                s_re, s_im = 0.0, 0.0
-                for pth, cols in paths:
-                    re, im = self._path_amplitude(pth, ph, cols, h)
-                    s_re, s_im = s_re + re, s_im + im
-                sums.real[part, t], sums.imag[part, t] = s_re, s_im
+        ph, ap = self._evaluate(es.astype(complex), h, key, loop_derivative=True)
+        for t, paths in enumerate(tails):
+            # the tail sum as Python's sum() forms it: 0 + a1 + a2 ...
+            s_re, s_im = 0.0, 0.0
+            for pth, cols in paths:
+                re, im = self._path_amplitude(pth, ph, cols, h)
+                s_re, s_im = s_re + re, s_im + im
+            sums.real[:, t], sums.imag[:, t] = s_re, s_im
         # |v|^2 on Python floats: numpy's abs and square differ in the last bit
         D = np.array([self._D(row, a, h) for row, a in zip(sums.tolist(), ap.tolist())])
         if np.ndim(E):

@@ -196,9 +196,9 @@ def test_count_makes_one_table_evaluation_per_round(request, name, monkeypatch):
     # each vertical side has one, and the top and bottom sides share theirs
     assert [t.tobytes() for t in tables] == [np.unique(E.real).tobytes() for E in calls]
     assert len(tables[0]) < len(calls[0]) // 2
-    # the phases and monodromy stacks are formed a slice of energies at a time
-    step, n = semiclassics._SLICE, len(engine._edges_sorted)
-    assert stacks == [(min(step, len(E) - i), n, n) for E in calls for i in range(0, len(E), step)]
+    # one monodromy stack per round, over all its nodes
+    n = len(engine._edges_sorted)
+    assert stacks == [(len(E), n, n) for E in calls]
 
 
 def _one_energy_fit(p, edge, flo, fhi, domain):
@@ -279,6 +279,17 @@ def test_width_dips_makes_one_batched_width_call(f0_engine):
     finally:
         del engine.width_coefficient
     assert calls == [(801,)]
+
+
+@pytest.mark.parametrize("name", ["f0_engine", "f1arc_engine"])
+def test_empty_energy_array_gives_empty_results(request, name):
+    # no energies is not one energy: every batched path returns nothing
+    engine = request.getfixturevalue(name)[2]
+    n = len(engine._edges_sorted)
+    assert engine.monodromy(np.array([]), H).shape == (0, n, n)
+    assert engine.det_one_minus_m(np.array([], dtype=complex), H).shape == (0,)
+    wb = engine.width_coefficient(np.array([]), H)
+    assert wb.E.shape == wb.D.shape == (0,)
 
 
 # --- the semiclassical engine's per-seed and per-energy loops -----------------------

@@ -6,7 +6,7 @@ import tempfile
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from crosswidth import cli
 from crosswidth.config import ConfigError, load_config
@@ -579,6 +579,8 @@ def test_pseudo_omits_and_widths_nulls_a_seed_without_root(tmp_path, monkeypatch
 
 @settings(derandomize=True, deadline=None, max_examples=20)
 @given(h=st.floats(0.005, 0.2), L=st.floats(0.1, 4.0))
+@example(h=0.125, L=0.5)
+@example(h=0.125, L=0.25)
 def test_pseudo_exit_code_contract_over_h_and_L(h, L):
     # a config's (h, L) either runs (0), is rejected naming the problem (2),
     # or fails numerically (3); none reaches the catch-all
@@ -597,3 +599,25 @@ def test_pseudo_exit_code_contract_over_h_and_L(h, L):
     if isinstance(result, dict) and "diagnostics" in result:
         assert not str(result["diagnostics"]).startswith("unexpected")
         assert code in (2, 3)
+
+
+@pytest.mark.parametrize("command", ["pseudo", "widths"])
+@pytest.mark.parametrize("config, L, h", [
+    ("f1_arc", "0.5", "0.125"), ("f1_arc", "0.1", "0.2"),
+    ("f2", "0.5", "0.125"), ("f2", "0.5", "0.1"), ("f2", "0.5", "0.01"),
+    ("f2", "0.3", "0.15"), ("f2", "0.1", "0.2"),
+])
+def test_newton_stays_in_the_cached_energy_domain(tmp_path, config, L, h, command):
+    # damped Newton from a seed near the domain's edge steps past it: the
+    # step is rejected, and a run that cannot go on ends in NewtonDiverged
+    with open(_cfg_path(config), encoding="utf-8") as fh:
+        text = fh.read()
+    assert "L = 1.5" in text
+    cfg = _write(tmp_path, text.replace("L = 1.5", f"L = {L}"))
+    out = tmp_path / "out.json"
+    code = cli.main([command, cfg, "--h", h, "--out", str(out)])
+    result = json.loads(out.read_text())
+    if code == 3:
+        assert result["diagnostics"].startswith("NewtonDiverged: ")
+    else:
+        assert code == 0 and "records" in result
