@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import exprs, oracle as oracle_mod, quadrature
+from . import exprs, quadrature
 from .config import ConfigError, RunConfig, check_h_list, load_config
 from .geometry import graph_to_dict
 from .model import StructureError
@@ -26,6 +26,8 @@ from .pipeline import ValidationFailed, box_levels, build_engine, compare_sweep,
 from .semiclassics import (BoxTooLarge, CountMismatch, HUnresolved, NewtonDiverged, SingularSystem,
                            TopologyMismatch)
 
+_INPUT_ERRORS = (ValidationFailed, StructureError, ConfigError, BoxTooLarge, HUnresolved,
+                 quadrature.PreconditionViolated, exprs.DomainError)
 _CONVERGENCE_ERRORS = (
     NewtonDiverged,
     CountMismatch,
@@ -33,11 +35,18 @@ _CONVERGENCE_ERRORS = (
     TopologyMismatch,
     quadrature.QuadratureError,
     quadrature.NoTurningPoints,
-    oracle_mod.NotConverged,
-    oracle_mod.StepUnderflow,
-    oracle_mod.PolesOnContour,
-    oracle_mod.InsufficientData,
 )
+# the oracle's exceptions by exit code: only oracle and compare import the
+# oracle, so the other commands never load it
+_ORACLE_ERRORS = {2: ("BadContour", "TooManySteps"),
+                  3: ("NotConverged", "StepUnderflow", "PolesOnContour", "InsufficientData")}
+
+
+def _errors(errors: tuple, code: int) -> tuple:
+    """errors, plus the oracle's exceptions that exit with code once the
+    oracle is loaded (none can be raised before)."""
+    oracle = sys.modules.get(f"{__package__}.oracle")
+    return errors + tuple(getattr(oracle, name) for name in _ORACLE_ERRORS[code]) if oracle else errors
 
 
 def _fmt(x) -> str:
@@ -275,11 +284,10 @@ def main(argv=None) -> int:
         return 2
     try:
         return _COMMANDS[args.command](cfg, args)
-    except (ValidationFailed, StructureError, ConfigError, BoxTooLarge, HUnresolved, oracle_mod.BadContour,
-            oracle_mod.TooManySteps, quadrature.PreconditionViolated, exprs.DomainError) as exc:
+    except _errors(_INPUT_ERRORS, 2) as exc:
         _emit(_to_json({"diagnostics": str(exc)}), args.out)
         return 2
-    except _CONVERGENCE_ERRORS as exc:
+    except _errors(_CONVERGENCE_ERRORS, 3) as exc:
         _emit(_to_json({"diagnostics": f"{type(exc).__name__}: {exc}"}), args.out)
         return 3
     except Exception as exc:  # never a bare crash; still signal failure

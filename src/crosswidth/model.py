@@ -13,7 +13,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -185,22 +185,25 @@ def _grid(window: Tuple[float, float], n: int) -> np.ndarray:
     return np.linspace(window[0], window[1], n + 1)
 
 
-def brentq(f: Callable[[float], float], a: float, b: float, xtol: float) -> float:
+def brentq(f: Callable[[float], float], a: float, b: float, xtol: float,
+           ends: Optional[Tuple[float, float]] = None) -> float:
     """The root of f in [a, b] by Brent's method: a port of the C routine
     behind scipy.optimize.brentq (``Zeros/brentq.c``) that does the same
     float operations in the same order, so its roots are bit-identical to
-    scipy's, with rtol fixed at 8.9e-16 and at most 100 iterations.  Raises
+    scipy's, with rtol fixed at 8.9e-16 and at most 100 iterations.  A
+    caller that already has f(a) and f(b) passes them as ``ends``.  Raises
     ValueError when f(a) and f(b) have the same sign or f returns NaN, and
     RuntimeError when it does not converge."""
 
-    def call(x: float) -> float:
-        fx = float(f(x))
+    def call(x: float, fx: Optional[float] = None) -> float:
+        fx = float(f(x) if fx is None else fx)
         if math.isnan(fx):
             raise ValueError(f"the function value at x={x!r} is NaN")
         return fx
 
     xpre, xcur = float(a), float(b)
-    fpre, fcur = call(xpre), call(xcur)
+    fa, fb = ends or (None, None)
+    fpre, fcur = call(xpre, fa), call(xcur, fb)
     if fpre == 0:
         return xpre
     if fcur == 0:

@@ -15,7 +15,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from . import oracle as oracle_mod
 from .config import ConfigError, RunConfig
 from .geometry import build_graph
 from .model import Problem, StructureReport, validate_structure
@@ -149,6 +148,8 @@ def oracle_row(cfg: RunConfig, report: StructureReport, m0: int, start: complex,
     Green-identity width ``im_green``, taken on the matching problem that
     refined the root.
     """
+    from . import oracle as oracle_mod  # loaded by the commands that run it
+
     contour = oracle_mod.default_contour(cfg.problem, report, h)
     mp = oracle_mod.MatchingProblem(cfg.problem, h, contour)
     res = oracle_mod.refine_resonance(mp, start, m0)
@@ -158,6 +159,7 @@ def oracle_row(cfg: RunConfig, report: StructureReport, m0: int, start: complex,
 
 def compare_sweep(cfg: RunConfig, h_list: Optional[Sequence[float]] = None) -> dict:
     """Joined semiclassical/oracle table over the h sweep plus exponent fits."""
+    from . import oracle as oracle_mod
     hs = list(h_list if h_list is not None else (cfg.h_list or []))
     if len(hs) < 2:
         # select_anchor decorrelates the tracked energies from log h

@@ -73,6 +73,11 @@ _PASS_NODES = 2 ** 17
 # nodes an oscillatory integral may take
 _PHASE_PER_PANEL = 6.0
 _NODE_BUDGET = 2_000_000
+# oscillatory panels one block of a pass holds.  Each panel's Gauss sum
+# must come out as from one product over all panels: numpy's product of
+# a one-row block takes another BLAS path that can change the last bit,
+# so a pass never ends on a one-panel block
+_PANEL_BLOCK = 1024
 # Chebyshev degrees tried in turn by the action cache
 _CHEB_DEGREES = (16, 32, 64, 128, 192)
 
@@ -282,24 +287,40 @@ def action_edge(p: Problem, edge: Edge, E, flo: float = 0.0, fhi: float = 1.0):
 
 def _panel_edges(phi: Callable, lo: float, hi: float, h: float) -> np.ndarray:
     """Split [lo, hi] until the sampled phase change per panel is below
-    _PHASE_PER_PANEL * h, with a hard floor of h/4 on the panel size."""
-    stack = [(lo, hi, float(phi(lo)), float(phi(hi)), 0)]
-    accepted = []
-    while stack:
-        a, b, fa, fb, depth = stack.pop()
-        mdpt = 0.5 * (a + b)
-        fm = float(phi(mdpt))
-        resolved = max(abs(fm - fa), abs(fb - fm)) <= 0.5 * _PHASE_PER_PANEL * h
-        small_enough = (b - a) <= max(0.25 * h, (hi - lo) * 2.0 ** -40)
-        if (resolved and (b - a) <= (hi - lo) / 16) or small_enough or depth >= 48:
-            accepted.append((a, b))
-            if len(accepted) > _NODE_BUDGET // 28:
-                raise BudgetExceeded("oscillatory quadrature node budget hit")
-            continue
-        stack.append((mdpt, b, fm, fb, depth + 1))
-        stack.append((a, mdpt, fa, fm, depth + 1))
-    accepted.sort()
-    return np.array([a for a, _ in accepted] + [hi])
+    _PHASE_PER_PANEL * h, with a hard floor of h/4 on the panel size.
+
+    The bisection tree grows level by level: each of its at most 49
+    levels is one call of phi on the midpoints of the intervals still
+    open.  A panel's accept rule reads only its own interval, so the
+    panels are those of a depth-first split on the same phi values; they
+    come back sorted.  Every
+    open interval ends as at least one panel, so the tree raises
+    BudgetExceeded as soon as accepted plus open intervals pass
+    _NODE_BUDGET // 28, the panels a 28-point pass may take, before the
+    open intervals take more memory."""
+    limit = _NODE_BUDGET // 28
+    tol = 0.5 * _PHASE_PER_PANEL * h
+    coarse, floor = (hi - lo) / 16, max(0.25 * h, (hi - lo) * 2.0 ** -40)
+    a, b = np.array([lo]), np.array([hi])
+    fa, fb = np.asarray(phi(np.array([lo, hi])), dtype=float).reshape(2, 1)
+    starts, accepted = [], 0
+    for depth in range(49):
+        m = 0.5 * (a + b)
+        fm = np.asarray(phi(m), dtype=float)
+        resolved = np.maximum(np.abs(fm - fa), np.abs(fb - fm)) <= tol
+        width = b - a
+        done = (resolved & (width <= coarse)) | (width <= floor) | (depth >= 48)
+        starts.append(a[done])
+        accepted += np.count_nonzero(done)
+        open_ = ~done
+        if accepted + 2 * np.count_nonzero(open_) > limit:
+            raise BudgetExceeded("oscillatory quadrature node budget hit")
+        a, m, b, fa, fm, fb = (v[open_] for v in (a, m, b, fa, fm, fb))
+        if not a.size:
+            break
+        a, b = np.concatenate((a, m)), np.concatenate((m, b))
+        fa, fb = np.concatenate((fa, fm)), np.concatenate((fm, fb))
+    return np.append(np.sort(np.concatenate(starts)), hi)
 
 
 def oscillatory_integral(
@@ -313,24 +334,28 @@ def oscillatory_integral(
     Brute-force panel quadrature: panels are sized to keep the phase change
     per panel to a few radians (so a 28-point Gauss rule per panel is exact
     to machine precision), graded down to h/4 in steep-phase regions.  Both
-    callables must accept numpy arrays.
+    callables must accept numpy arrays.  Each pass evaluates the panels
+    _PANEL_BLOCK at a time, so it holds one block's nodes however many
+    panels there are; _NODE_BUDGET caps the panel count, and so the time.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if hi <= lo or h <= 0:
         raise PreconditionViolated("need a non-empty interval and h > 0")
     edges = _panel_edges(phi, lo, hi, h)
-    panels = len(edges) - 1
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    halfs = 0.5 * (edges[1:] - edges[:-1])
 
     def pass_with(n: int) -> complex:
         t, w = _gl(n)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        halfs = 0.5 * (edges[1:] - edges[:-1])
-        xs = (mids[:, None] + halfs[:, None] * t[None, :]).ravel()
-        if xs.size > _NODE_BUDGET:
-            raise BudgetExceeded(f"{xs.size} nodes exceed the budget {_NODE_BUDGET}")
-        ph = np.asarray(phi(xs), dtype=float)
-        vals = (sigma(xs) * np.exp(1j * ph / h)).reshape(panels, n)
-        return complex(np.sum((vals @ w) * halfs))
+        per = np.empty(len(mids), dtype=complex)  # each panel's Gauss sum
+        # a lone last panel joins the block before it (see _PANEL_BLOCK)
+        bounds = list(range(0, max(len(mids) - 1, 1), _PANEL_BLOCK)) + [len(mids)]
+        for i, j in zip(bounds, bounds[1:]):
+            block = slice(i, j)
+            xs = (mids[block, None] + halfs[block, None] * t).ravel()
+            ph = np.asarray(phi(xs), dtype=float)
+            per[block] = (sigma(xs) * np.exp(1j * ph / h)).reshape(-1, n) @ w
+        return complex(np.sum(per * halfs))
 
     coarse = pass_with(20)
     fine = pass_with(28)

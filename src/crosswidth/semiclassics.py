@@ -80,7 +80,7 @@ def _level_crossings(f: Callable[[float], float], lo: float, hi: float,
     out = []
     for target in levels(flo, fhi):
         if flo <= target <= fhi:
-            out.append(brentq(lambda E: f(E) - target, lo, hi, _LEVEL_XTOL))
+            out.append(brentq(lambda E: f(E) - target, lo, hi, _LEVEL_XTOL, (flo - target, fhi - target)))
     return sorted(out)
 
 
@@ -272,6 +272,7 @@ class SemiclassicsEngine:
         self._transfer: Dict[Tuple[int, int, float], list] = {}
         self._plans: Dict[PhaseKey, tuple] = {}
         self._links: Dict[float, tuple] = {}
+        self._levels: Dict[float, List[float]] = {}  # h -> Bohr-Sommerfeld grid
         self._one_switch_paths: Optional[tuple] = None
         # A'(e0): Bohr-Sommerfeld energies near e0 lie 2 pi h / |A'(e0)| apart
         self.ap0 = action_derivative(problem, problem.e0)
@@ -554,13 +555,17 @@ class SemiclassicsEngine:
     def bohr_sommerfeld(self, h: float) -> List[float]:
         """Energies in the box where the loop action hits an odd multiple of
         pi*h (cos(A/2h) = 0).  May be empty for small L; raises HUnresolved
-        when two levels come out equal."""
-        levels = bohr_sommerfeld(self.gamma1_action, *self.box(h), h)
-        for a, b in zip(levels, levels[1:]):
-            if not b > a:
-                raise HUnresolved(f"h = {h!r} is too small: two Bohr-Sommerfeld levels "
-                                  f"come out equal at E = {a!r}")
-        return levels
+        when two levels come out equal.  Each h's grid is solved once per
+        engine; every call returns a fresh list."""
+        levels = self._levels.get(h)
+        if levels is None:
+            levels = bohr_sommerfeld(self.gamma1_action, *self.box(h), h)
+            for a, b in zip(levels, levels[1:]):
+                if not b > a:
+                    raise HUnresolved(f"h = {h!r} is too small: two Bohr-Sommerfeld levels "
+                                      f"come out equal at E = {a!r}")
+            self._levels[h] = levels
+        return list(levels)
 
     # --- pseudo-resonances ------------------------------------------------------
 

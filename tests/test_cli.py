@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -231,6 +232,19 @@ def test_oracle_exit_3_when_no_start_reaches_a_root(tmp_path):
     code = cli.main(["oracle", _cfg_path("f2"), "--h", "0.05", "--out", str(out)])
     assert code == 3
     assert json.loads(out.read_text())["diagnostics"].startswith("NotConverged: Muller stalled")
+
+
+def test_semiclassical_commands_do_not_load_the_oracle():
+    code = ("import sys\n"
+            "from crosswidth import cli\n"
+            "codes = [cli.main(['bs', 'configs/f0.cfg', '--h', '0.05']),\n"
+            "         cli.main(['stphase', 'configs/f0.cfg', '--m', '1', '--h-list', '1e-2',\n"
+            "                   '--phi', 'x^2', '--sigma', '1'])]\n"
+            "print(codes, 'crosswidth.oracle' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    out = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines()[-1] == "[0, 0] False"
 
 
 def test_compare_csv(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,6 +130,111 @@ def test_oscillatory_budget(monkeypatch):
     monkeypatch.setattr(quadrature, "_NODE_BUDGET", 2000)
     with pytest.raises(BudgetExceeded):
         oscillatory_integral(lambda x: np.ones_like(x), lambda x: x * x, (-1, 1), 1e-7)
+
+
+def _panel_edges_depth_first(phi, lo, hi, h):
+    """Reference panel tree: the scalar depth-first bisection that
+    quadrature._panel_edges replaces, one phi call per tree node."""
+    stack = [(lo, hi, float(phi(lo)), float(phi(hi)), 0)]
+    accepted = []
+    while stack:
+        a, b, fa, fb, depth = stack.pop()
+        mdpt = 0.5 * (a + b)
+        fm = float(phi(mdpt))
+        resolved = max(abs(fm - fa), abs(fb - fm)) <= 0.5 * quadrature._PHASE_PER_PANEL * h
+        small_enough = (b - a) <= max(0.25 * h, (hi - lo) * 2.0 ** -40)
+        if (resolved and (b - a) <= (hi - lo) / 16) or small_enough or depth >= 48:
+            accepted.append((a, b))
+            if len(accepted) > quadrature._NODE_BUDGET // 28:
+                raise BudgetExceeded("oscillatory quadrature node budget hit")
+            continue
+        stack.append((mdpt, b, fm, fb, depth + 1))
+        stack.append((a, mdpt, fa, fm, depth + 1))
+    accepted.sort()
+    return np.array([a for a, _ in accepted] + [hi])
+
+
+_CRITERION7_H = (1e-2, 1e-3, 1e-4, 1e-5)
+
+
+@pytest.mark.parametrize("phase, interval, hs", [
+    ("x^2", (-1.0, 1.0), _CRITERION7_H),
+    ("x^3", (-1.0, 1.0), _CRITERION7_H),
+    ("x^4", (-1.0, 1.0), _CRITERION7_H),
+    ("sin(3*x) + x^2", (-1.0, 1.0), (1e-2, 1e-3, 1e-4)),
+    ("exp(x) - x", (-1.0, 1.0), (1e-2, 1e-3, 1e-4)),
+    ("log(2 + x) * x^2", (-0.7, 1.3), (1e-2, 1e-3, 1e-4)),
+    ("x^3 / (1 + x^2)", (0.1, 1.0), (1e-2, 1e-3, 1e-4)),
+])
+def test_panel_edges_match_depth_first_split(phase, interval, hs):
+    phi = exprs.compile_fn(exprs.parse(phase))
+    for h in hs:
+        got = quadrature._panel_edges(phi, *interval, h)
+        want = _panel_edges_depth_first(phi, *interval, h)
+        assert got.tolist() == want.tolist(), h
+
+
+def test_panel_edges_budget_matches_depth_first_split(monkeypatch):
+    phi = exprs.compile_fn(exprs.parse("x^2"))
+    panels = len(_panel_edges_depth_first(phi, -1.0, 1.0, 1e-4)) - 1
+    monkeypatch.setattr(quadrature, "_NODE_BUDGET", 28 * panels)
+    assert len(quadrature._panel_edges(phi, -1.0, 1.0, 1e-4)) == panels + 1
+    monkeypatch.setattr(quadrature, "_NODE_BUDGET", 28 * (panels - 1))
+    for split in (quadrature._panel_edges, _panel_edges_depth_first):
+        with pytest.raises(BudgetExceeded):
+            split(phi, -1.0, 1.0, 1e-4)
+
+
+def test_panel_tree_frontier_stays_within_budget(monkeypatch):
+    monkeypatch.setattr(quadrature, "_NODE_BUDGET", 28 * 100)
+    widest = []
+
+    def phi(x):
+        widest.append(np.size(x))
+        return x * x
+
+    with pytest.raises(BudgetExceeded):
+        quadrature._panel_edges(phi, -1.0, 1.0, 1e-7)
+    assert max(widest) <= 100
+
+
+def test_panel_tree_calls_phi_once_per_level():
+    calls = []
+
+    def phi(x):
+        calls.append(np.size(x))
+        return x * x
+
+    edges = quadrature._panel_edges(phi, -1.0, 1.0, 1e-5)
+    assert len(edges) - 1 == 45176
+    assert len(calls) <= 51
+
+
+@pytest.mark.parametrize("interval, h", [
+    ((-1.0, 1.0), 1e-4),  # 4842 panels
+    ((0.1, 1.0), 0.0002894266124716752),  # 769 panels: 12 blocks of 64 and one more
+])
+def test_oscillatory_integral_same_floats_for_any_block(monkeypatch, interval, h):
+    phi = exprs.compile_fn(exprs.parse("x^2"))
+    panels = len(quadrature._panel_edges(phi, *interval, h)) - 1
+    assert panels % 64 and panels % 1024
+    values = set()
+    for block in (64, 1024, panels):
+        monkeypatch.setattr(quadrature, "_PANEL_BLOCK", block)
+        values.add(oscillatory_integral(lambda x: np.cos(x) + 0.3 * x, phi, interval, h))
+    assert len(values) == 1
+
+
+def test_oscillatory_integral_memory_is_one_block():
+    phi = exprs.compile_fn(exprs.parse("x^2"))
+    sigma = exprs.compile_fn(exprs.parse("1"))
+    tracemalloc.start()
+    try:
+        oscillatory_integral(sigma, phi, (-1.0, 1.0), 1e-5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2 ** 20
 
 
 def test_stationary_phase_fresnel_value():

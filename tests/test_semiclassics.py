@@ -169,6 +169,35 @@ def test_bohr_sommerfeld_harmonic_closed_form():
         assert all(abs(a - b) < 1e-10 for a, b in zip(got, want))
 
 
+def test_level_solves_evaluate_each_bracket_end_once():
+    p = fixtures.harmonic()
+    lo, hi = 0.85, 1.15
+    calls = []
+
+    def action(E):
+        calls.append(E)
+        return quadrature.action_loop(p, E)
+
+    levels = bohr_sommerfeld(action, lo, hi, 0.05)
+    assert len(levels) == 3
+    assert calls.count(lo) == calls.count(hi) == 1
+
+
+def test_engine_grid_is_solved_once_per_h(f1_engine):
+    _, _, eng = f1_engine
+    first = eng.bohr_sommerfeld(0.06)
+    calls = []
+    eng.gamma1_action = lambda E: calls.append(E)
+    try:
+        second = eng.bohr_sommerfeld(0.06)
+    finally:
+        del eng.gamma1_action
+    assert calls == []
+    assert second == first and second is not first
+    second.clear()
+    assert eng.bohr_sommerfeld(0.06) == first
+
+
 def test_engine_grid_matches_loop_grid(f1arc_engine):
     _, _, eng = f1arc_engine
     h = 0.05
