@@ -10,6 +10,7 @@ from each tracked seed, and fits the width exponent.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from typing import List, Optional, Sequence
 
@@ -29,10 +30,14 @@ __all__ = [
     "select_anchor",
     "oracle_row",
     "compare_sweep",
+    "WorkerLost",
 ]
 
 # candidate anchors tried by select_anchor
 _ANCHOR_GRID = 192
+# rows handed out per round of oracle workers: a row is a 4-byte token, and
+# 4096 bytes fit any pipe in one write
+_ROUND_ROWS = 1024
 
 
 class ValidationFailed(Exception):
@@ -157,8 +162,95 @@ def oracle_row(cfg: RunConfig, report: StructureReport, m0: int, start: complex,
     return {"res": res, "im_green": im_green}
 
 
+class WorkerLost(RuntimeError):
+    """An oracle worker process ended without returning its rows."""
+
+
+def _oracle_rows(cfg: RunConfig, report: StructureReport, m0: int, jobs: Sequence[tuple]) -> list:
+    """``(ok, oracle_row(cfg, report, m0, start, h) or its exception)`` for
+    each ``(start, h)`` of ``jobs``, in order, or None for a row lost with
+    its worker process.
+
+    The rows run in up to one process per CPU of the affinity mask.  This
+    process forks the others, so they share its caches, and computes rows
+    too.  Every process takes the next row from a pipe of 4-byte tokens, the
+    most expensive (smallest h) first.  Each worker pickles its outcomes
+    back and ends with ``os._exit``.  With one CPU or one row nothing is
+    forked, and a failed fork leaves the rows to the processes running.
+    Workers are forked, not spawned, since a spawned one would rebuild the
+    caches; the only other thread is OpenBLAS's pool, which its own fork
+    handler stops.
+    """
+    import pickle
+    import signal
+
+    def take(tokens):
+        out = {}
+        while token := os.read(tokens, 4):
+            i = int.from_bytes(token, "little")
+            try:
+                out[i] = (True, oracle_row(cfg, report, m0, *jobs[i]))
+            except Exception as exc:  # the caller raises the first failure in h order
+                out[i] = (False, exc)
+        return out
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    order = sorted(range(len(jobs)), key=lambda i: jobs[i][1])  # a row costs about 1/h
+    done = {}
+    for lo in range(0, len(order), _ROUND_ROWS):
+        todo = order[lo:lo + _ROUND_ROWS]
+        tokens, w = os.pipe()
+        os.write(w, b"".join(i.to_bytes(4, "little") for i in todo))
+        os.close(w)
+        workers, reaped = {}, set()  # pid -> read end of its result pipe
+        try:
+            for _ in range(min(cpus, len(todo)) - 1):
+                r, w = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:
+                    os.close(r)
+                    os.close(w)
+                    break
+                if pid == 0:
+                    code = 1
+                    try:
+                        with os.fdopen(w, "wb") as fh:
+                            pickle.dump(take(tokens), fh)
+                        code = 0
+                    finally:
+                        os._exit(code)
+                os.close(w)
+                workers[pid] = r
+            done.update(take(tokens))
+            for pid, r in workers.items():
+                with os.fdopen(r, "rb", closefd=False) as fh:
+                    data = fh.read()
+                status = os.waitpid(pid, 0)[1]
+                reaped.add(pid)
+                if status == 0:
+                    done.update(pickle.loads(data))
+        finally:
+            os.close(tokens)
+            for pid, r in workers.items():
+                os.close(r)
+                if pid not in reaped:  # this process failed before collecting it
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+    return [done.get(i) for i in range(len(jobs))]
+
+
 def compare_sweep(cfg: RunConfig, h_list: Optional[Sequence[float]] = None) -> dict:
-    """Joined semiclassical/oracle table over the h sweep plus exponent fits."""
+    """Joined semiclassical/oracle table over the h sweep plus exponent fits.
+
+    The resonance tables and tracked seeds are computed here in h order; the
+    oracle rows then run in up to one process per CPU of the affinity mask
+    (``_oracle_rows``).  The result is byte-identical to one process's, and
+    so is a failure: the exception raised is that of the first failing h,
+    where an h's table comes before its oracle row, so the CLI exits with
+    that h's code and diagnostic.  A worker process that ends without
+    returning its rows raises ``WorkerLost`` naming their h.
+    """
     from . import oracle as oracle_mod
     hs = list(h_list if h_list is not None else (cfg.h_list or []))
     if len(hs) < 2:
@@ -166,13 +258,29 @@ def compare_sweep(cfg: RunConfig, h_list: Optional[Sequence[float]] = None) -> d
         raise ConfigError(f"compare needs at least two values of h (h_list or --h-list), got {len(hs)}")
     report, graph, engine = build_engine(cfg.problem, calib=cfg.calib, h_max=max(hs))
     anchor = select_anchor(engine, hs)
-    rows = []
+    tracked, failure = [], None
     for h in hs:
-        table = {entry["seed"]: entry for entry in engine.resonance_table(h)}
-        seed = tracked_seed(list(table), anchor)
-        entry = table[seed]
+        try:
+            table = {entry["seed"]: entry for entry in engine.resonance_table(h)}
+            seed = tracked_seed(list(table), anchor)
+            tracked.append((h, seed, table[seed]))
+        except Exception as exc:  # raised unless an earlier h's oracle row fails
+            failure = exc
+            break
+    outcomes = _oracle_rows(cfg, report, engine.m0,
+                            [(complex(seed, entry["im_pred"]), h) for h, seed, entry in tracked])
+    for (h, _, _), outcome in zip(tracked, outcomes):
+        if outcome is None:
+            lost = [h for (h, _, _), o in zip(tracked, outcomes) if o is None]
+            raise WorkerLost(f"an oracle worker process ended without returning the rows at h = "
+                             f"{', '.join(map(repr, lost))}")
+        if not outcome[0]:
+            raise outcome[1]
+    if failure is not None:
+        raise failure
+    rows = []
+    for (h, seed, entry), (_, row) in zip(tracked, outcomes):
         im_pred = entry["im_pred"]
-        row = oracle_row(cfg, report, engine.m0, complex(seed, im_pred), h)
         res = row["res"]
         rows.append(
             {

@@ -3,11 +3,13 @@
 Each case runs ``cli.main`` in-process and compares its exit code and its
 output with the files under ``tests/golden/``: byte for byte for the
 semiclassical commands, and at 1e-8 relative for the oracle, whose low
-digits depend on the BLAS build.  ``compare_f1.out`` is the shipped compare
-sweep on f1: its semiclassical columns and summary entries are compared
-exactly, its oracle columns and the summary entries built on them at 1e-8
-relative, and its ``residual`` column against the oracle's acceptance bound.  ``anchors.out`` pins the repr of ``pipeline.select_anchor`` over
-the shipped sweep on five configs, with the warning it gives when it falls
+digits depend on the BLAS build.  ``compare_f0.out``, ``compare_f1.out``
+and ``compare_f1_arc.out`` are the shipped compare sweeps on those configs:
+their semiclassical columns and summary entries are compared exactly, their
+oracle columns and the summary entries built on them at 1e-8 relative, and
+their ``residual`` column against the oracle's acceptance bound.
+``anchors.out`` pins the repr of ``pipeline.select_anchor`` over the
+shipped sweep on five configs, with the warning it gives when it falls
 back to e0.  ``count.out`` pins the argument-principle winding number (or
 the exception it raises) over the shipped sweep on six configs, and
 ``dips_f0.out`` the width dips of f0 with a digest of the one-switch D(E)
@@ -46,8 +48,12 @@ for _name in CONFIGS:
 for _m in (1, 2, 3):  # the stationary-phase arguments of acceptance criterion 7
     EXACT[f"stphase_m{_m}"] = ["stphase", "f0", "--m", str(_m), "--h-list", STPHASE_H,
                                "--phi", f"x^{_m + 1}", "--sigma", "1"]
+# compare runs that fail: the diagnostic is that of the first failing h, a
+# resonance table (CountMismatch) or an oracle row (NotConverged)
+EXACT["compare_f2"] = ["compare", "f2"]
+EXACT["compare_single_transversal"] = ["compare", "single_transversal"]
 APPROX = {"oracle_f0": ["oracle", "f0", "--h", "0.05"]}
-COMPARE = {"compare_f1": ["compare", "f1"]}
+COMPARE = {f"compare_{_name}": ["compare", _name] for _name in ("f0", "f1", "f1_arc")}
 SEMICLASSICAL_COLS = ("h", "seed", "pseudo_re", "pseudo_im", "D", "im_pred")
 ORACLE_COLS = ("re_oracle", "im_oracle", "im_green", "ratio")
 ANCHOR_CONFIGS = ("f0", "f1", "f1_arc", "f2", "single_transversal")
