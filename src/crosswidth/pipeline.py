@@ -35,9 +35,6 @@ __all__ = [
 
 # candidate anchors tried by select_anchor
 _ANCHOR_GRID = 192
-# rows handed out per round of oracle workers: a row is a 4-byte token, and
-# 4096 bytes fit any pipe in one write
-_ROUND_ROWS = 1024
 
 
 class ValidationFailed(Exception):
@@ -173,70 +170,86 @@ def _oracle_rows(cfg: RunConfig, report: StructureReport, m0: int, jobs: Sequenc
 
     The rows run in up to one process per CPU of the affinity mask.  This
     process forks the others, so they share its caches, and computes rows
-    too.  Every process takes the next row from a pipe of 4-byte tokens, the
-    most expensive (smallest h) first.  Each worker pickles its outcomes
-    back and ends with ``os._exit``.  With one CPU or one row nothing is
-    forked, and a failed fork leaves the rows to the processes running.
-    Workers are forked, not spawned, since a spawned one would rebuild the
-    caches; the only other thread is OpenBLAS's pool, which its own fork
-    handler stops.
+    too.  Every process takes the next row, in ``jobs`` order, from a pipe
+    of 4-byte tokens, each the index of a row.  A sweep of more than 1023
+    rows puts a run of rows behind each token, so that at most 1024 tokens,
+    4096 bytes, fit any pipe in one write.  Each worker first moves to its
+    own CPU of the mask, other than the one this process is on, and then
+    takes the whole mask back: left to the scheduler, a 2-vCPU Linux VM
+    at times kept a forked child on its parent's CPU, the two taking
+    turns, through a whole five-row sweep.  Each
+    worker pickles its outcomes back and ends with ``os._exit``.  With one
+    CPU or one row nothing is forked, and a failed fork leaves the rows to
+    the processes running.  Workers are forked, not spawned, since a
+    spawned one would rebuild the caches; the only other thread is
+    OpenBLAS's pool, which its own fork handler stops.
     """
     import pickle
     import signal
 
+    per = len(jobs) // 1024 + 1  # rows behind each token
+
     def take(tokens):
         out = {}
         while token := os.read(tokens, 4):
-            i = int.from_bytes(token, "little")
-            try:
-                out[i] = (True, oracle_row(cfg, report, m0, *jobs[i]))
-            except Exception as exc:  # the caller raises the first failure in h order
-                out[i] = (False, exc)
+            first = int.from_bytes(token, "little")
+            for i in range(first, min(first + per, len(jobs))):
+                try:
+                    out[i] = (True, oracle_row(cfg, report, m0, *jobs[i]))
+                except Exception as exc:  # the caller raises the first failure in h order
+                    out[i] = (False, exc)
         return out
 
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    order = sorted(range(len(jobs)), key=lambda i: jobs[i][1])  # a row costs about 1/h
-    done = {}
-    for lo in range(0, len(order), _ROUND_ROWS):
-        todo = order[lo:lo + _ROUND_ROWS]
-        tokens, w = os.pipe()
-        os.write(w, b"".join(i.to_bytes(4, "little") for i in todo))
-        os.close(w)
-        workers, reaped = {}, set()  # pid -> read end of its result pipe
-        try:
-            for _ in range(min(cpus, len(todo)) - 1):
-                r, w = os.pipe()
-                try:
-                    pid = os.fork()
-                except OSError:
-                    os.close(r)
-                    os.close(w)
-                    break
-                if pid == 0:
-                    code = 1
-                    try:
-                        with os.fdopen(w, "wb") as fh:
-                            pickle.dump(take(tokens), fh)
-                        code = 0
-                    finally:
-                        os._exit(code)
-                os.close(w)
-                workers[pid] = r
-            done.update(take(tokens))
-            for pid, r in workers.items():
-                with os.fdopen(r, "rb", closefd=False) as fh:
-                    data = fh.read()
-                status = os.waitpid(pid, 0)[1]
-                reaped.add(pid)
-                if status == 0:
-                    done.update(pickle.loads(data))
-        finally:
-            os.close(tokens)
-            for pid, r in workers.items():
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [0]
+    try:
+        with open("/proc/self/stat", "rb") as fh:  # field 39: the CPU this process is on
+            here = int(fh.read().rsplit(b")", 1)[1].split()[36])
+    except OSError:
+        here = None
+    others = [c for c in cpus if c != here]  # one for each worker
+    tokens, w = os.pipe()
+    os.write(w, b"".join(i.to_bytes(4, "little") for i in range(0, len(jobs), per)))
+    os.close(w)
+    done, workers, reaped = {}, {}, set()  # workers: pid -> read end of its result pipe
+    try:
+        for k in range(min(len(cpus), len(jobs)) - 1):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
                 os.close(r)
-                if pid not in reaped:  # this process failed before collecting it
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
+                os.close(w)
+                break
+            if pid == 0:
+                code = 1
+                try:
+                    try:
+                        os.sched_setaffinity(0, {others[k]})
+                        os.sched_setaffinity(0, cpus)
+                    except OSError:  # that CPU went offline: start anywhere
+                        pass
+                    with os.fdopen(w, "wb") as fh:
+                        pickle.dump(take(tokens), fh)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(w)
+            workers[pid] = r
+        done.update(take(tokens))
+        for pid, r in workers.items():
+            with os.fdopen(r, "rb", closefd=False) as fh:
+                data = fh.read()
+            status = os.waitpid(pid, 0)[1]
+            reaped.add(pid)
+            if status == 0:
+                done.update(pickle.loads(data))
+    finally:
+        os.close(tokens)
+        for pid, r in workers.items():
+            os.close(r)
+            if pid not in reaped:  # this process failed before collecting it
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
     return [done.get(i) for i in range(len(jobs))]
 
 

@@ -1,3 +1,4 @@
+import json
 import os
 import pickle
 import time
@@ -95,9 +96,6 @@ def test_compare_bytes_do_not_depend_on_the_process_count(monkeypatch, tmp_path)
     _cpus(monkeypatch, 4)  # three workers
     assert _compare_f1(tmp_path) == serial
     _no_child_left()
-    monkeypatch.setattr(pipeline, "_ROUND_ROWS", 2)  # three rounds of workers
-    assert _compare_f1(tmp_path) == serial
-    _no_child_left()
 
     def no_fork():
         raise BlockingIOError(11, "Resource temporarily unavailable")
@@ -105,6 +103,57 @@ def test_compare_bytes_do_not_depend_on_the_process_count(monkeypatch, tmp_path)
     monkeypatch.setattr(os, "fork", no_fork)  # the rows stay in this process
     assert _compare_f1(tmp_path) == serial
     assert serial[0] == 0
+
+
+def test_a_long_sweep_puts_runs_of_rows_behind_each_token(monkeypatch, tmp_path):
+    # 2500 rows are 834 tokens of three rows: every row runs once, in some
+    # process, and comes back in jobs order
+    log = tmp_path / "rows.log"
+
+    def row(cfg, report, m0, start, h):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{h}\n")
+        return h, os.getpid()
+
+    _cpus(monkeypatch, 4)
+    monkeypatch.setattr(pipeline, "oracle_row", row)
+    out = pipeline._oracle_rows(None, None, 2, [(0j, i) for i in range(2500)])
+    _no_child_left()
+    assert [value[0] for ok, value in out] == list(range(2500)) and all(ok for ok, _ in out)
+    assert len({value[1] for _, value in out}) > 1
+    assert sorted(map(int, log.read_text().split())) == list(range(2500))
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+def test_each_worker_starts_on_a_cpu_of_its_own(monkeypatch, tmp_path):
+    # a worker moves itself to one CPU of the mask, other than the one the
+    # parent was on when it forked, then takes the whole mask back
+    mask, parent, log = os.sched_getaffinity(0), os.getpid(), tmp_path / "cpus.log"
+    setaffinity = os.sched_setaffinity
+
+    def logged(pid, cpus):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {json.dumps(sorted(cpus))}\n")
+        setaffinity(pid, cpus)
+
+    def row(cfg, report, m0, start, h):
+        if os.getpid() == parent:
+            time.sleep(0.2)  # leave rows to the workers
+        return h
+
+    monkeypatch.setattr(os, "sched_setaffinity", logged)
+    monkeypatch.setattr(pipeline, "oracle_row", row)
+    pipeline._oracle_rows(None, None, 2, [(0j, h) for h in SWEEP])
+    _no_child_left()
+    assert os.sched_getaffinity(0) == mask
+    calls = {}
+    for line in log.read_text().splitlines():
+        pid, cpus = line.split(" ", 1)
+        calls.setdefault(int(pid), []).append(json.loads(cpus))
+    assert calls and parent not in calls
+    assert all(len(first) == 1 and first[0] in mask and rest == [sorted(mask)]
+               for first, *rest in calls.values())
+    assert len({first[0] for first, *_ in calls.values()}) == len(calls)
 
 
 def _rows_logged(monkeypatch, tmp_path, row):
