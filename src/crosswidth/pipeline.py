@@ -30,7 +30,6 @@ __all__ = [
     "select_anchor",
     "oracle_row",
     "compare_sweep",
-    "WorkerLost",
 ]
 
 # candidate anchors tried by select_anchor
@@ -159,60 +158,61 @@ def oracle_row(cfg: RunConfig, report: StructureReport, m0: int, start: complex,
     return {"res": res, "im_green": im_green}
 
 
-class WorkerLost(RuntimeError):
-    """An oracle worker process ended without returning its rows."""
-
-
 def _oracle_rows(cfg: RunConfig, report: StructureReport, m0: int, jobs: Sequence[tuple]) -> list:
     """``(ok, oracle_row(cfg, report, m0, start, h) or its exception)`` for
-    each ``(start, h)`` of ``jobs``, in order, or None for a row lost with
-    its worker process.
+    each ``(start, h)`` of ``jobs``, in order.
 
     The rows run in up to one process per CPU of the affinity mask.  This
     process forks the others, so they share its caches, and computes rows
     too.  Every process takes the next row, in ``jobs`` order, from a pipe
-    of 4-byte tokens, each the index of a row.  A sweep of more than 1023
-    rows puts a run of rows behind each token, so that at most 1024 tokens,
-    4096 bytes, fit any pipe in one write.  Each worker first moves to its
-    own CPU of the mask, other than the one this process is on, and then
-    takes the whole mask back: left to the scheduler, a 2-vCPU Linux VM
-    at times kept a forked child on its parent's CPU, the two taking
-    turns, through a whole five-row sweep.  Each
-    worker pickles its outcomes back and ends with ``os._exit``.  With one
-    CPU or one row nothing is forked, and a failed fork leaves the rows to
-    the processes running.  Workers are forked, not spawned, since a
-    spawned one would rebuild the caches; the only other thread is
-    OpenBLAS's pool, which its own fork handler stops.
+    of 4-byte tokens, each the index of a row.  Tokens go out for the first
+    1024 rows only, so that all of them, 4096 bytes, fit any pipe in one
+    write.  After the workers are reaped, this process computes, in order,
+    every row that no worker returned, a row past the 1024th or a lost
+    worker's (with a warning naming their h), so the outcomes never depend
+    on the process count or on a lost worker.  This process starts on the
+    mask's first CPU and worker k on its (k+1)-th, and each then takes the
+    whole mask back: left to the scheduler, a 2-vCPU Linux VM at times
+    kept a forked child on its parent's CPU, the two taking turns, through
+    a whole five-row sweep.  Each worker pickles its outcomes back and ends
+    with ``os._exit``.  With one CPU or one row nothing is forked, and a
+    failed fork leaves the rows to the processes running.  Workers are
+    forked, not spawned, since a spawned one would rebuild the caches; the
+    only other thread is OpenBLAS's pool, which its own fork handler stops.
     """
     import pickle
     import signal
 
-    per = len(jobs) // 1024 + 1  # rows behind each token
+    def row(i):
+        try:
+            return True, oracle_row(cfg, report, m0, *jobs[i])
+        except Exception as exc:  # the caller raises the first failure in h order
+            return False, exc
 
     def take(tokens):
         out = {}
         while token := os.read(tokens, 4):
-            first = int.from_bytes(token, "little")
-            for i in range(first, min(first + per, len(jobs))):
-                try:
-                    out[i] = (True, oracle_row(cfg, report, m0, *jobs[i]))
-                except Exception as exc:  # the caller raises the first failure in h order
-                    out[i] = (False, exc)
+            i = int.from_bytes(token, "little")
+            out[i] = row(i)
         return out
 
+    def start_on(cpu):
+        try:
+            os.sched_setaffinity(0, {cpu})
+        except OSError:  # that CPU went offline: start anywhere
+            return
+        os.sched_setaffinity(0, cpus)
+
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [0]
-    try:
-        with open("/proc/self/stat", "rb") as fh:  # field 39: the CPU this process is on
-            here = int(fh.read().rsplit(b")", 1)[1].split()[36])
-    except OSError:
-        here = None
-    others = [c for c in cpus if c != here]  # one for each worker
+    dealt = min(len(jobs), 1024)  # rows handed out by token
     tokens, w = os.pipe()
-    os.write(w, b"".join(i.to_bytes(4, "little") for i in range(0, len(jobs), per)))
+    os.write(w, b"".join(i.to_bytes(4, "little") for i in range(dealt)))
     os.close(w)
-    done, workers, reaped = {}, {}, set()  # workers: pid -> read end of its result pipe
+    done, workers = {}, {}  # workers: pid -> read end of its result pipe, until reaped
     try:
         for k in range(min(len(cpus), len(jobs)) - 1):
+            if k == 0:
+                start_on(cpus[0])
             r, w = os.pipe()
             try:
                 pid = os.fork()
@@ -221,36 +221,34 @@ def _oracle_rows(cfg: RunConfig, report: StructureReport, m0: int, jobs: Sequenc
                 os.close(w)
                 break
             if pid == 0:
-                code = 1
                 try:
-                    try:
-                        os.sched_setaffinity(0, {others[k]})
-                        os.sched_setaffinity(0, cpus)
-                    except OSError:  # that CPU went offline: start anywhere
-                        pass
+                    start_on(cpus[k + 1])
                     with os.fdopen(w, "wb") as fh:
                         pickle.dump(take(tokens), fh)
-                    code = 0
-                finally:
-                    os._exit(code)
+                    os._exit(0)
+                finally:  # a worker never returns to the caller
+                    os._exit(1)
             os.close(w)
             workers[pid] = r
         done.update(take(tokens))
-        for pid, r in workers.items():
-            with os.fdopen(r, "rb", closefd=False) as fh:
+        for pid in list(workers):
+            with os.fdopen(workers[pid], "rb", closefd=False) as fh:
                 data = fh.read()
             status = os.waitpid(pid, 0)[1]
-            reaped.add(pid)
+            os.close(workers.pop(pid))
             if status == 0:
                 done.update(pickle.loads(data))
     finally:
         os.close(tokens)
-        for pid, r in workers.items():
+        for pid, r in workers.items():  # this process failed before collecting them
             os.close(r)
-            if pid not in reaped:  # this process failed before collecting it
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-    return [done.get(i) for i in range(len(jobs))]
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    lost = [repr(jobs[i][1]) for i in range(dealt) if i not in done]
+    if lost:
+        warnings.warn(f"an oracle worker process ended without returning the rows at h = "
+                      f"{', '.join(lost)}; computing them here")
+    return [done[i] if i in done else row(i) for i in range(len(jobs))]
 
 
 def compare_sweep(cfg: RunConfig, h_list: Optional[Sequence[float]] = None) -> dict:
@@ -258,11 +256,11 @@ def compare_sweep(cfg: RunConfig, h_list: Optional[Sequence[float]] = None) -> d
 
     The resonance tables and tracked seeds are computed here in h order; the
     oracle rows then run in up to one process per CPU of the affinity mask
-    (``_oracle_rows``).  The result is byte-identical to one process's, and
-    so is a failure: the exception raised is that of the first failing h,
-    where an h's table comes before its oracle row, so the CLI exits with
-    that h's code and diagnostic.  A worker process that ends without
-    returning its rows raises ``WorkerLost`` naming their h.
+    (``_oracle_rows``).  The result is byte-identical to one process's,
+    whatever the process count and even when a worker is lost, and so is a
+    failure: the exception raised is that of the first failing h, where an
+    h's table comes before its oracle row, so the CLI exits with that h's
+    code and diagnostic.
     """
     from . import oracle as oracle_mod
     hs = list(h_list if h_list is not None else (cfg.h_list or []))
@@ -282,13 +280,9 @@ def compare_sweep(cfg: RunConfig, h_list: Optional[Sequence[float]] = None) -> d
             break
     outcomes = _oracle_rows(cfg, report, engine.m0,
                             [(complex(seed, entry["im_pred"]), h) for h, seed, entry in tracked])
-    for (h, _, _), outcome in zip(tracked, outcomes):
-        if outcome is None:
-            lost = [h for (h, _, _), o in zip(tracked, outcomes) if o is None]
-            raise WorkerLost(f"an oracle worker process ended without returning the rows at h = "
-                             f"{', '.join(map(repr, lost))}")
-        if not outcome[0]:
-            raise outcome[1]
+    for ok, outcome in outcomes:
+        if not ok:
+            raise outcome
     if failure is not None:
         raise failure
     rows = []

@@ -2,6 +2,7 @@ import json
 import os
 import pickle
 import time
+import warnings
 
 import pytest
 
@@ -105,9 +106,10 @@ def test_compare_bytes_do_not_depend_on_the_process_count(monkeypatch, tmp_path)
     assert serial[0] == 0
 
 
-def test_a_long_sweep_puts_runs_of_rows_behind_each_token(monkeypatch, tmp_path):
-    # 2500 rows are 834 tokens of three rows: every row runs once, in some
-    # process, and comes back in jobs order
+def test_rows_past_the_1024th_run_in_this_process(monkeypatch, tmp_path):
+    # tokens go out for the first 1024 of 2500 rows: every row runs once and
+    # comes back in jobs order, and the rest run here, in order, after the
+    # workers, with no warning
     log = tmp_path / "rows.log"
 
     def row(cfg, report, m0, start, h):
@@ -117,17 +119,21 @@ def test_a_long_sweep_puts_runs_of_rows_behind_each_token(monkeypatch, tmp_path)
 
     _cpus(monkeypatch, 4)
     monkeypatch.setattr(pipeline, "oracle_row", row)
-    out = pipeline._oracle_rows(None, None, 2, [(0j, i) for i in range(2500)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = pipeline._oracle_rows(None, None, 2, [(0j, i) for i in range(2500)])
     _no_child_left()
     assert [value[0] for ok, value in out] == list(range(2500)) and all(ok for ok, _ in out)
-    assert len({value[1] for _, value in out}) > 1
-    assert sorted(map(int, log.read_text().split())) == list(range(2500))
+    assert len({value[1] for _, value in out[:1024]}) > 1
+    assert {value[1] for _, value in out[1024:]} == {os.getpid()}
+    ran = list(map(int, log.read_text().split()))
+    assert sorted(ran) == list(range(2500)) and ran[1024:] == list(range(1024, 2500))
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
 def test_each_worker_starts_on_a_cpu_of_its_own(monkeypatch, tmp_path):
-    # a worker moves itself to one CPU of the mask, other than the one the
-    # parent was on when it forked, then takes the whole mask back
+    # this process moves to the mask's first CPU and each worker to another
+    # CPU of its own, and each then takes the whole mask back
     mask, parent, log = os.sched_getaffinity(0), os.getpid(), tmp_path / "cpus.log"
     setaffinity = os.sched_setaffinity
 
@@ -136,13 +142,8 @@ def test_each_worker_starts_on_a_cpu_of_its_own(monkeypatch, tmp_path):
             fh.write(f"{os.getpid()} {json.dumps(sorted(cpus))}\n")
         setaffinity(pid, cpus)
 
-    def row(cfg, report, m0, start, h):
-        if os.getpid() == parent:
-            time.sleep(0.2)  # leave rows to the workers
-        return h
-
     monkeypatch.setattr(os, "sched_setaffinity", logged)
-    monkeypatch.setattr(pipeline, "oracle_row", row)
+    monkeypatch.setattr(pipeline, "oracle_row", lambda cfg, report, m0, start, h: h)
     pipeline._oracle_rows(None, None, 2, [(0j, h) for h in SWEEP])
     _no_child_left()
     assert os.sched_getaffinity(0) == mask
@@ -150,8 +151,9 @@ def test_each_worker_starts_on_a_cpu_of_its_own(monkeypatch, tmp_path):
     for line in log.read_text().splitlines():
         pid, cpus = line.split(" ", 1)
         calls.setdefault(int(pid), []).append(json.loads(cpus))
-    assert calls and parent not in calls
-    assert all(len(first) == 1 and first[0] in mask and rest == [sorted(mask)]
+    assert calls.pop(parent) == [[min(mask)], sorted(mask)]
+    assert len(calls) == min(len(mask), len(SWEEP)) - 1
+    assert all(len(first) == 1 and first[0] in mask - {min(mask)} and rest == [sorted(mask)]
                for first, *rest in calls.values())
     assert len({first[0] for first, *_ in calls.values()}) == len(calls)
 
@@ -193,24 +195,34 @@ def test_first_failing_h_wins_across_workers(monkeypatch, tmp_path):
     assert sum(1 for h, in_parent in calls() if h in failures and not in_parent) >= 2
 
 
-def test_a_lost_worker_is_named_with_its_rows(monkeypatch, tmp_path):
-    def row(h, in_parent):
-        if not in_parent:
+def test_rows_a_lost_worker_took_run_in_this_process(monkeypatch, tmp_path):
+    # every worker dies on its first row: this process computes those rows
+    # after reaping the workers, warns naming their h, and prints the bytes
+    # of one process
+    _cpus(monkeypatch, 1)
+    serial = _compare_f1(tmp_path)
+    parent, compute, log = os.getpid(), pipeline.oracle_row, tmp_path / "lost.log"
+
+    def row(cfg, report, m0, start, h):
+        if os.getpid() != parent:
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{h!r}\n")
             os._exit(7)  # a worker dies without a result
-        time.sleep(0.3)
-        return None
+        time.sleep(0.3)  # leave rows to the workers
+        return compute(cfg, report, m0, start, h)
 
     _cpus(monkeypatch, 4)
-    calls = _rows_logged(monkeypatch, tmp_path, row)
+    monkeypatch.setattr(pipeline, "oracle_row", row)
     t0 = time.perf_counter()
-    with pytest.raises(pipeline.WorkerLost) as info:
-        compare_sweep(RunConfig(problem=fixtures.f1(), h_list=list(SWEEP)))
+    with pytest.warns(UserWarning, match="^an oracle worker process ended") as record:
+        assert _compare_f1(tmp_path) == serial
     assert time.perf_counter() - t0 < 30
     _no_child_left()
-    lost = [h for h in SWEEP if (h, True) not in calls()]
-    assert lost and all((h, False) in calls() for h in lost)
-    assert str(info.value) == ("an oracle worker process ended without returning the rows at h = "
-                               + ", ".join(map(repr, lost)))
+    lost = [h for h in SWEEP if repr(h) in log.read_text().split()]
+    assert lost and serial[0] == 0
+    assert [str(w.message) for w in record] == [
+        "an oracle worker process ended without returning the rows at h = "
+        + ", ".join(map(repr, lost)) + "; computing them here"]
 
 
 ROW_EXCEPTIONS = [
