@@ -4,9 +4,10 @@ crosswidth <analyze|bs|pseudo|widths|oracle|compare|stphase> <config> [flags]
 
 Outputs are deterministic for a fixed config: JSON for structured results,
 CSV for sweep tables, all floats printed with 17 significant digits.
-Exit codes: 0 success, 2 invalid input (structure validation, config,
-h, an expression undefined where it is evaluated, an --out path that
-cannot be opened), 3 numerical non-convergence.
+Exit codes: 0 success; 2 on an errors.InputError (invalid input) or an
+--out path that cannot be opened, printing the message; 3 on an
+errors.NumericalFailure (non-convergence), printing ``Type: message``.
+Anything else is a defect, reported as ``unexpected Type: message``, exit 3.
 """
 
 from __future__ import annotations
@@ -19,34 +20,10 @@ from typing import Optional
 import numpy as np
 
 from . import exprs, quadrature
-from .config import ConfigError, RunConfig, check_h_list, load_config
+from .config import ConfigError, RunConfig, check_h_list, load_config, parse_expr
+from .errors import InputError, NumericalFailure
 from .geometry import graph_to_dict
-from .model import StructureError
 from .pipeline import ValidationFailed, box_levels, build_engine, compare_sweep, oracle_row
-from .semiclassics import (BoxTooLarge, CountMismatch, HUnresolved, NewtonDiverged, SingularSystem,
-                           TopologyMismatch)
-
-_INPUT_ERRORS = (ValidationFailed, StructureError, ConfigError, BoxTooLarge, HUnresolved,
-                 quadrature.PreconditionViolated, exprs.DomainError)
-_CONVERGENCE_ERRORS = (
-    NewtonDiverged,
-    CountMismatch,
-    SingularSystem,
-    TopologyMismatch,
-    quadrature.QuadratureError,
-    quadrature.NoTurningPoints,
-)
-# the oracle's exceptions by exit code: only oracle and compare import the
-# oracle, so the other commands never load it
-_ORACLE_ERRORS = {2: ("BadContour", "TooManySteps"),
-                  3: ("NotConverged", "StepUnderflow", "PolesOnContour", "InsufficientData")}
-
-
-def _errors(errors: tuple, code: int) -> tuple:
-    """errors, plus the oracle's exceptions that exit with code once the
-    oracle is loaded (none can be raised before)."""
-    oracle = sys.modules.get(f"{__package__}.oracle")
-    return errors + tuple(getattr(oracle, name) for name in _ORACLE_ERRORS[code]) if oracle else errors
 
 
 def _fmt(x) -> str:
@@ -177,8 +154,7 @@ def cmd_compare(cfg: RunConfig, args) -> int:
 
 
 def cmd_stphase(cfg: RunConfig, args) -> int:
-    phi_ast = exprs.parse(args.phi)
-    sigma_ast = exprs.parse(args.sigma)
+    phi_ast, sigma_ast = parse_expr(args.phi, "--phi"), parse_expr(args.sigma, "--sigma")
     phi = exprs.compile_fn(phi_ast)
     sigma = exprs.compile_fn(sigma_ast)
     if len(args.interval) != 2:
@@ -279,15 +255,15 @@ def main(argv=None) -> int:
             check_h_list([args.h], "--h")
         if getattr(args, "h_list", None) is not None:
             check_h_list(args.h_list, "--h-list")
-    except (ConfigError, OSError, exprs.ExprSyntaxError) as exc:
+    except (InputError, OSError) as exc:
         _emit(_to_json({"diagnostics": str(exc)}), args.out)
         return 2
     try:
         return _COMMANDS[args.command](cfg, args)
-    except _errors(_INPUT_ERRORS, 2) as exc:
+    except InputError as exc:
         _emit(_to_json({"diagnostics": str(exc)}), args.out)
         return 2
-    except _errors(_CONVERGENCE_ERRORS, 3) as exc:
+    except NumericalFailure as exc:
         _emit(_to_json({"diagnostics": f"{type(exc).__name__}: {exc}"}), args.out)
         return 3
     except Exception as exc:  # never a bare crash; still signal failure

@@ -12,12 +12,13 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from . import exprs
+from .errors import InputError
 from .model import Problem
 
-__all__ = ["ConfigError", "RunConfig", "check_h_list", "load_config"]
+__all__ = ["ConfigError", "RunConfig", "check_h_list", "load_config", "parse_expr"]
 
 
-class ConfigError(ValueError):
+class ConfigError(InputError, ValueError):
     def __init__(self, message: str, line: Optional[int] = None):
         self.line = line
         where = f"line {line}: " if line is not None else ""
@@ -46,6 +47,14 @@ def _parse_float(raw: str, line: int, key: str) -> float:
         return float(raw)
     except ValueError as exc:
         raise ConfigError(f"key '{key}' needs a number, got {raw!r}", line) from exc
+
+
+def parse_expr(text: str, what: str, line: Optional[int] = None) -> exprs.ExprAst:
+    """text parsed, or a ConfigError naming what was malformed."""
+    try:
+        return exprs.parse(text)
+    except exprs.ExprSyntaxError as exc:
+        raise ConfigError(f"bad expression for {what}: {exc}", line) from exc
 
 
 def check_h_list(hs: Sequence[float], what: str, line: Optional[int] = None) -> None:
@@ -93,10 +102,7 @@ def load_config(path: str) -> RunConfig:
             raise ConfigError(f"missing required problem key '{key}'")
 
     def expr_of(key: str):
-        try:
-            return exprs.parse(prob[key])
-        except exprs.ExprSyntaxError as exc:
-            raise ConfigError(f"bad expression for '{key}': {exc}", lineno_of[("problem", key)]) from exc
+        return parse_expr(prob[key], f"'{key}'", lineno_of[("problem", key)])
 
     win_raw = prob["window"].split(",")
     if len(win_raw) != 2:
@@ -106,20 +112,15 @@ def load_config(path: str) -> RunConfig:
         _parse_float(win_raw[1], lineno_of[("problem", "window")], "window"),
     )
 
-    try:
-        problem = Problem(
-            v1=expr_of("v1"),
-            v2=expr_of("v2"),
-            r0=expr_of("r0"),
-            r1=expr_of("r1"),
-            e0=_parse_float(prob["e0"], lineno_of[("problem", "e0")], "e0"),
-            window=window,
-            L=_parse_float(prob["L"], lineno_of[("problem", "L")], "L"),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
+    problem = Problem(
+        v1=expr_of("v1"),
+        v2=expr_of("v2"),
+        r0=expr_of("r0"),
+        r1=expr_of("r1"),
+        e0=_parse_float(prob["e0"], lineno_of[("problem", "e0")], "e0"),
+        window=window,
+        L=_parse_float(prob["L"], lineno_of[("problem", "L")], "L"),
+    )
 
     h_list = None
     if "h_list" in values["sweep"]:

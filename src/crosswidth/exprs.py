@@ -19,6 +19,8 @@ from typing import Callable, List, Union
 
 import numpy as np
 
+from .errors import InputError
+
 __all__ = [
     "ExprAst",
     "TaylorJet",
@@ -36,7 +38,7 @@ __all__ = [
 FUNCTIONS = ("exp", "log", "sin", "cos", "sinh", "cosh", "tanh", "sqrt")
 
 
-class ExprSyntaxError(ValueError):
+class ExprSyntaxError(InputError, ValueError):
     """Malformed expression text.
 
     Carries the character offset of the failure and a description of what
@@ -49,7 +51,7 @@ class ExprSyntaxError(ValueError):
         super().__init__(f"at offset {offset}: expected {expected}")
 
 
-class DomainError(ArithmeticError):
+class DomainError(InputError, ArithmeticError):
     """Evaluation hit a pole, a branch cut or an overflow (division by
     zero, log of a non-positive or sqrt of a negative real, sqrt jet of
     order >= 1 at a root, exp/sinh/cosh overflow)."""

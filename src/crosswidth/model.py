@@ -18,6 +18,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from . import exprs
+from .errors import InputError
 from .exprs import ExprAst
 
 __all__ = [
@@ -42,7 +43,7 @@ __all__ = [
 ]
 
 
-class StructureError(Exception):
+class StructureError(InputError):
     """A geometric hypothesis failed numerically."""
 
 
@@ -94,13 +95,13 @@ class Problem:
 
     def __post_init__(self):
         if not all(math.isfinite(w) for w in self.window):
-            raise ValueError(f"window bounds must be finite, got {self.window!r}")
+            raise InputError(f"window bounds must be finite, got {self.window!r}")
         if not self.window[0] < self.window[1]:
-            raise ValueError("window must satisfy x_min < x_max")
+            raise InputError("window must satisfy x_min < x_max")
         if not self.L > 0:
-            raise ValueError("L must be positive")
+            raise InputError("L must be positive")
         if not math.isfinite(self.e0):
-            raise ValueError("e0 must be finite")
+            raise InputError("e0 must be finite")
 
     # compiled evaluators, built once on first use
     @cached_property

@@ -42,6 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .errors import InputError, NumericalFailure
 from .model import Problem, StructureReport
 
 # the ODE counter of perfbench/tracer.py wraps this name; the oracle steps
@@ -68,23 +69,23 @@ __all__ = [
 ]
 
 
-class BadContour(ValueError):
+class BadContour(InputError, ValueError):
     """The contour parameters theta, R0 or X are out of range."""
 
 
-class StepUnderflow(Exception):
+class StepUnderflow(NumericalFailure):
     pass
 
 
-class PolesOnContour(Exception):
+class PolesOnContour(NumericalFailure):
     pass
 
 
-class NotConverged(Exception):
+class NotConverged(NumericalFailure):
     pass
 
 
-class InsufficientData(ValueError):
+class InsufficientData(NumericalFailure, ValueError):
     pass
 
 
@@ -369,7 +370,7 @@ _SLICE_STEPS = 1024
 _BUILD_STEPS = 512
 
 
-class TooManySteps(ValueError):
+class TooManySteps(InputError, ValueError):
     """h is so small that the shooting plan exceeds _MAX_STEPS padded
     Magnus steps."""
 

@@ -17,6 +17,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .config import ConfigError, RunConfig
+from .errors import InputError
 from .geometry import build_graph
 from .model import Problem, StructureReport, validate_structure
 from .semiclassics import SemiclassicsEngine, TopologyMismatch, energy_domain
@@ -36,7 +37,7 @@ __all__ = [
 _ANCHOR_GRID = 192
 
 
-class ValidationFailed(Exception):
+class ValidationFailed(InputError):
     def __init__(self, report: StructureReport):
         self.report = report
         bad = [name for name, (ok, _) in report.assumption_flags.items() if not ok]

@@ -18,6 +18,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
 
+from .errors import InputError, NumericalFailure
 from .geometry import Edge
 from .model import ROOT_TOL, SCAN_POINTS, DegenerateTurningPoint, Problem, brentq, turning_points
 
@@ -40,11 +41,11 @@ __all__ = [
 ]
 
 
-class NoTurningPoints(Exception):
+class NoTurningPoints(NumericalFailure):
     pass
 
 
-class QuadratureError(Exception):
+class QuadratureError(NumericalFailure):
     pass
 
 
@@ -52,7 +53,7 @@ class BudgetExceeded(QuadratureError):
     pass
 
 
-class PreconditionViolated(ValueError):
+class PreconditionViolated(InputError, ValueError):
     pass
 
 

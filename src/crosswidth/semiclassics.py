@@ -21,6 +21,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import quadrature
+from .errors import InputError, NumericalFailure
 from .geometry import Edge, Graph, PathSeq, paths_one_switch, primitive_cycles
 from .model import CrossingPoint, Problem, StructureReport, brentq
 from .quadrature import ActionFn, ActionTable, action_derivative, action_edge
@@ -100,27 +101,27 @@ def bohr_sommerfeld(action: Callable[[float], float], lo: float, hi: float,
     return _level_crossings(action, lo, hi, levels)
 
 
-class BoxTooLarge(ValueError):
+class BoxTooLarge(InputError, ValueError):
     """The resonance box e0 +/- L*h does not fit the energy domain."""
 
 
-class HUnresolved(ValueError):
+class HUnresolved(InputError, ValueError):
     """h is too small for the Bohr-Sommerfeld levels to be told apart."""
 
 
-class SingularSystem(Exception):
+class SingularSystem(NumericalFailure):
     pass
 
 
-class NewtonDiverged(Exception):
+class NewtonDiverged(NumericalFailure):
     pass
 
 
-class CountMismatch(Exception):
+class CountMismatch(NumericalFailure):
     pass
 
 
-class TopologyMismatch(Exception):
+class TopologyMismatch(NumericalFailure):
     pass
 
 

@@ -15,6 +15,11 @@ def f1_engine():
 
 
 @pytest.fixture(scope="session")
+def f1_varying_r1_engine():
+    return pipeline.build_engine(fixtures.f1_varying_r1(), calib=1.0, h_max=0.08)
+
+
+@pytest.fixture(scope="session")
 def f1arc_engine():
     return pipeline.build_engine(fixtures.f1_arc(), calib=1.0, h_max=0.08)
 

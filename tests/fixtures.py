@@ -68,7 +68,7 @@ def f0_decoupled() -> Problem:
     return _problem("0.1 - 0.6*tanh(x)", r0="0", r1="0")
 
 
-def f1(x_c: float = -0.2) -> Problem:
+def f1(x_c: float = -0.2, r1: str = "0.15") -> Problem:
     """Order-2 tangency at x_c: V2 = mu - nu*tanh(x) with (mu, nu) from the
     2x2 value/slope match.
 
@@ -78,7 +78,13 @@ def f1(x_c: float = -0.2) -> Problem:
     exponent clean over the shipped h sweep.
     """
     mu, nu = (float(v) for v in tangency_params(x_c, 2))
-    return _problem(f"{mu!r} - {nu!r}*tanh(x)")
+    return _problem(f"{mu!r} - {nu!r}*tanh(x)", r1=r1)
+
+
+def f1_varying_r1() -> Problem:
+    """f1 with r1 = 0.15 + 0.05*tanh(x): the one problem whose r1 is not
+    constant, so the oracle's Omega cubic keeps its E^2 coefficient."""
+    return f1(r1="0.15 + 0.05*tanh(x)")
 
 
 def f1_arc(x_c: float = -1.0) -> Problem:

@@ -463,6 +463,18 @@ def test_expression_undefined_at_a_point_exits_2(tmp_path, r0, argv, problem):
     assert json.loads(out.read_text())["diagnostics"] == problem
 
 
+@pytest.mark.parametrize("flags, problem", [
+    (["--phi", "x^", "--sigma", "1"], "bad expression for --phi: at offset 2: expected an integer exponent"),
+    (["--phi", "x^2", "--sigma", "y"],
+     "bad expression for --sigma: at offset 0: expected a known identifier (got 'y')"),
+], ids=["phi", "sigma"])
+def test_stphase_malformed_expression_exits_2_naming_the_flag(tmp_path, flags, problem):
+    out = tmp_path / "out.json"
+    code = cli.main([_STPHASE[0], _cfg_path("f0"), *_STPHASE[1:], *flags, "--out", str(out)])
+    assert code == 2
+    assert json.loads(out.read_text())["diagnostics"] == problem
+
+
 @pytest.mark.parametrize("x0", ["nan", "inf", "-inf"])
 def test_stphase_non_finite_x0_exits_2(tmp_path, x0):
     out = tmp_path / "out.json"

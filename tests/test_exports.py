@@ -56,3 +56,20 @@ def test_removed_names_stay_gone():
     # the fit residual bound is a constant
     assert not hasattr(semiclassics, "_CACHE_TOL")
     assert "tol" not in inspect.signature(quadrature.ActionFn.build).parameters
+
+
+def test_every_exception_has_one_exit_code_base():
+    # the base an exception derives from sets the CLI's exit code, so cli
+    # keeps no list of exception classes; InternalInconsistency alone is a
+    # defect, for the catch-all
+    from crosswidth import cli, errors, geometry
+
+    bases = (errors.InputError, errors.NumericalFailure)
+    classes = {obj for mod in MODULES for obj in vars(mod).values()
+               if isinstance(obj, type) and issubclass(obj, Exception) and not issubclass(obj, Warning)
+               and obj.__module__ == mod.__name__ and obj not in bases}
+    assert len(classes) > 20
+    assert {cls for cls in classes if issubclass(cls, bases[0]) == issubclass(cls, bases[1])} \
+        == {geometry.InternalInconsistency}
+    assert not issubclass(geometry.InternalInconsistency, bases)
+    assert not {"_INPUT_ERRORS", "_CONVERGENCE_ERRORS", "_ORACLE_ERRORS", "_errors"} & set(vars(cli))

@@ -396,24 +396,24 @@ def test_step_propagators_match_scipy_per_step(f1_engine):
             assert np.linalg.norm(fourth - want) / np.linalg.norm(want) > 1e-11
 
 
-def test_omega_cubic_matches_scipy_per_step(f1_engine):
+def test_omega_cubic_matches_scipy_per_step(f1_engine, f1_varying_r1_engine):
     # the cubic in E that MatchingProblem caches, evaluated at a complex E
-    # near a resonance, one further off and a real one, then exponentiated
-    rep, _, eng = f1_engine
-    p = eng.p
+    # near a resonance, one further off and a real one, then exponentiated.
+    # The coefficients _omega keeps: Omega3 vanishes on every step, and
+    # Omega2 too where r1 is constant (f1), so those are dropped; a varying
+    # r1 keeps Omega2, and _horner's loop runs (measured: at most 1.3e-16)
     h = 0.05
-    c = default_contour(p, rep, h)
     base = complex(0.76, -3e-4)
-    for ts, z0, phi in _test_chunks(c, h):
-        cubic = oracle._omega_cubic(p, h, ts, z0, phi)
-        # the coefficients _omega keeps: f1's r1 is constant, so Omega2 and
-        # Omega3 vanish on every step and are dropped
-        assert len(cubic) == 2
-        for E in (base, base - 0.06 - 0.02j, complex(0.71)):
-            got = oracle._expm(oracle._horner(cubic, E))
-            for k in range(len(ts) - 1):
-                want, _ = _sixth_order_reference(p, E, h, ts, k, z0, phi)
-                assert np.linalg.norm(got[..., k] - want) / np.linalg.norm(want) < 1e-13
+    for (rep, _, eng), n_coefs in ((f1_engine, 2), (f1_varying_r1_engine, 3)):
+        p = eng.p
+        for ts, z0, phi in _test_chunks(default_contour(p, rep, h), h):
+            cubic = oracle._omega_cubic(p, h, ts, z0, phi)
+            assert len(cubic) == n_coefs
+            for E in (base, base - 0.06 - 0.02j, complex(0.71)):
+                got = oracle._expm(oracle._horner(cubic, E))
+                for k in range(len(ts) - 1):
+                    want, _ = _sixth_order_reference(p, E, h, ts, k, z0, phi)
+                    assert np.linalg.norm(got[..., k] - want) / np.linalg.norm(want) < 1e-13
 
 
 def test_matching_builds_each_cubic_once(f1_engine, monkeypatch):
@@ -449,13 +449,13 @@ def test_matching_builds_each_cubic_once(f1_engine, monkeypatch):
 
 
 @pytest.mark.parametrize("h", [0.08, 0.03])
-@pytest.mark.parametrize("engine", ["f0_engine", "f1_engine"])
+@pytest.mark.parametrize("engine", ["f0_engine", "f1_engine", "f1_varying_r1_engine"])
 def test_stacked_matching_matches_per_chunk_reference(engine, h, request):
     # f1's chunks (98 and 106 steps at h = 0.08, 188 and 200 at 0.03) are
     # padded in the stack.  The columns are scaled to unit norm at the
     # first point, so |W| is of order 1 at most, and W agrees with the
     # per-chunk walk of propagate to 1e-12 on that scale (measured: at
-    # most 7.8e-13).
+    # most 7.8e-13).  With a varying r1 the stacked cubics hold Omega2.
     # Relative to |W| the bound would fail on f0 at h = 0.03 for the
     # unstacked cubic W too: there its cubic Omega and the per-chunk Omega
     # at E put W 1.3e-11 apart relative to |W| = 0.029
@@ -472,6 +472,7 @@ def test_stacked_matching_matches_per_chunk_reference(engine, h, request):
             scales = np.maximum(np.linalg.norm(A, axis=0), 1e-300)
         want = complex(np.linalg.det(A / scales[None, :]))
         assert abs(mp.W(E) - want) <= 1e-12
+    assert len(mp._cubic) == (3 if engine == "f1_varying_r1_engine" else 2)
 
 
 @pytest.mark.parametrize("h", [0.08, 0.03, 0.005, 0.001])
