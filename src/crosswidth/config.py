@@ -69,8 +69,11 @@ def check_h_list(hs: Sequence[float], what: str, line: Optional[int] = None) -> 
 
 
 def load_config(path: str) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"the config is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     section = None
     values = {name: {} for name in _SECTIONS}
     lineno_of = {}

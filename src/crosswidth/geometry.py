@@ -88,29 +88,13 @@ class Edge:
     def arc_length(self) -> float:
         return sum(pc.width for pc in self.pieces)
 
-    def sub_pieces(self, flo: float, fhi: float) -> Tuple[List[Piece], int]:
-        """Trimmed piece chain covering arc fractions [flo, fhi], plus the
-        number of turning points strictly inside the sub-segment."""
+    def sub_pieces(self, flo: float, fhi: float) -> List[Piece]:
+        """Trimmed piece chain covering arc fractions [flo, fhi] (see
+        _cut); its pieces meet at the sub-segment's interior turning
+        points, so there are len(result) - 1 of them."""
         if not 0.0 <= flo <= fhi <= 1.0:
             raise ValueError("fractions must satisfy 0 <= flo <= fhi <= 1")
-        L = self.arc_length
-        slo, shi = flo * L, fhi * L
-        out: List[Piece] = []
-        acc = 0.0
-        for pc in self.pieces:
-            s0, s1 = acc, acc + pc.width
-            a, b = max(slo, s0), min(shi, s1)
-            if b > a:
-                if pc.xi_sign > 0:
-                    xl, xh = pc.x_lo + (a - s0), pc.x_lo + (b - s0)
-                else:
-                    xl, xh = pc.x_hi - (b - s0), pc.x_hi - (a - s0)
-                lo_turn = pc.lo_turn and xl == pc.x_lo
-                hi_turn = pc.hi_turn and xh == pc.x_hi
-                out.append(Piece(xl, xh, pc.xi_sign, lo_turn, hi_turn))
-            acc = s1
-        nu = sum(1 for s in _junction_arcs(self.pieces) if slo < s < shi)
-        return out, nu
+        return _cut(self.pieces, flo, fhi)
 
 
 @dataclass(frozen=True)
@@ -191,17 +175,30 @@ def _junction_arcs(pieces: Tuple[Piece, ...]) -> List[float]:
     return arcs
 
 
-def _arc_to_x(pieces: Tuple[Piece, ...], frac: float) -> float:
-    """x-coordinate at the given fraction of the arc length."""
+def _cut(pieces: Tuple[Piece, ...], flo: float, fhi: float) -> List[Piece]:
+    """The pieces covering arc fractions [flo, fhi], trimmed.  Whether the
+    cut leaves a piece's end whole is decided in arc length: a whole
+    turning-point end keeps its flag and its x, and every other end is
+    placed by arc length.  A piece the cut meets in a point only is left
+    out, so the pieces meet at the turning points strictly inside."""
     total = sum(pc.width for pc in pieces)
-    s = frac * total
+    slo, shi = flo * total, fhi * total
+    out: List[Piece] = []
     acc = 0.0
     for pc in pieces:
-        if s <= acc + pc.width or pc is pieces[-1]:
-            d = s - acc
-            return pc.x_lo + d if pc.xi_sign > 0 else pc.x_hi - d
-        acc += pc.width
-    return pieces[-1].x_hi
+        s0, s1 = acc, acc + pc.width
+        a, b = max(slo, s0), min(shi, s1)
+        if b > a:
+            if pc.xi_sign > 0:
+                xl, xh = pc.x_lo + (a - s0), pc.x_lo + (b - s0)
+                lo_turn, hi_turn = pc.lo_turn and a == s0, pc.hi_turn and b == s1
+            else:
+                xl, xh = pc.x_hi - (b - s0), pc.x_hi - (a - s0)
+                lo_turn, hi_turn = pc.lo_turn and b == s1, pc.hi_turn and a == s0
+            out.append(Piece(pc.x_lo if lo_turn else xl, pc.x_hi if hi_turn else xh, pc.xi_sign,
+                             lo_turn, hi_turn))
+        acc = s1
+    return out
 
 
 def _pick_base_frac(pieces: Tuple[Piece, ...], vfn, e_floor: float) -> float:
@@ -217,7 +214,8 @@ def _pick_base_frac(pieces: Tuple[Piece, ...], vfn, e_floor: float) -> float:
     for cand in _BASE_CANDIDATES:
         if any(abs(cand - j) <= 1e-3 for j in juncs):
             continue
-        if float(vfn(_arc_to_x(pieces, cand))) >= e_floor - 1e-9:
+        end = _cut(pieces, 0.0, cand)[-1]
+        if float(vfn(end.x_hi if end.xi_sign > 0 else end.x_lo)) >= e_floor - 1e-9:
             continue
         return cand
     raise InternalInconsistency("no admissible base fraction found")

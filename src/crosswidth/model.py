@@ -10,7 +10,6 @@ with their contact orders.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, List, Optional, Tuple
@@ -35,7 +34,6 @@ __all__ = [
     "CrossingAtTurningPoint",
     "ContactOrderOverflow",
     "NoCrossing",
-    "MissedBracket",
     "brentq",
     "turning_points",
     "crossing_points",
@@ -61,10 +59,6 @@ class ContactOrderOverflow(StructureError):
 
 class NoCrossing(StructureError):
     pass
-
-
-class MissedBracket(UserWarning):
-    """Grid-level sign pattern was inconsistent on refinement."""
 
 
 # Fixed accuracy targets of the structure checks: brentq's xtol for turning
@@ -245,17 +239,10 @@ def brentq(f: Callable[[float], float], a: float, b: float, xtol: float,
     raise RuntimeError(f"failed to converge after 100 iterations, value is {xcur!r}")
 
 
-def _refine_root(fn, lo: float, hi: float, tol: float) -> float:
-    try:
-        return brentq(fn, lo, hi, tol)
-    except ValueError as exc:
-        warnings.warn(MissedBracket(f"bracket [{lo}, {hi}] lost its sign change: {exc}"))
-        raise
-
-
 def _scan(fn: Callable, xs: np.ndarray, what: str) -> Tuple[np.ndarray, List[float]]:
     """fn sampled on the grid xs, and its roots there: the grid points where
-    it is 0 and, refined, one in each interval where it changes sign.
+    it is 0 and, refined from the sampled ends, one in each interval where
+    it changes sign.
     Raises StructureError, naming ``what`` and x, where a sample is not
     finite (a pole on the grid), before any root is refined."""
     with np.errstate(all="ignore"):
@@ -264,7 +251,8 @@ def _scan(fn: Callable, xs: np.ndarray, what: str) -> Tuple[np.ndarray, List[flo
     if bad.any():
         raise StructureError(f"{what} is not finite at x = {xs[np.argmax(bad)]:.12g}")
     hits = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0))
-    roots = [xs[i] if vals[i] == 0.0 else _refine_root(lambda x: float(fn(x)), xs[i], xs[i + 1], ROOT_TOL)
+    roots = [xs[i] if vals[i] == 0.0
+             else brentq(lambda x: float(fn(x)), xs[i], xs[i + 1], ROOT_TOL, (vals[i], vals[i + 1]))
              for i in hits]
     if vals[-1] == 0.0:
         roots.append(xs[-1])
@@ -369,8 +357,9 @@ def crossing_points(p: Problem) -> List[CrossingPoint]:
     minima = ((absg[1:-1] < absg[:-2]) & (absg[1:-1] <= absg[2:])
               & (g[:-2] * g[1:-1] > 0) & (g[1:-1] * g[2:] > 0))
     for i in np.flatnonzero(minima) + 1:
-        if gpfn(xs[i - 1]) * gpfn(xs[i + 1]) < 0:
-            x_star = _refine_root(gpfn, xs[i - 1], xs[i + 1], ROOT_TOL)
+        ga, gb = gpfn(xs[i - 1]), gpfn(xs[i + 1])
+        if ga * gb < 0:
+            x_star = brentq(gpfn, xs[i - 1], xs[i + 1], ROOT_TOL, (ga, gb))
             if abs(gfn(x_star)) <= ROOT_TOL * max(1.0, gscale):
                 roots.append(x_star)
     roots.sort()

@@ -250,8 +250,9 @@ def _resolve_turn(p: Problem, channel: int, E: float, x0: float) -> float:
     d = max(1e-9, 4.0 * abs(E - float(vfn(x0))) / max(abs(slope), 1e-9))
     for _ in range(60):
         lo, hi = x0 - d, x0 + d
-        if f(lo) * f(hi) < 0:
-            x = p.turns[key] = brentq(f, lo, hi, ROOT_TOL)
+        flo, fhi = f(lo), f(hi)
+        if flo * fhi < 0:
+            x = p.turns[key] = brentq(f, lo, hi, ROOT_TOL, (flo, fhi))
             return x
         d *= 2.0
         if d > 10.0:
@@ -269,7 +270,7 @@ def action_edge(p: Problem, edge: Edge, E, flo: float = 0.0, fhi: float = 1.0):
     """
     Es = np.atleast_1d(np.asarray(E, dtype=float))
     energies = Es.tolist()
-    pieces, _ = edge.sub_pieces(flo, fhi)
+    pieces = edge.sub_pieces(flo, fhi)
     total = np.zeros(len(Es))
     for pc in pieces:
         lo, hi = np.full(len(Es), pc.x_lo), np.full(len(Es), pc.x_hi)

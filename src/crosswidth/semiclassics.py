@@ -346,7 +346,7 @@ class SemiclassicsEngine:
                     nu = edge.nu
                 else:
                     first.append(self._column((eid, flo, fhi)))
-                    _, nu = edge.sub_pieces(flo, fhi)
+                    nu = len(edge.sub_pieces(flo, fhi)) - 1
                 nu_terms.append(math.pi * nu / 2.0)
             plan = self._plans[key] = tuple(np.array(a, dtype=t) for a, t in (
                 (first, int), (full, int), (second, int), (nu_terms, float), (units, int)))

@@ -68,7 +68,7 @@ def f0_decoupled() -> Problem:
     return _problem("0.1 - 0.6*tanh(x)", r0="0", r1="0")
 
 
-def f1(x_c: float = -0.2, r1: str = "0.15") -> Problem:
+def f1(x_c: float = -0.2, r1: str = "0.15", e0: float = 0.75) -> Problem:
     """Order-2 tangency at x_c: V2 = mu - nu*tanh(x) with (mu, nu) from the
     2x2 value/slope match.
 
@@ -78,7 +78,7 @@ def f1(x_c: float = -0.2, r1: str = "0.15") -> Problem:
     exponent clean over the shipped h sweep.
     """
     mu, nu = (float(v) for v in tangency_params(x_c, 2))
-    return _problem(f"{mu!r} - {nu!r}*tanh(x)", r1=r1)
+    return _problem(f"{mu!r} - {nu!r}*tanh(x)", r1=r1, e0=e0)
 
 
 def f1_varying_r1() -> Problem:
@@ -96,11 +96,11 @@ def f1_arc(x_c: float = -1.0) -> Problem:
     return _problem(f"{mu!r} - {nu!r}*tanh(x)")
 
 
-def f2(x_c: float = -1.0) -> Problem:
+def f2(x_c: float = -1.0, e0: float = 0.75) -> Problem:
     """Order-3 tangency at x_c: V2 = mu - nu*tanh(x) - sigma*tanh(x)^3 from
     the 3x3 match (value, slope, curvature)."""
     mu, nu, sigma = (float(v) for v in tangency_params(x_c, 3))
-    return _problem(f"{mu!r} - {nu!r}*tanh(x) - {sigma!r}*tanh(x)^3")
+    return _problem(f"{mu!r} - {nu!r}*tanh(x) - {sigma!r}*tanh(x)^3", e0=e0)
 
 
 def single_transversal() -> Problem:

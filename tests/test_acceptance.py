@@ -209,14 +209,15 @@ def test_criterion_10_invariance_suite(f0_engine, f1arc_engine):
     d_ref = eng1.width_coefficient(E, h, "one_switch").D
     worst_base = 0.0
     rng = random.Random(21)
-    from crosswidth.geometry import _arc_to_x, _junction_arcs
+    from crosswidth.geometry import _cut, _junction_arcs
 
     def random_frac(e, eng):
         vfn = eng.p.v_np(e.channel)
         for _ in range(100):
             f = rng.uniform(0.01, 0.3)
             juncs_ok = all(abs(f - a / e.arc_length) > 2e-3 for a in _junction_arcs(e.pieces))
-            if juncs_ok and float(vfn(_arc_to_x(e.pieces, f))) < eng.domain[0] - 0.01:
+            end = _cut(e.pieces, 0.0, f)[-1]
+            if juncs_ok and float(vfn(end.x_hi if end.xi_sign > 0 else end.x_lo)) < eng.domain[0] - 0.01:
                 return f
         return e.base_frac
 

@@ -111,7 +111,7 @@ def test_contour_phases_and_entries_follow_python_complex_arithmetic(f0_engine):
     segs = []
     for eid, flo, fhi in engine._halves:
         fit = engine._fits[(eid, flo, fhi)]
-        _, nu = engine._edges_sorted[engine._index[eid]].sub_pieces(flo, fhi)
+        nu = len(engine._edges_sorted[engine._index[eid]].sub_pieces(flo, fhi)) - 1
         segs.append((fit.cheb, fit.cheb.deriv(), nu))
     want = []
     for z in zs.tolist():

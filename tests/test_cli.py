@@ -128,6 +128,30 @@ def test_exit_2_on_broken_config(tmp_path):
     assert code == 2
 
 
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"\xff\xfe[problem]\n")
+    assert cli.main(["analyze", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out)["diagnostics"] == (
+        "the config is not UTF-8 text: invalid start byte at byte 0")
+
+
+@pytest.mark.parametrize("config, e0, command", [
+    ("f1", "0.65", "bs"), ("f1", "0.65", "widths"), ("f1", "0.65", "pseudo"),
+    ("f1", "0.8", "bs"), ("f1", "0.8", "widths"), ("f1", "0.8", "pseudo"), ("f2", "0.8", "bs"),
+])
+def test_shifted_e0_runs(tmp_path, config, e0, command):
+    # the base-point halves of the turning edges keep their turning points,
+    # so their actions converge at any e0 the structure checks accept
+    with open(_cfg_path(config), encoding="utf-8") as fh:
+        text = fh.read()
+    assert "e0 = 0.75" in text
+    out = tmp_path / "out.txt"
+    code = cli.main([command, _write(tmp_path, text.replace("e0 = 0.75", f"e0 = {e0}")),
+                     "--h", "0.05", "--out", str(out)])
+    assert code == 0, out.read_text()
+
+
 def test_bs_csv(tmp_path):
     out = tmp_path / "bs.csv"
     code = cli.main(["bs", _cfg_path("f1_arc"), "--h", "0.05", "--out", str(out)])

@@ -35,6 +35,10 @@ def test_removed_names_stay_gone():
     assert not hasattr(geometry, "_gamma1_edges")
     assert not hasattr(geometry, "_mk_edge")
     assert not hasattr(geometry.PathSeq, "recount_switches")
+    # one arc walk cuts a segment, and brentq takes the bracket values in hand
+    assert not hasattr(geometry, "_arc_to_x")
+    assert not hasattr(model, "_refine_root")
+    assert not hasattr(model, "MissedBracket")
     assert "out_edge" not in {f.name for f in dataclasses.fields(geometry.Graph)}
     # the named test problems live with the tests
     assert importlib.util.find_spec("crosswidth.fixtures") is None

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 import re
 
 import pytest
@@ -127,21 +128,75 @@ def test_sub_pieces_turning_count_split():
         Piece(-1.5, -1.0, +1, True, False),
     )
     e = geometry.Edge(0, 1, None, None, pieces, base_frac=0.3)
-    first, nu1 = e.sub_pieces(0.0, 0.3)
-    second, nu2 = e.sub_pieces(0.3, 1.0)
+    first = e.sub_pieces(0.0, 0.3)
+    second = e.sub_pieces(0.3, 1.0)
+    nu1, nu2 = len(first) - 1, len(second) - 1
     assert nu1 + nu2 == e.nu == 1
     assert nu1 == 0 and nu2 == 1
     total = sum(pc.width for pc in first) + sum(pc.width for pc in second)
     assert abs(total - e.arc_length) < 1e-14
     # a fraction range that brackets the junction counts it
-    _, nu_mid = e.sub_pieces(0.25, 0.75)
-    assert nu_mid == 1
+    assert len(e.sub_pieces(0.25, 0.75)) - 1 == 1
+
+
+def _inside(e, flo, fhi):
+    """Junction arcs strictly inside the cut, in the cut's own arithmetic."""
+    L = e.arc_length
+    return [s for s in geometry._junction_arcs(e.pieces) if flo * L < s < fhi * L]
+
+
+def test_sub_pieces_count_the_junctions_strictly_inside(f0_engine, f1arc_engine, single_engine):
+    # dyadic widths put cuts exactly on the junctions at arcs 0.5 and 0.75
+    chain = geometry.Edge(0, 1, None, None, (
+        Piece(0.0, 0.5, +1, False, True),
+        Piece(0.25, 0.5, -1, True, True),
+        Piece(0.25, 0.5, +1, True, False),
+    ))
+    for flo, fhi, nu in [(0.0, 0.5, 0), (0.5, 0.75, 0), (0.75, 1.0, 0), (0.5, 1.0, 1),
+                         (0.25, 0.75, 1), (0.0, 0.75, 1), (0.25, 0.8, 2), (0.0, 1.0, 2)]:
+        assert len(chain.sub_pieces(flo, fhi)) - 1 == nu == len(_inside(chain, flo, fhi))
+    rng = random.Random(5)
+    cuts = 0
+    for _, g, _ in (f0_engine, f1arc_engine, single_engine):
+        for e in g.edges:
+            juncs = [s / e.arc_length for s in geometry._junction_arcs(e.pieces)]
+            fracs = [0.0, 1.0, e.base_frac] + juncs + [rng.random() for _ in range(40)]
+            for flo in fracs:
+                for fhi in fracs:
+                    if flo < fhi:
+                        assert len(e.sub_pieces(flo, fhi)) - 1 == len(_inside(e, flo, fhi))
+                        cuts += 1
+    assert cuts > 10000
+
+
+def _turning_ends(pieces):
+    return sorted([pc.x_lo for pc in pieces if pc.lo_turn] + [pc.x_hi for pc in pieces if pc.hi_turn])
+
+
+@pytest.mark.parametrize("e0", [0.65, 0.8])
+def test_base_point_halves_keep_their_turning_points(e0):
+    # a turning edge is two pieces that meet at its turning point; the
+    # base-point half holding it must carry both flags at the exact x
+    _, g, _ = pipeline.build_engine(fixtures.f1(e0=e0), calib=1.0, h_max=0.05)
+    halves = 0
+    for e in g.edges:
+        if e.nu == 0:
+            continue
+        assert len(e.pieces) == 2
+        for flo, fhi in ((0.0, e.base_frac), (e.base_frac, 1.0)):
+            sub = e.sub_pieces(flo, fhi)
+            holds_turn = bool(_inside(e, flo, fhi))
+            assert len(sub) == 1 + holds_turn
+            assert _turning_ends(sub) == (_turning_ends(e.pieces) if holds_turn else [])
+            halves += holds_turn
+    assert halves == 2  # round the two walls of the channel-1 well
 
 
 def test_base_point_positions(f1arc_engine):
     _, g, _ = f1arc_engine
     for e in g.edges:
-        x = geometry._arc_to_x(e.pieces, e.base_frac)
+        end = e.sub_pieces(0.0, e.base_frac)[-1]
+        x = end.x_hi if end.xi_sign > 0 else end.x_lo
         lo = min(pc.x_lo for pc in e.pieces)
         hi = max(pc.x_hi for pc in e.pieces)
         assert lo <= x <= hi

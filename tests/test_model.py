@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 import fixtures
@@ -197,3 +198,19 @@ def test_boundary_root_excluded():
     p = _mk("x^2", "0 - x", 1.0, window=(-4.0, 4.0))
     out = crossing_points(p)
     assert [round(c.x, 8) for c in out] == [0.0]
+
+
+def test_scan_refines_each_bracket_from_its_samples():
+    # one-point calls that disagree in sign with the grid's samples at the
+    # bracket's ends cannot unmake the bracket: brentq starts from the
+    # samples and calls fn only inside
+    xs = model._grid((-1.0, 1.0), 8)
+
+    def fn(x):
+        if np.ndim(x):
+            return x - 0.1
+        return x - 0.1 if 0.0 < x < 0.25 else 1.0
+
+    vals, roots = model._scan(fn, xs, "f")
+    assert vals.tolist() == (xs - 0.1).tolist()
+    assert len(roots) == 1 and abs(roots[0] - 0.1) < ROOT_TOL

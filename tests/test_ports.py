@@ -14,7 +14,7 @@ import pytest
 import scipy.integrate
 import scipy.optimize
 
-from crosswidth.model import MissedBracket, _refine_root, brentq
+from crosswidth.model import brentq
 from crosswidth.oracle import simpson
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -70,8 +70,6 @@ def test_brentq_errors():
         brentq(lambda x: math.nan, 0.0, 1.0, 1e-12)
     with pytest.raises(ValueError, match="NaN"):  # NaN inside the bracket
         brentq(lambda x: x - 0.5 if x in (0.0, 1.0) else math.nan, 0.0, 1.0, 1e-12)
-    with pytest.warns(MissedBracket), pytest.raises(ValueError):
-        _refine_root(lambda x: 1.0, 0.0, 1.0, 1e-12)
 
 
 def test_brentq_returns_a_python_float():
