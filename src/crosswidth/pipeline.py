@@ -110,7 +110,9 @@ def select_anchor(engine: SemiclassicsEngine, h_list: Sequence[float]) -> float:
     from log h (and keep a quarter spacing away from the width dips).
     When no candidate keeps clear of the dips, it warns and returns e0,
     which is never a candidate (the grid has an even number of points,
-    symmetric about e0).
+    symmetric about e0).  Neighbouring candidates mostly track the same
+    seeds: each distinct tuple of tracked seeds is scored once, at its
+    first candidate, since a later one could not score strictly lower.
     """
     e0 = engine.p.e0
     sp0 = engine.level_spacing(max(h_list))
@@ -118,19 +120,19 @@ def select_anchor(engine: SemiclassicsEngine, h_list: Sequence[float]) -> float:
     logh = logh - logh.mean()
     grids = {h: box_levels(engine, h) for h in h_list}
     dips_by_h = {h: width_dips(engine, h) for h in h_list}
+    clear = {}  # (h, grid point) -> whether it keeps a quarter spacing from h's dips
+    for h in h_list:
+        quarter, dips = 0.25 * engine.level_spacing(h), dips_by_h[h]
+        for s in grids[h]:
+            clear[h, s] = not (dips and min(abs(s - d) for d in dips) < quarter)
+    scored = set()
     best_anchor, best_score = None, math.inf
     for anchor in np.linspace(e0 - sp0, e0 + sp0, _ANCHOR_GRID):
-        seeds = []
-        ok = True
-        for h in h_list:
-            s = tracked_seed(grids[h], float(anchor))
-            quarter = 0.25 * engine.level_spacing(h)
-            dips = dips_by_h[h]
-            if dips and min(abs(s - d) for d in dips) < quarter:
-                ok = False
-                break
-            seeds.append(s)
-        if not ok:
+        seeds = tuple(tracked_seed(grids[h], float(anchor)) for h in h_list)
+        if seeds in scored:
+            continue
+        scored.add(seeds)
+        if not all(clear[h, s] for h, s in zip(h_list, seeds)):
             continue
         es = np.asarray(seeds)
         trend = abs(float(np.dot(es - es.mean(), logh)) / float(np.dot(logh, logh)))

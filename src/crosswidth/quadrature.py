@@ -257,6 +257,20 @@ def _resolve_turn(p: Problem, channel: int, E: float, x0: float) -> float:
         d *= 2.0
         if d > 10.0:
             break
+    # far from the reference energy the symmetric bracket reaches past the
+    # well's other wall, both ends on one side of E: walk from x0 alone,
+    # the way V moves toward E
+    fx0 = f(x0)
+    way = math.copysign(1.0, slope) * math.copysign(1.0, -fx0)
+    d = abs(fx0) / max(abs(slope), 1e-9)
+    while 0.0 < d <= 10.0:
+        x = x0 + way * d
+        fx = f(x)
+        if fx0 * fx < 0:
+            lo, hi, flo, fhi = (x0, x, fx0, fx) if way > 0 else (x, x0, fx, fx0)
+            x = p.turns[key] = brentq(f, lo, hi, ROOT_TOL, (flo, fhi))
+            return x
+        d *= 2.0
     raise NoTurningPoints(f"turning point near x = {x0:.6g} lost at E = {E:.6g}")
 
 

@@ -367,13 +367,16 @@ class SemiclassicsEngine:
             self._table = ActionTable([self._fit(key) for key in self._columns])
         return self._table
 
-    def _actions(self, x: np.ndarray, derivatives: bool) -> Tuple[np.ndarray, np.ndarray]:
-        """Segment actions at the distinct real energies of x, columns as in
-        _column, followed by their energy derivatives when asked for, and
-        the row of each entry of x: one table evaluation.  One energy skips
-        np.unique, which costs about as much as the table there."""
+    def _actions(self, x: np.ndarray, count: Optional[int]) -> Tuple[np.ndarray, np.ndarray]:
+        """The table's first count series (all for None) at the distinct
+        real energies of x, and the row of each entry of x: one table
+        evaluation.  The segment actions come first, columns as in _column,
+        then their energy derivatives in the same order, so count =
+        len(_columns) + _n_loop ends with the loop halves' derivatives.  One
+        energy skips np.unique, which costs about as much as the table
+        there."""
         xs, rows = np.unique(x, return_inverse=True) if len(x) != 1 else (x, _ONE_ROW)
-        return self._action_table()(xs, None if derivatives else len(self._columns)), rows
+        return self._action_table()(xs, count), rows
 
     def _loop_derivative(self, vals: np.ndarray) -> np.ndarray:
         """A'(E) from the derivative columns of the loop edges' halves, summed
@@ -388,9 +391,11 @@ class SemiclassicsEngine:
                   loop_derivative: bool = False) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         """_phases of the segments named by key at the complex energies E,
         and A'(Re E) when loop_derivative is set: one table evaluation for
-        both."""
+        both, of every derivative series off the real axis and of the loop
+        halves' alone on it."""
         plan = self._plan(key)  # first: a new column resets the table
-        vals, rows = self._actions(E.real, bool(E.imag.any()) or loop_derivative)
+        count = len(self._columns) + (self._n_loop if loop_derivative else 0)
+        vals, rows = self._actions(E.real, None if E.imag.any() else count)
         vals = vals[rows]
         return self._phases(vals, E.imag, h, plan), (self._loop_derivative(vals) if loop_derivative else None)
 
@@ -537,7 +542,8 @@ class SemiclassicsEngine:
         return self._action_sum(self.g.gamma1_edges(), E)
 
     def _gamma1_action_derivative(self, E: float) -> float:
-        return float(self._loop_derivative(self._actions(np.array([float(E)]), True)[0])[0])
+        vals, _ = self._actions(np.array([float(E)]), len(self._columns) + self._n_loop)
+        return float(self._loop_derivative(vals)[0])
 
     def level_spacing(self, h: float) -> float:
         """Spacing 2 pi h / |A'(e0)| of the Bohr-Sommerfeld levels near e0."""
@@ -581,22 +587,29 @@ class SemiclassicsEngine:
 
     def _newton_run(self, seed: float, h: float, tol: float):
         """Damped Newton on det(I - M) from one seed, as a coroutine: it
-        yields the energies whose determinants it needs next, [E], then
-        [E + delta, E - delta], then [E + step], and is sent their values.
-        Returns the energy it ended at, the determinant there, the
-        iterations taken and the tolerance tol it stops at.  The run stays in
-        the cached energy domain: a step whose real part leaves it is halved
-        unevaluated, and the run ends where E +/- delta would leave it."""
+        yields each energy it may step to, the seed and then each trial
+        point E + step, together with its central-difference stencil
+        [E, E + delta, E - delta] where the stencil stays in the cached
+        energy domain, and is sent their values; an accepted step so comes
+        with its derivative.  Returns the energy it ended at, the
+        determinant there, the iterations taken and the tolerance tol it
+        stops at.  The run stays in the cached energy domain: a step whose
+        real part leaves it is halved unevaluated, and the run ends at an
+        energy whose stencil would leave it."""
         lo, hi = self.domain
-        E = complex(seed)
-        (fE,) = yield [E]
         delta = 1e-3 * h
+
+        def stencil(E: complex) -> List[complex]:
+            return [E, E + delta, E - delta] if lo <= E.real - delta and E.real + delta <= hi else [E]
+
+        E = complex(seed)
+        fE, *f_pm = yield stencil(E)
         for it in range(1, 51):
             if abs(fE) <= tol:
                 return E, fE, it - 1, tol
-            if not (lo <= E.real - delta and E.real + delta <= hi):
+            if not f_pm:
                 break
-            f_plus, f_minus = yield [E + delta, E - delta]
+            f_plus, f_minus = f_pm
             fp = (f_plus - f_minus) / (2.0 * delta)
             if fp == 0:
                 break
@@ -605,9 +618,9 @@ class SemiclassicsEngine:
             for _ in range(25):
                 cand = E + step
                 if lo <= cand.real <= hi:
-                    (fc,) = yield [cand]
+                    fc, *fc_pm = yield stencil(cand)
                     if abs(fc) < abs(fE):
-                        E, fE = cand, fc
+                        E, fE, f_pm = cand, fc, fc_pm
                         accepted = True
                         break
                 step /= 2.0

@@ -68,7 +68,7 @@ def f0_decoupled() -> Problem:
     return _problem("0.1 - 0.6*tanh(x)", r0="0", r1="0")
 
 
-def f1(x_c: float = -0.2, r1: str = "0.15", e0: float = 0.75) -> Problem:
+def f1(x_c: float = -0.2, r1: str = "0.15", e0: float = 0.75, L: float = 1.5) -> Problem:
     """Order-2 tangency at x_c: V2 = mu - nu*tanh(x) with (mu, nu) from the
     2x2 value/slope match.
 
@@ -78,7 +78,7 @@ def f1(x_c: float = -0.2, r1: str = "0.15", e0: float = 0.75) -> Problem:
     exponent clean over the shipped h sweep.
     """
     mu, nu = (float(v) for v in tangency_params(x_c, 2))
-    return _problem(f"{mu!r} - {nu!r}*tanh(x)", r1=r1, e0=e0)
+    return _problem(f"{mu!r} - {nu!r}*tanh(x)", r1=r1, e0=e0, L=L)
 
 
 def f1_varying_r1() -> Problem:

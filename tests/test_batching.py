@@ -305,7 +305,8 @@ def f2_engine():
 def _sequential_newton(engine, seed, h):
     """Damped Newton from one seed with one det_one_minus_m call per step,
     as it ran before the seeds ran in lockstep; returns the root and the
-    number of det_one_minus_m calls it made."""
+    energies of each det_one_minus_m call it made: one for the seed and
+    each trial point, an array of two for each derivative stencil."""
     calls = []
 
     def f(E):
@@ -320,7 +321,7 @@ def _sequential_newton(engine, seed, h):
     delta = 1e-3 * h
     for it in range(1, 51):
         if abs(fE) <= tol:
-            return semiclassics.PseudoResonance(E=E, seed=seed, residual=abs(fE), newton_iters=it - 1), len(calls)
+            return semiclassics.PseudoResonance(E=E, seed=seed, residual=abs(fE), newton_iters=it - 1), calls
         f_plus, f_minus = f(np.array([E + delta, E - delta])).tolist()
         fp = (f_plus - f_minus) / (2.0 * delta)
         if fp == 0:
@@ -340,7 +341,7 @@ def _sequential_newton(engine, seed, h):
         if not accepted:
             break
     if abs(fE) <= tol:
-        return semiclassics.PseudoResonance(E=E, seed=seed, residual=abs(fE), newton_iters=50), len(calls)
+        return semiclassics.PseudoResonance(E=E, seed=seed, residual=abs(fE), newton_iters=50), calls
     raise semiclassics.NewtonDiverged(f"seed {seed:.10g}: residual {abs(fE):.3e} after damped Newton")
 
 
@@ -371,6 +372,12 @@ def _outcome(fn):
     return [(pr.seed, _bits([pr.E]), pr.residual.hex(), pr.newton_iters) for pr in roots]
 
 
+# det_one_minus_m rounds of the longest run at h = 0.08: with a round of its
+# own for each derivative stencil, and with the stencils asked for together
+# with the seed and each trial point
+ROUNDS_AT_008 = {"f0_engine": (11, 6), "f1arc_engine": (13, 7), "f2_engine": (15, 8)}
+
+
 @pytest.mark.parametrize("name", ["f0_engine", "f1arc_engine", "f2_engine"])
 def test_lockstep_newton_equals_sequential_runs(request, name):
     engine = request.getfixturevalue(name)[2]
@@ -386,8 +393,13 @@ def test_lockstep_newton_equals_sequential_runs(request, name):
             got = engine._newton_root(seed, end)
             assert (got.seed, _bits([got.E]), got.residual.hex(), got.newton_iters) == (
                 pr.seed, _bits([pr.E]), pr.residual.hex(), pr.newton_iters)
-        # one call per round: as many as the longest run made alone
-        assert len(calls) == max(n for _, n in runs)
+        # one call per round: as many as the longest run made alone, not
+        # counting its derivative stencils, which come with the seed and
+        # each trial point
+        rounds_apart = max(len(run_calls) for _, run_calls in runs)
+        assert len(calls) == max(sum(np.ndim(E) == 0 for E in run_calls) for _, run_calls in runs)
+        if h == 0.08:
+            assert (rounds_apart, len(calls)) == ROUNDS_AT_008[name]
         assert _outcome(lambda: engine._roots_from_seeds(seeds, h)) == _outcome(
             lambda: _sequential_roots(engine, seeds, h))
 
@@ -683,3 +695,54 @@ def test_dip_mask_equals_the_loop(f0_engine, f2_engine):
     assert found > 0
     es = np.linspace(0.0, 1.0, 9)
     assert pipeline._dips(es, np.zeros(9)) == _looped_dips(es, np.zeros(9)) == []
+
+
+def _table_counts(monkeypatch, all_series=False):
+    """Record the series count of every ActionTable call; with all_series,
+    evaluate every series whatever the count asked for."""
+    counts = []
+    call = quadrature.ActionTable.__call__
+
+    def recorded(self, E, count=None):
+        counts.append(count)
+        return call(self, E, None if all_series else count)
+
+    monkeypatch.setattr(quadrature.ActionTable, "__call__", recorded)
+    return counts
+
+
+@pytest.mark.parametrize("name", ["f0_engine", "f1_engine", "f2_engine"])
+def test_real_widths_evaluate_only_the_loop_derivatives(request, monkeypatch, name):
+    engine = request.getfixturevalue(name)[2]
+    seed = engine.bohr_sommerfeld(H)[0]
+    es = np.linspace(*engine.box(H), 801)
+    engine.width_coefficient(seed, H)  # fits every column first
+    counts = _table_counts(monkeypatch)
+    one = engine.width_coefficient(seed, H).D
+    scan = engine.width_coefficient(es, H).D
+    assert counts == [len(engine._columns) + engine._n_loop] * 2
+    _table_counts(monkeypatch, all_series=True)
+    assert one.hex() == engine.width_coefficient(seed, H).D.hex()
+    assert scan.tobytes() == engine.width_coefficient(es, H).D.tobytes()
+
+
+def test_f0_dip_scan_evaluates_only_the_loop_derivatives(f0_engine, monkeypatch):
+    engine = f0_engine[2]
+    pipeline.width_dips(engine, H)  # f0 has two crossing pairs: a grid scan
+    _table_counts(monkeypatch, all_series=True)
+    want = pipeline.width_dips(engine, H)
+    monkeypatch.undo()
+    counts = _table_counts(monkeypatch)
+    assert pipeline.width_dips(engine, H) == want
+    assert counts == [len(engine._columns) + engine._n_loop]
+
+
+def test_loop_action_derivative_evaluates_only_the_loop_derivatives(f1arc_engine, monkeypatch):
+    engine = f1arc_engine[2]
+    E = engine.p.e0 + 0.01
+    _table_counts(monkeypatch, all_series=True)
+    want = engine._gamma1_action_derivative(E)
+    monkeypatch.undo()
+    counts = _table_counts(monkeypatch)
+    assert engine._gamma1_action_derivative(E).hex() == want.hex()
+    assert counts == [len(engine._columns) + engine._n_loop]

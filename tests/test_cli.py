@@ -152,6 +152,19 @@ def test_shifted_e0_runs(tmp_path, config, e0, command):
     assert code == 0, out.read_text()
 
 
+@pytest.mark.parametrize("command", ["bs", "widths", "pseudo"])
+def test_turning_point_far_from_e0_runs(tmp_path, command):
+    # e0 = 0.65 and L = 3 at h = 0.08: the action fits reach energies where
+    # the symmetric turning-point bracket spans the whole well
+    with open(_cfg_path("f1"), encoding="utf-8") as fh:
+        text = fh.read()
+    assert "e0 = 0.75" in text and "L = 1.5" in text
+    out = tmp_path / "out.txt"
+    cfg = _write(tmp_path, text.replace("e0 = 0.75", "e0 = 0.65").replace("L = 1.5", "L = 3"))
+    code = cli.main([command, cfg, "--h", "0.08", "--out", str(out)])
+    assert code == 0, out.read_text()
+
+
 def test_bs_csv(tmp_path):
     out = tmp_path / "bs.csv"
     code = cli.main(["bs", _cfg_path("f1_arc"), "--h", "0.05", "--out", str(out)])

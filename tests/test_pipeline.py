@@ -1,14 +1,16 @@
 import json
+import math
 import os
 import pickle
 import time
 import warnings
 
+import numpy as np
 import pytest
 
 import fixtures
 from crosswidth import cli, exprs, oracle, pipeline, quadrature
-from crosswidth.config import RunConfig
+from crosswidth.config import RunConfig, load_config
 from crosswidth.pipeline import compare_sweep, select_anchor, tracked_seed
 from crosswidth.semiclassics import SemiclassicsEngine
 
@@ -38,6 +40,56 @@ def test_select_anchor_solves_each_grid_once(request, name):
         del engine.bohr_sommerfeld
     assert len(calls) == len(SWEEP)
     assert set(calls) == set(SWEEP)
+
+
+def _select_anchor_reference(engine, h_list):
+    """select_anchor as one loop over every candidate anchor, each scored
+    on its own."""
+    e0 = engine.p.e0
+    sp0 = engine.level_spacing(max(h_list))
+    logh = np.log(np.asarray(h_list, dtype=float))
+    logh = logh - logh.mean()
+    grids = {h: pipeline.box_levels(engine, h) for h in h_list}
+    dips_by_h = {h: pipeline.width_dips(engine, h) for h in h_list}
+    best_anchor, best_score = None, math.inf
+    for anchor in np.linspace(e0 - sp0, e0 + sp0, pipeline._ANCHOR_GRID):
+        seeds = []
+        ok = True
+        for h in h_list:
+            s = tracked_seed(grids[h], float(anchor))
+            quarter = 0.25 * engine.level_spacing(h)
+            dips = dips_by_h[h]
+            if dips and min(abs(s - d) for d in dips) < quarter:
+                ok = False
+                break
+            seeds.append(s)
+        if not ok:
+            continue
+        es = np.asarray(seeds)
+        trend = abs(float(np.dot(es - es.mean(), logh)) / float(np.dot(logh, logh)))
+        if trend < best_score:
+            best_anchor, best_score = float(anchor), trend
+    if best_anchor is None:
+        warnings.warn("no anchor clears the width dips; tracking from e0")
+        return e0
+    return best_anchor
+
+
+def _anchor_and_warnings(select, engine, h_list):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        anchor = select(engine, h_list)
+    return anchor.hex(), [(w.category, str(w.message)) for w in caught]
+
+
+@pytest.mark.parametrize("name", ["f0", "f1", "f1_arc", "f2", "single_transversal"])
+def test_select_anchor_equals_scoring_every_candidate(name):
+    cfg = load_config(os.path.join(ROOT, "configs", f"{name}.cfg"))
+    engine = pipeline.build_engine(cfg.problem, calib=cfg.calib, h_max=max(SWEEP))[2]
+    for h_list in (SWEEP, (0.08, 0.07, 0.055, 0.045, 0.035), (0.075, 0.065, 0.05, 0.04, 0.03),
+                   (0.07, 0.06, 0.045, 0.035, 0.03)):
+        assert _anchor_and_warnings(select_anchor, engine, h_list) == _anchor_and_warnings(
+            _select_anchor_reference, engine, h_list)
 
 
 def test_resonance_table_solves_its_grid_once(f1_engine):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import fixtures
-from crosswidth import exprs, quadrature
+from crosswidth import exprs, pipeline, quadrature
 from crosswidth.geometry import Edge, Piece
 from crosswidth.quadrature import (
     ActionFn,
@@ -324,3 +324,16 @@ def test_adaptive_rows_keep_their_own_bookkeeping():
 
     with pytest.raises(quadrature.QuadratureError, match=r"on \[0.0, 2.0\]"):
         quadrature._adaptive_gl(settles_then_not, lo[:2], np.array([1.0, 2.0]), 1e-14)
+
+
+def test_turning_point_far_from_its_reference_energy():
+    # f1 with e0 = 0.65 and L = 3 at h = 0.08: near the box floor the
+    # symmetric bracket around the turning point at x = 1.11615 reaches
+    # past the well's other wall, so the walk from x0 toward V = E finds it
+    h = 0.08
+    engine = pipeline.build_engine(fixtures.f1(e0=0.65, L=3.0), h_max=h)[2]
+    grid = engine.bohr_sommerfeld(h)
+    lo, hi = engine.box(h)
+    assert len(grid) == 5
+    assert all(a < b for a, b in zip(grid, grid[1:]))
+    assert lo <= grid[0] and grid[-1] <= hi
